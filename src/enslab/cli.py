@@ -273,23 +273,27 @@ def _run_field(params: dict, seed: int, out_dir: Path):
     ind = randomfield.indicator(field, interval)
     report = randomfield.hierarchical_average(ind, params["max_level"])
     n_points = field.values.size
-    p1 = randomfield.one_point_prob(field, interval)
+    p1 = float(ind.bits.mean())
     rows = [("one_point", p1, math.sqrt(max(p1 * (1 - p1), 0.0) / n_points), n_points)]
+    counts = randomfield.pair_counts(ind, ind)
     for r in params["two_point_r"]:
-        p2 = randomfield.two_point_prob(field, interval, interval, float(r))
+        p2 = randomfield.two_point_prob(counts, float(r))
         rows.append(
             (f"two_point_r={_fmt(float(r))}", p2, math.sqrt(max(p2 * (1 - p2), 0.0) / n_points), n_points)
         )
-    iso = randomfield.isotropy_report(field, interval, interval, params["isotropy_r"])
-    for e in iso.estimates:
-        rows.append(
-            (
-                f"isotropy_r={_fmt(float(params['isotropy_r']))}_dir={'_'.join(map(str, e.direction))}",
-                e.estimate,
-                math.sqrt(max(e.estimate * (1 - e.estimate), 0.0) / n_points),
-                n_points,
+    iso = None
+    if field.dim > 1:  # a 1-d lattice has a single direction: nothing to compare
+        iso = randomfield.isotropy_report(counts, params["isotropy_r"])
+        for e in iso.estimates:
+            rows.append(
+                (
+                    f"isotropy_r={_fmt(float(params['isotropy_r']))}_dir={'_'.join(map(str, e.direction))}",
+                    e.estimate,
+                    math.sqrt(max(e.estimate * (1 - e.estimate), 0.0) / n_points),
+                    n_points,
+                )
             )
-        )
+    del counts  # as large as the field; gone before field.bin is encoded
     csv_path = out_dir / "estimates.csv"
     write_csv(csv_path, ["query", "estimate", "mc_sigma", "n_samples"], rows)
 
@@ -316,7 +320,7 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         "log_base": LOG_BASE_NOTE,
         "interval": list(interval),
         "one_point_prob": p1,
-        "isotropy_spread": iso.spread,
+        "isotropy_spread": iso.spread if iso else None,
         "epsilons": [e for e in report.epsilons],
         "global_mean": report.global_mean(),
         "sample_mean": float(field.values.mean()),

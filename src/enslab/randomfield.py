@@ -7,12 +7,25 @@ variance match the requested spec exactly on any lattice. Wavenumbers are
 integer mode magnitudes (units of the fundamental 2pi/L); the DC mode is
 zeroed and the mean added as a constant.
 
+Fields are real, so only the half spectrum (last axis up to Nyquist) is
+ever built: ``rfftn`` of the noise, one amplitude per stored mode, ``irfftn``
+back. The normalization weights each stored mode by its Hermitian
+multiplicity, so the variance is the same as on the full grid.
+
 On top of the fields sit the fractional-volume estimators: indicator
 bitmasks for half-open value intervals [a, b), spatial one-point and
 two-point probabilities with periodic wraparound, hierarchical 3^dim cell
 averages with the per-level spread epsilon_n, and a per-direction isotropy
 report. The torus stands in for infinite volume, so epsilon_n is only
 reported on levels with at least 9 cells.
+
+Two-point queries read one exact pair-count table. By the Wiener-Khinchin
+theorem the count of points x with a[x] = b[x + y] = 1, for every offset y
+at once, is the inverse transform of conj(A) B; :func:`pair_counts` rounds
+it to integers and raises NumericsError if any entry sits 0.25 or more from
+an integer. Each query then sums the integer counts of its offsets and
+divides once, so the estimate is the exact rational pairs / (offsets * N),
+correctly rounded.
 """
 
 from __future__ import annotations
@@ -22,12 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeparationError, GridError, ValidationError
+from .errors import EmptySeparationError, GridError, NumericsError, ValidationError
 
 __all__ = [
     "CovarianceSpec",
     "FieldSample",
     "IndicatorField",
+    "PairCounts",
     "HierarchyReport",
     "DirectionEstimate",
     "IsotropyReport",
@@ -35,12 +49,15 @@ __all__ = [
     "indicator",
     "hierarchical_average",
     "one_point_prob",
+    "pair_counts",
     "two_point_prob",
     "isotropy_report",
 ]
 
 SPECTRUM_KINDS = ("white", "power_law", "gaussian_bump")
 MIN_EPSILON_CELLS = 9
+# a pair count is an integer; its transform estimate must round unambiguously
+MAX_ROUNDING_RESIDUAL = 0.25
 
 
 @dataclass(frozen=True)
@@ -145,6 +162,38 @@ class IndicatorField:
 
 
 @dataclass(frozen=True, eq=False)
+class PairCounts:
+    """Pair counts of two indicators at every lattice offset.
+
+    ``counts[y]`` is the number of points x with a[x] = b[x + y] = 1 under
+    periodic wraparound, for every offset y taken mod side; ``counts[0]`` of
+    an autocorrelation is the number of ones. The table is stored without a
+    copy (it is as large as the field) and handed out read-only.
+    """
+
+    counts: np.ndarray
+    spacing: float
+
+    def __post_init__(self):
+        arr = np.asarray(self.counts)
+        if arr.dtype != np.int64 or arr.ndim not in (1, 2, 3) or len(set(arr.shape)) != 1:
+            raise ValidationError(
+                f"pair counts must be an int64 (side,)*dim array, got {arr.dtype} {arr.shape}"
+            )
+        view = arr.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "counts", view)
+
+    @property
+    def dim(self) -> int:
+        return int(self.counts.ndim)
+
+    @property
+    def side(self) -> int:
+        return int(self.counts.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
 class HierarchyReport:
     """Cell means per hierarchy level, plus the per-level spread epsilon_n.
 
@@ -182,13 +231,28 @@ class IsotropyReport:
 
 
 def _mode_magnitudes(dim: int, side: int) -> np.ndarray:
-    axes = [np.fft.fftfreq(side) * side for _ in range(dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
+    """|k| on the half grid: every mode of the leading axes, 0..Nyquist on the last."""
+    axes = [np.fft.fftfreq(side) * side for _ in range(dim - 1)]
+    axes.append(np.fft.rfftfreq(side) * side)
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
     return np.sqrt(sum(g * g for g in grids))
 
 
+def _hermitian_weights(side: int) -> np.ndarray:
+    """How many full-grid modes each last-axis plane of the half grid stands for.
+
+    The k_last = 0 plane and, for even sides, the Nyquist plane are their own
+    mirror images; every other plane also stands for its conjugate.
+    """
+    weights = np.full(side // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if side % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
 def _spectrum_table(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
-    """Raw (unnormalized) power at every lattice mode; DC is zero."""
+    """Raw (unnormalized) power at every half-grid mode; DC is zero."""
     k = _mode_magnitudes(dim, side)
     if spec.spectrum == "white":
         power = np.ones_like(k)
@@ -206,13 +270,15 @@ def _spectrum_table(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
 
 
 def _mode_amplitudes(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
-    """sqrt of the power table, scaled so the point variance equals spec.variance."""
+    """sqrt of the half-grid power table, scaled so the point variance equals
+    spec.variance. Inverse ``irfftn`` of its square gives the covariance map."""
     power = _spectrum_table(spec, dim, side)
-    total = float(power.sum())
+    total = float((power * _hermitian_weights(side)).sum())
     if total <= 0.0:
         raise ValidationError("spectrum vanishes at every lattice mode; cannot normalize")
     n = side**dim
-    return np.sqrt(power * (spec.variance * n / total))
+    power *= spec.variance * n / total
+    return np.sqrt(power, out=power)
 
 
 def _admits_hierarchy(side: int) -> bool:
@@ -241,10 +307,14 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     if spec.variance == 0.0:
         values = np.full(shape, spec.mean)
     else:
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(shape)
-        amps = _mode_amplitudes(spec, dim, side)
-        values = np.fft.ifftn(np.fft.fftn(noise) * amps).real + spec.mean
+        axes = tuple(range(dim))
+        noise = np.random.default_rng(seed).standard_normal(shape)
+        modes = np.fft.rfftn(noise, axes=axes)
+        del noise
+        modes *= _mode_amplitudes(spec, dim, side)
+        values = np.fft.irfftn(modes, s=shape, axes=axes)
+        del modes
+        values += spec.mean
     return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec)
 
 
@@ -300,8 +370,54 @@ def one_point_prob(field: FieldSample, interval) -> float:
     return float(indicator(field, interval).bits.mean())
 
 
-def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> list:
-    """Integer lattice offsets whose length falls in [r - s/2, r + s/2)."""
+def _round_counts(corr: np.ndarray) -> np.ndarray:
+    """Nearest integers of a transform estimate of pair counts, as int64.
+
+    ``corr`` is overwritten with the rounding error, so no second table of
+    its size is ever allocated. Raises NumericsError when an entry lies
+    MAX_ROUNDING_RESIDUAL or more from its integer: the count is then not
+    pinned down by the transform.
+    """
+    counts = np.empty(corr.shape, dtype=np.int64)
+    np.rint(corr, out=counts, casting="unsafe")
+    corr -= counts
+    residual = float(np.abs(corr, out=corr).max())
+    if not residual < MAX_ROUNDING_RESIDUAL:
+        raise NumericsError(
+            f"pair-count transform is {residual!r} from the nearest integer "
+            f"(limit {MAX_ROUNDING_RESIDUAL})"
+        )
+    return counts
+
+
+def pair_counts(ind_a: IndicatorField, ind_b: IndicatorField) -> PairCounts:
+    """Exact pair counts of ``ind_a`` and ``ind_b`` at every lattice offset.
+
+    counts[y] = sum_x a[x] b[x + y] is the inverse transform of conj(A) B,
+    rounded to integers (Wiener-Khinchin). Passing the same indicator twice
+    takes one forward transform instead of two.
+    """
+    if ind_a.bits.shape != ind_b.bits.shape or ind_a.spacing != ind_b.spacing:
+        raise ValidationError(
+            f"indicators differ in lattice: shapes {ind_a.bits.shape} and {ind_b.bits.shape}, "
+            f"spacings {ind_a.spacing!r} and {ind_b.spacing!r}"
+        )
+    shape = ind_a.bits.shape
+    axes = tuple(range(ind_a.dim))
+    cross = np.fft.rfftn(ind_a.bits, axes=axes)
+    if ind_b is ind_a:
+        cross = cross.real**2 + cross.imag**2
+    else:
+        np.conjugate(cross, out=cross)
+        cross *= np.fft.rfftn(ind_b.bits, axes=axes)
+    corr = np.fft.irfftn(cross, s=shape, axes=axes)
+    del cross
+    return PairCounts(counts=_round_counts(corr), spacing=ind_a.spacing)
+
+
+def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
+    """Integer lattice offsets, one per row, whose length falls in
+    [r - s/2, r + s/2); rows in lexicographic order."""
     if r < 0.0 or not np.isfinite(r):
         raise ValidationError(f"separation must be finite and >= 0, got {r!r}")
     lo, hi = r - 0.5 * spacing, r + 0.5 * spacing
@@ -310,36 +426,30 @@ def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> list:
             f"separation bin reaches {hi!r}, beyond half the torus ({0.5 * side * spacing!r})"
         )
     reach = int(math.floor(hi / spacing)) + 1
-    span = range(-reach, reach + 1)
-    offsets = []
-    for idx in np.ndindex(*(len(span),) * dim):
-        vec = tuple(span[i] for i in idx)
-        length = spacing * math.sqrt(sum(c * c for c in vec))
-        if lo <= length < hi:
-            offsets.append(vec)
-    return offsets
+    grid = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
+    length = spacing * np.sqrt((grid * grid).sum(axis=1))
+    return grid[(length >= lo) & (length < hi)]
 
 
-def two_point_prob(field: FieldSample, interval_a, interval_b, r: float) -> float:
+def _estimate(counts: PairCounts, offsets: np.ndarray) -> float:
+    """Pairs over (offsets x points): the integer count divided once."""
+    pairs = int(counts.counts[tuple((offsets % counts.side).T)].sum())
+    return pairs / (len(offsets) * counts.counts.size)
+
+
+def two_point_prob(counts: PairCounts, r: float) -> float:
     """Joint fractional volume of I_a(x) I_b(x + y) at separation |y| ~ r.
 
     Averages over every point x (periodic wraparound) and every lattice
     offset y inside the half-spacing bin around r, mixing directions; use
     :func:`isotropy_report` to keep directions apart.
     """
-    offsets = _offsets_in_bin(field.dim, field.side, field.spacing, r)
-    if not offsets:
+    offsets = _offsets_in_bin(counts.dim, counts.side, counts.spacing, r)
+    if not len(offsets):
         raise EmptySeparationError(
             f"no lattice offset has length within half a spacing of r={r!r}"
         )
-    bits_a = indicator(field, interval_a).bits
-    bits_b = indicator(field, interval_b).bits
-    acc = 0.0
-    for vec in offsets:
-        # roll by -y so rolled[x] = bits_b[x + y] under periodic wraparound
-        rolled = np.roll(bits_b, shift=tuple(-c for c in vec), axis=tuple(range(field.dim)))
-        acc += float((bits_a & rolled).mean())
-    return acc / len(offsets)
+    return _estimate(counts, offsets)
 
 
 def _canonical_direction(vec: tuple) -> tuple:
@@ -356,7 +466,7 @@ def _canonical_direction(vec: tuple) -> tuple:
 _CLASS_NAMES = {1: "axis", 2: "face-diagonal", 3: "body-diagonal"}
 
 
-def isotropy_report(field: FieldSample, interval_a, interval_b, r: float) -> IsotropyReport:
+def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
     """Two-point estimates split by lattice direction at separation r.
 
     Offsets in the r-bin are grouped by direction (y and -y together, since
@@ -365,34 +475,29 @@ def isotropy_report(field: FieldSample, interval_a, interval_b, r: float) -> Iso
     The spread is the largest pairwise difference between direction
     estimates: an isotropic field keeps it at the Monte Carlo noise level.
     """
-    offsets = _offsets_in_bin(field.dim, field.side, field.spacing, r)
-    offsets = [v for v in offsets if any(v)]
-    if not offsets:
+    offsets = _offsets_in_bin(counts.dim, counts.side, counts.spacing, r)
+    offsets = offsets[offsets.any(axis=1)]
+    if not len(offsets):
         raise EmptySeparationError(
             f"no nonzero lattice offset has length within half a spacing of r={r!r}"
         )
     groups: dict = {}
-    for vec in offsets:
+    for vec in map(tuple, offsets.tolist()):
         groups.setdefault(_canonical_direction(vec), []).append(vec)
     if len(groups) < 2:
         raise ValidationError(
             f"only {len(groups)} distinct direction(s) at r={r!r}; need at least 2"
         )
-    bits_a = indicator(field, interval_a).bits
-    bits_b = indicator(field, interval_b).bits
     entries = []
     for direction in sorted(groups):
-        vals = []
-        for vec in groups[direction]:
-            rolled = np.roll(bits_b, shift=tuple(-c for c in vec), axis=tuple(range(field.dim)))
-            vals.append(float((bits_a & rolled).mean()))
+        vecs = np.array(groups[direction])
         n_nonzero = sum(1 for c in direction if c != 0)
         entries.append(
             DirectionEstimate(
                 direction=direction,
                 klass=_CLASS_NAMES[n_nonzero],
-                estimate=float(np.mean(vals)),
-                n_offsets=len(vals),
+                estimate=_estimate(counts, vecs),
+                n_offsets=len(vecs),
             )
         )
     values = [e.estimate for e in entries]

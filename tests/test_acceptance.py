@@ -47,10 +47,16 @@ from enslab.randomfield import (
     indicator,
     isotropy_report,
     one_point_prob,
+    pair_counts,
 )
 from enslab.spinecho import FrequencySpread, evolve, init_ensemble, magnetization, run_protocol
 
 PHI_BAND = 0.682689492137086  # Phi(1) - Phi(-1), Normal-CDF oracle
+
+
+def auto_counts(field, band):
+    ind = indicator(field, band)
+    return pair_counts(ind, ind)
 
 
 def report(number, name, ok, detail):
@@ -170,9 +176,9 @@ def test_06_isotropy_null_band_and_control():
     band = (-1.0, 1.0)
     spec = CovarianceSpec()
     null = np.array(
-        [isotropy_report(generate(spec, 2, 243, s), band, band, 1.5).spread for s in range(30)]
+        [isotropy_report(auto_counts(generate(spec, 2, 243, s), band), 1.5).spread for s in range(30)]
     )
-    held_out = isotropy_report(generate(spec, 2, 243, 500), band, band, 1.5).spread
+    held_out = isotropy_report(auto_counts(generate(spec, 2, 243, 500), band), 1.5).spread
     bump = CovarianceSpec(variance=1.0, spectrum="gaussian_bump", center=8.0, width=2.0)
     g = generate(bump, 1, 243, 99)
     control = FieldSample(
@@ -183,7 +189,7 @@ def test_06_isotropy_null_band_and_control():
         seed=99,
         spec=bump,
     )
-    control_spread = isotropy_report(control, band, band, 1.5).spread
+    control_spread = isotropy_report(auto_counts(control, band), 1.5).spread
     band_limit = 1.5 * float(null.max())
     ok = held_out <= band_limit and control_spread > band_limit
     report(

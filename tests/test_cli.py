@@ -200,6 +200,16 @@ class TestSummaries:
         est = (out / "estimates.csv").read_text().strip().split("\n")
         assert est[0] == "query,estimate,mc_sigma,n_samples"
 
+    def test_one_dimensional_field_skips_isotropy(self, tmp_path):
+        # a 1-d lattice has a single direction, so there is no isotropy query
+        out = tmp_path / "f1"
+        extra = {"dim": 1, "side": 81, "two_point_r": [1.0, 2.0], "isotropy_r": 1.0}
+        assert run_cli("field", out, extra=extra, tmp_path=tmp_path) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["isotropy_spread"] is None
+        queries = [row.split(",")[0] for row in (out / "estimates.csv").read_text().split()[1:]]
+        assert queries == ["one_point", "two_point_r=1", "two_point_r=2"]
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

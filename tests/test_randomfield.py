@@ -1,20 +1,27 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
-from enslab.errors import EmptySeparationError, GridError, ValidationError
+from enslab.errors import EmptySeparationError, GridError, NumericsError, ValidationError
 from enslab.randomfield import (
     CovarianceSpec,
     FieldSample,
+    IndicatorField,
     _mode_amplitudes,
     _offsets_in_bin,
+    _round_counts,
     generate,
     hierarchical_average,
     indicator,
     isotropy_report,
     one_point_prob,
+    pair_counts,
     two_point_prob,
 )
 
@@ -25,9 +32,60 @@ PHI_BAND = norm.cdf(1.0) - norm.cdf(-1.0)  # 0.6826894921370859
 
 def lattice_correlation(spec, dim, side, offset):
     """Exact ensemble correlation of the synthesized field at a lattice offset."""
-    amps = _mode_amplitudes(spec, dim, side)
-    cov_map = np.fft.ifftn(amps**2).real  # cov(y) = (1/N) sum_k A_k^2 e^(ik.y)
+    amps = _mode_amplitudes(spec, dim, side)  # half grid: last axis up to Nyquist
+    # cov(y) = (1/N) sum_k A_k^2 e^(ik.y)
+    cov_map = np.fft.irfftn(amps**2, s=(side,) * dim, axes=tuple(range(dim)))
     return float(cov_map[tuple(np.mod(offset, side))] / cov_map[(0,) * dim])
+
+
+def complex_fft_reference(spec, dim, side, seed):
+    """Full-grid synthesis: complex fftn of the noise, an amplitude at every mode."""
+    noise = np.random.default_rng(seed).standard_normal((side,) * dim)
+    freqs = np.fft.fftfreq(side) * side
+    k = np.sqrt(sum(g * g for g in np.meshgrid(*(freqs,) * dim, indexing="ij")))
+    if spec.spectrum == "white":
+        power = np.ones_like(k)
+    elif spec.spectrum == "power_law":
+        power = np.where(k > 0.0, k, 1.0) ** spec.index
+    else:
+        power = np.exp(-0.5 * ((k - spec.center) / spec.width) ** 2)
+    power[k == 0.0] = 0.0
+    if spec.cutoff is not None:
+        power[k > spec.cutoff] = 0.0
+    amps = np.sqrt(power * (spec.variance * k.size / power.sum()))
+    return np.fft.ifftn(np.fft.fftn(noise) * amps).real + spec.mean
+
+
+def brute_pair_counts(bits_a, bits_b):
+    """counts[y] = #{x : a[x] = b[x + y] = 1}, one np.roll per offset."""
+    axes = tuple(range(bits_a.ndim))
+    counts = np.zeros(bits_a.shape, dtype=np.int64)
+    for y in np.ndindex(*bits_a.shape):
+        rolled = np.roll(bits_b, shift=tuple(-c for c in y), axis=axes)
+        counts[y] = int((bits_a & rolled).sum())
+    return counts
+
+
+def listed_offsets(dim, spacing, r):
+    """Offsets with length in [r - s/2, r + s/2), enumerated one by one."""
+    reach = int(math.floor((r + 0.5 * spacing) / spacing)) + 1
+    return [
+        vec
+        for vec in itertools.product(range(-reach, reach + 1), repeat=dim)
+        if r - 0.5 * spacing <= spacing * math.sqrt(sum(c * c for c in vec)) < r + 0.5 * spacing
+    ]
+
+
+def direction_of(vec):
+    g = math.gcd(*vec)
+    reduced = tuple(c // g for c in vec)
+    first = next(c for c in reduced if c != 0)
+    return reduced if first > 0 else tuple(-c for c in reduced)
+
+
+def auto_counts(field, band):
+    ind = indicator(field, band)
+    return pair_counts(ind, ind)
 
 
 def rectangle_prob(a, b, rho):
@@ -81,6 +139,23 @@ class TestGenerate:
     def test_mean_is_carried_by_dc_mode(self):
         f = generate(CovarianceSpec(mean=-3.0, variance=1.0), 2, 81, 2)
         assert f.values.mean() == pytest.approx(-3.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec, dim, side",
+        [
+            (CovarianceSpec(spectrum="power_law", index=-3.0), 3, 27),
+            (WHITE, 3, 24),
+            (BUMP, 2, 81),
+            (CovarianceSpec(mean=0.5, variance=2.0, cutoff=20.0), 2, 96),
+            (CovarianceSpec(spectrum="power_law", index=-2.0), 1, 27),
+            (WHITE, 1, 32),
+        ],
+    )
+    def test_half_spectrum_matches_complex_fft_reference(self, spec, dim, side):
+        f = generate(spec, dim, side, 2024)
+        ref = complex_fft_reference(spec, dim, side, 2024)
+        assert np.max(np.abs(f.values - ref)) <= 1e-12
+        assert np.array_equal(f.values, generate(spec, dim, side, 2024).values)
 
     def test_cutoff_zeroing_everything_rejected(self):
         with pytest.raises(ValidationError):
@@ -187,7 +262,7 @@ class TestTwoPoint:
     def test_coincident_points_reduce_to_one_point(self):
         f = generate(WHITE, 2, 81, 17)
         band = (-1.0, 1.0)
-        assert two_point_prob(f, band, band, 0.0) == pytest.approx(
+        assert two_point_prob(auto_counts(f, band), 0.0) == pytest.approx(
             one_point_prob(f, band), abs=1e-15
         )
 
@@ -197,7 +272,7 @@ class TestTwoPoint:
         diffs = []
         for seed in range(40):
             f = generate(WHITE, 2, 243, seed)
-            p2 = two_point_prob(f, band, band, 1.5)
+            p2 = two_point_prob(auto_counts(f, band), 1.5)
             p1 = one_point_prob(f, band)
             diffs.append(p2 - p1 * p1)
         diffs = np.array(diffs)
@@ -213,7 +288,7 @@ class TestTwoPoint:
             [rectangle_prob(-1.0, 1.0, lattice_correlation(BUMP, 2, 81, v)) for v in offsets]
         )
         ests = np.array(
-            [two_point_prob(generate(BUMP, 2, 81, s), band, band, 1.0) for s in range(40)]
+            [two_point_prob(auto_counts(generate(BUMP, 2, 81, s), band), 1.0) for s in range(40)]
         )
         se = ests.std(ddof=1) / math.sqrt(ests.size)
         assert abs(ests.mean() - oracle) < 3.0 * se
@@ -224,15 +299,96 @@ class TestTwoPoint:
         f = generate(WHITE, 2, 81, 23)
         band = (-1.0, 1.0)
         cuts = (-1e9, -0.7, 0.2, 1.1, 1e9)
+        ind = indicator(f, band)
         total = sum(
-            two_point_prob(f, band, (cuts[i], cuts[i + 1]), 1.0) for i in range(len(cuts) - 1)
+            two_point_prob(pair_counts(ind, indicator(f, (cuts[i], cuts[i + 1]))), 1.0)
+            for i in range(len(cuts) - 1)
         )
         assert total == pytest.approx(one_point_prob(f, band), abs=1e-12)
 
     def test_separation_beyond_half_torus_rejected(self):
         f = generate(WHITE, 2, 27, 1)
         with pytest.raises(ValidationError):
-            two_point_prob(f, (-1.0, 1.0), (-1.0, 1.0), 14.0)
+            two_point_prob(auto_counts(f, (-1.0, 1.0)), 14.0)
+
+
+class TestPairCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        side=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        step=st.integers(0, 7),
+        spacing=st.sampled_from([1.0, 0.5, 2.5]),
+        interval_b=st.sampled_from([None, (-1e9, 0.0), (0.2, 1e9), (-0.8, 0.4)]),
+    )
+    def test_exact_against_roll_oracle(self, dim, side, seed, step, spacing, interval_b):
+        # r runs over every bin up to the half-torus limit, so offsets with
+        # negative components wrap around; interval_b None is the
+        # autocorrelation (the same indicator object twice)
+        values = np.random.default_rng(seed).standard_normal((side,) * dim)
+        f = FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=seed, spec=WHITE)
+        ind_a = indicator(f, (-0.5, 1.0))
+        ind_b = ind_a if interval_b is None else indicator(f, interval_b)
+        counts = pair_counts(ind_a, ind_b)
+        brute = brute_pair_counts(ind_a.bits, ind_b.bits)
+        assert counts.counts.dtype == np.int64 and not counts.counts.flags.writeable
+        assert np.array_equal(counts.counts, brute)
+
+        n = side**dim
+        r = (step % side) * 0.5 * spacing
+        offsets = listed_offsets(dim, spacing, r)
+        pairs = sum(int(brute[tuple(np.mod(v, side))]) for v in offsets)
+        p2 = two_point_prob(counts, r)
+        assert p2 == float(Fraction(pairs, len(offsets) * n))
+        rolled_means = [
+            float((ind_a.bits & np.roll(ind_b.bits, [-c for c in v], tuple(range(dim)))).mean())
+            for v in offsets
+        ]
+        assert p2 == pytest.approx(float(np.mean(rolled_means)), rel=1e-12, abs=0.0)
+
+        groups = {}
+        for v in offsets:
+            if any(v):
+                groups.setdefault(direction_of(v), []).append(v)
+        if len(groups) < 2:
+            return
+        report = isotropy_report(counts, r)
+        assert [e.direction for e in report.estimates] == sorted(groups)
+        for e in report.estimates:
+            vecs = groups[e.direction]
+            dir_pairs = sum(int(brute[tuple(np.mod(v, side))]) for v in vecs)
+            assert e.n_offsets == len(vecs)
+            assert e.estimate == float(Fraction(dir_pairs, len(vecs) * n))
+
+    def test_rounding_guard_rejects_a_corrupted_table(self):
+        f = generate(WHITE, 2, 27, 4)
+        ind = indicator(f, (-1.0, 1.0))
+        exact = brute_pair_counts(ind.bits, ind.bits)
+        nudged = exact.astype(float)
+        nudged[3, 5] += 0.2
+        assert np.array_equal(_round_counts(nudged), exact)
+        corrupted = exact.astype(float)
+        corrupted[3, 5] += 0.3
+        with pytest.raises(NumericsError):
+            _round_counts(corrupted)
+
+    def test_lattice_mismatch_rejected(self):
+        a = indicator(generate(WHITE, 2, 27, 1), (-1.0, 1.0))
+        b = indicator(generate(WHITE, 2, 81, 1), (-1.0, 1.0))
+        with pytest.raises(ValidationError):
+            pair_counts(a, b)
+        c = IndicatorField(bits=a.bits, interval=a.interval, spacing=2.0)
+        with pytest.raises(ValidationError):
+            pair_counts(a, c)
+
+    @pytest.mark.parametrize(
+        "dim, side, spacing, r",
+        [(1, 27, 1.0, 4.0), (2, 81, 1.0, 1.5), (2, 81, 0.5, 3.2), (3, 162, 1.0, 8.0), (3, 27, 2.5, 10.0)],
+    )
+    def test_offsets_in_bin_matches_enumeration(self, dim, side, spacing, r):
+        offsets = _offsets_in_bin(dim, side, spacing, r)
+        assert [tuple(v) for v in offsets.tolist()] == listed_offsets(dim, spacing, r)
 
 
 class TestIsotropy:
@@ -240,44 +396,44 @@ class TestIsotropy:
         band = (-1.0, 1.0)
         spreads = np.array(
             [
-                isotropy_report(generate(WHITE, 2, 243, s), band, band, 1.5).spread
+                isotropy_report(auto_counts(generate(WHITE, 2, 243, s), band), 1.5).spread
                 for s in range(20)
             ]
         )
-        fresh = isotropy_report(generate(WHITE, 2, 243, 1000), band, band, 1.5).spread
+        fresh = isotropy_report(auto_counts(generate(WHITE, 2, 243, 1000), band), 1.5).spread
         assert fresh <= 1.5 * spreads.max()
 
     def test_constant_field_directions_identical(self):
         f = generate(CovarianceSpec(mean=0.0, variance=0.0), 2, 81, 0)
-        report = isotropy_report(f, (-1.0, 1.0), (-1.0, 1.0), 1.5)
+        report = isotropy_report(auto_counts(f, (-1.0, 1.0)), 1.5)
         assert report.spread == 0.0
 
     def test_direction_classes_are_labeled(self):
         f = generate(WHITE, 3, 27, 2)
-        report = isotropy_report(f, (-1.0, 1.0), (-1.0, 1.0), 1.8)
+        report = isotropy_report(auto_counts(f, (-1.0, 1.0)), 1.8)
         classes = {e.klass for e in report.estimates}
         assert "axis" in classes or "face-diagonal" in classes
 
     def test_anisotropic_control_is_rejected(self):
         band = (-1.0, 1.0)
         null_max = max(
-            isotropy_report(generate(WHITE, 2, 243, s), band, band, 1.5).spread
+            isotropy_report(auto_counts(generate(WHITE, 2, 243, s), band), 1.5).spread
             for s in range(20)
         )
         g = generate(BUMP, 1, 243, 99)
         values = np.broadcast_to(g.values[:, None], (243, 243)).copy()
         control = FieldSample(dim=2, side=243, values=values, spacing=1.0, seed=99, spec=BUMP)
-        spread = isotropy_report(control, band, band, 1.5).spread
+        spread = isotropy_report(auto_counts(control, band), 1.5).spread
         assert spread > 5.0 * null_max
 
     def test_single_direction_rejected(self):
         # a 1-d lattice offers a single direction at any separation
         g = generate(WHITE, 1, 81, 3)
         with pytest.raises(ValidationError):
-            isotropy_report(g, (-1.0, 1.0), (-1.0, 1.0), 1.0)
+            isotropy_report(auto_counts(g, (-1.0, 1.0)), 1.0)
 
     def test_directionless_bin_rejected(self):
         # r = 0.3: the only offset in the bin is (0, 0), which has no direction
         f = generate(WHITE, 2, 81, 3)
         with pytest.raises(EmptySeparationError):
-            isotropy_report(f, (-1.0, 1.0), (-1.0, 1.0), 0.3)
+            isotropy_report(auto_counts(f, (-1.0, 1.0)), 0.3)
