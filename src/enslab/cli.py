@@ -272,6 +272,8 @@ def _run_field(params: dict, seed: int, out_dir: Path):
     interval = tuple(float(v) for v in params["interval"])
     ind = randomfield.indicator(field, interval)
     report = randomfield.hierarchical_average(ind, params["max_level"])
+    epsilons, global_mean = list(report.epsilons), report.global_mean()
+    del report  # holds a float copy of the bitmask; gone before the pair counts
     n_points = field.values.size
     p1 = float(ind.bits.mean())
     rows = [("one_point", p1, math.sqrt(max(p1 * (1 - p1), 0.0) / n_points), n_points)]
@@ -298,7 +300,7 @@ def _run_field(params: dict, seed: int, out_dir: Path):
     write_csv(csv_path, ["query", "estimate", "mc_sigma", "n_samples"], rows)
 
     bin_path = out_dir / "field.bin"
-    bin_path.write_bytes(field.values.astype("<f8").tobytes())
+    bin_path.write_bytes(np.ascontiguousarray(field.values, dtype="<f8"))  # no copy when native
     sidecar = {
         "dim": field.dim,
         "side": field.side,
@@ -321,8 +323,8 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         "interval": list(interval),
         "one_point_prob": p1,
         "isotropy_spread": iso.spread if iso else None,
-        "epsilons": [e for e in report.epsilons],
-        "global_mean": report.global_mean(),
+        "epsilons": epsilons,
+        "global_mean": global_mean,
         "sample_mean": float(field.values.mean()),
         "sample_variance": float(field.values.var()),
     }
@@ -428,17 +430,13 @@ def _run_cone(params: dict, seed: int, out_dir: Path):
         max_steps=params["max_steps"],
         params=cone_params,
     )
-    rows = []
-    for m in range(params["n_members"]):
-        rows.append(
-            (
-                m,
-                int(result.member_seeds[m]),
-                result.fall_times[m],
-                result.final_azimuths[m],
-                int(result.sectors[m]),
-            )
-        )
+    rows = zip(
+        range(params["n_members"]),
+        result.member_seeds.tolist(),
+        result.fall_times.tolist(),
+        result.final_azimuths.tolist(),
+        result.sectors.tolist(),
+    )
     csv_path = out_dir / "members.csv"
     write_csv(csv_path, ["member", "seed", "fall_time", "final_azimuth", "sector"], rows)
     summary = {
@@ -541,6 +539,8 @@ def build_config(argv) -> RunConfig:
         if file_seed is not None and (isinstance(file_seed, bool) or not isinstance(file_seed, int)):
             raise SchemaError(f"parameter 'seed' must be an integer, got {file_seed!r}")
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
+    if seed < 0:
+        raise SchemaError(f"parameter 'seed' must be a non-negative integer, got {seed!r}")
     params = resolve_parameters(args.subcommand, file_params)
     return RunConfig(subcommand=args.subcommand, parameters=params, seed=int(seed), out_dir=args.out)
 

@@ -13,6 +13,16 @@ fixed-step RK4 on an extended signed-tilt chart (crossing the pole flips the
 sign of theta and shifts phi by pi at readout), which keeps the equations
 smooth for the overwhelmingly common p_phi ~ 0 members.
 
+One lockstep kernel (``_Lockstep``) steps every integration here: the
+single state of :func:`integrate`, the probe bundles of
+:func:`liouville_check` and the whole ensemble of :func:`run_ensemble`. Its
+buffers are allocated once, and the batch is compacted only on steps where
+members fell. Each element sees the same operations in the same order
+whatever the batch, so a member's fall time and azimuth do not depend on
+the ensemble around it, and every finite result is bit-identical to the
+plain per-step RK4 update on arrays (a frozen copy of it is the tests'
+oracle).
+
 A finite-support macrostate (uniform on a box) that straddles the
 equilibrium contains trajectories toward every fall direction; the ensemble
 map from that single macrostate to the distribution over fall sectors is the
@@ -164,45 +174,186 @@ def hamiltonian(state: PhaseState, params: ConeParams = ConeParams()) -> float:
     )
 
 
-def _derivatives(theta, phi, p_theta, p_phi, params: ConeParams):
-    """Canonical equations on the signed-tilt chart; vectorized over members."""
-    ml2 = params.mass * params.rod_length**2
-    sin_t = np.sin(theta)
-    cos_t = np.cos(theta)
-    spinning = p_phi != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_sin2 = np.where(spinning, 1.0 / (ml2 * sin_t**2), 0.0)
-        centrifugal = np.where(spinning, p_phi**2 * cos_t * inv_sin2 / np.where(sin_t == 0.0, 1.0, sin_t), 0.0)
-    d_theta = p_theta / ml2
-    d_phi = p_phi * inv_sin2
-    d_p_theta = centrifugal + params.mass * params.gravity * params.rod_length * sin_t
-    d_p_phi = np.zeros_like(np.asarray(p_phi, dtype=float))
-    if params.damping > 0.0:
-        d_p_theta = d_p_theta - params.damping * p_theta
-        d_p_phi = d_p_phi - params.damping * p_phi
-    return d_theta, d_phi, d_p_theta, d_p_phi
+class _Lockstep:
+    """Classical RK4 on the signed-tilt chart, stepping a batch of members.
+
+    Each element goes through the same operations in the same order as the
+    textbook update (``k = f(y)``, stage ``y + h*k``, then
+    ``y + dt/6 * (((k1 + 2*k2) + 2*k3) + k4)``, with ``f`` as in
+    :meth:`_derivatives`), so a member's trajectory is the same to the last
+    bit whatever batch it runs in. Every ufunc writes into a buffer
+    allocated once; ``compact`` drops members and moves the survivors to
+    the front, so the arrays of a step are always contiguous.
+
+    Work that cannot change a bit is skipped:
+
+    * phi is cyclic: its stage values are never read, only its increments
+      are accumulated;
+    * without damping the p_phi increments are exactly zero, so every stage
+      value of p_phi is ``p_phi + 0.0``, and ``p_phi**2`` and the spinning
+      gate (``p_phi != 0``, which switches the centrifugal terms on) are
+      computed once per member instead of once per stage.
+    """
+
+    def __init__(self, theta, phi, p_theta, p_phi, dt: float, params: ConeParams):
+        # constants as 0-d arrays: ufunc calls take them faster than floats
+        const = lambda v: np.array(v, dtype=float)  # noqa: E731
+        self.damped = params.damping > 0.0
+        self._ml2 = const(params.mass * params.rod_length**2)
+        self._mgl = const(params.mass * params.gravity * params.rod_length)
+        self._damping = const(params.damping)
+        self._stage_steps = (const(0.5 * dt), const(0.5 * dt), const(dt))
+        self._sixth = const(dt / 6.0)
+        self._zero, self._one, self._two = const(0.0), const(1.0), const(2.0)
+        # state rows: those the derivatives read (theta, p_theta and, when
+        # damped, p_phi), then phi
+        rows = [theta, p_theta] + ([p_phi] if self.damped else []) + [phi]
+        n = len(theta)
+        self._shape = (len(rows), len(rows) - 1)
+        self._buf = {
+            "y": np.empty(len(rows) * n),
+            "k": np.empty(4 * len(rows) * n),
+            "acc": np.empty(len(rows) * n),
+            "tmp": np.empty(len(rows) * n),
+            "stage": np.empty((len(rows) - 1) * n),
+            "work": np.zeros(5 * n),  # sin, cos, scratch, 1/(ml2 sin^2), centrifugal
+            "p_phi": np.empty(n),
+            "p2": np.empty(n),
+            "spin": np.empty(n, dtype=bool),
+            "cross": np.empty(n, dtype=bool),
+        }
+        self.ids = np.arange(n)
+        self._resize(n)
+        self.y[...] = rows
+        self._set_p_phi(p_phi)
+
+    def _resize(self, n: int) -> None:
+        """Point every view at the first ``n`` members, contiguously."""
+        rows, lead = self._shape
+        view = lambda name, *shape: self._buf[name][: math.prod(shape)].reshape(shape)  # noqa: E731
+        self.n = n
+        self.y, self.acc, self.tmp = (view(name, rows, n) for name in ("y", "acc", "tmp"))
+        self.k = view("k", 4, rows, n)
+        self.stage = view("stage", lead, n)
+        self.work = view("work", 5, n)
+        self.p2, self.spin, self._cross = (view(name, n) for name in ("p2", "spin", "cross"))
+        self.p_phi = self.y[2] if self.damped else view("p_phi", n)
+        self._lead = (self.y[:lead], self.tmp[:lead], tuple(k[:lead] for k in self.k))
+
+    def _set_p_phi(self, p_phi) -> None:
+        """Store p_phi; without damping also its square and the spinning gate."""
+        self.p_phi[...] = p_phi
+        if not self.damped:
+            np.square(self.p_phi, self.p2)
+            self._set_gate(self.p_phi)
+
+    def _set_gate(self, p_phi) -> None:
+        """Switch the centrifugal terms on where ``p_phi != 0``; where they
+        are off, 1/(ml2 sin^2) and the centrifugal term stay exactly 0."""
+        np.not_equal(p_phi, self._zero, self.spin)
+        if self.spin.all():
+            self.gate = {}
+        else:
+            self.gate = {"where": self.spin}
+            self.work[3:, ~self.spin] = 0.0
+
+    @property
+    def theta(self):
+        return self.y[0]
+
+    @property
+    def p_theta(self):
+        return self.y[1]
+
+    @property
+    def phi(self):
+        return self.y[-1]
+
+    def crossed(self, threshold: float) -> np.ndarray:
+        """``|theta| >= threshold`` per member (a buffer reused by the next call)."""
+        scratch = self.work[2]
+        np.abs(self.theta, scratch)
+        return np.greater_equal(scratch, threshold, self._cross)
+
+    def compact(self, keep) -> None:
+        """Keep only the members where ``keep`` is True, in order."""
+        y, p_phi = self.y[:, keep], self.p_phi[keep]
+        self.ids = self.ids[keep]
+        self._resize(len(self.ids))
+        self.y[...] = y
+        self._set_p_phi(p_phi)
+
+    def _derivatives(self, z, k) -> None:
+        """Equations of motion at stage values ``z`` into increments ``k``.
+
+        d theta/dt   = p_theta / ml2
+        d phi/dt     = p_phi * inv,  inv = 1 / (ml2 sin^2)
+        d p_theta/dt = ((p_phi^2 cos) inv) / sin + mgl sin  [- damping p_theta]
+        d p_phi/dt   = 0  [- damping p_phi]
+
+        inv and the centrifugal term are 0 for members with p_phi == 0. The
+        plain per-step update divided a spinning member at sin == 0 by 1.0
+        instead; there inv is +inf, so the two differ only in the sign of
+        an infinity, and the state turns non-finite either way.
+        """
+        sin, cos, tmp, inv, cent = self.work
+        theta, p_theta = z[0], z[1]
+        if self.damped:
+            p_phi = z[2]
+            self._set_gate(p_phi)
+            np.square(p_phi, self.p2)
+        else:
+            p_phi = self.p_phi
+        gate = self.gate
+        np.sin(theta, sin)
+        np.cos(theta, cos)
+        np.square(sin, tmp, **gate)
+        np.multiply(self._ml2, tmp, tmp, **gate)
+        np.divide(self._one, tmp, inv, **gate)
+        np.multiply(p_phi, inv, k[-1])
+        np.multiply(self.p2, cos, cent, **gate)
+        np.multiply(cent, inv, cent, **gate)
+        np.divide(cent, sin, cent, **gate)
+        np.multiply(self._mgl, sin, k[1])
+        np.add(cent, k[1], k[1])
+        np.divide(p_theta, self._ml2, k[0])
+        if self.damped:
+            np.multiply(self._damping, p_theta, tmp)
+            np.subtract(k[1], tmp, k[1])
+            np.multiply(self._damping, p_phi, tmp)
+            np.subtract(self._zero, tmp, k[2])
+
+    def step(self) -> None:
+        """Advance every member by one RK4 step of size dt."""
+        y, stage, acc, tmp = self.y, self.stage, self.acc, self.tmp
+        y_lead, tmp_lead, k_lead = self._lead
+        k1, k2, k3, k4 = self.k
+        if not self.damped:
+            np.add(self.p_phi, self._zero, self.p_phi)  # p_phi + dt/6 * 0
+        self._derivatives(y, k1)
+        for j, h in enumerate(self._stage_steps):
+            np.multiply(h, k_lead[j], tmp_lead)
+            np.add(y_lead, tmp_lead, stage)
+            self._derivatives(stage, self.k[j + 1])
+        np.multiply(self._two, k2, acc)
+        np.add(k1, acc, acc)
+        np.multiply(self._two, k3, tmp)
+        np.add(acc, tmp, acc)
+        np.add(acc, k4, acc)
+        np.multiply(self._sixth, acc, acc)
+        np.add(y, acc, y)
+
+    def advance(self, steps: int) -> None:
+        """Take ``steps`` steps; overflow shows as non-finite state, not warnings."""
+        with np.errstate(all="ignore"):
+            for _ in range(int(steps)):
+                self.step()
 
 
-def _rk4_step(theta, phi, p_theta, p_phi, dt, params: ConeParams):
-    k1 = _derivatives(theta, phi, p_theta, p_phi, params)
-    h = 0.5 * dt
-    k2 = _derivatives(theta + h * k1[0], phi + h * k1[1], p_theta + h * k1[2], p_phi + h * k1[3], params)
-    k3 = _derivatives(theta + h * k2[0], phi + h * k2[1], p_theta + h * k2[2], p_phi + h * k2[3], params)
-    k4 = _derivatives(theta + dt * k3[0], phi + dt * k3[1], p_theta + dt * k3[2], p_phi + dt * k3[3], params)
-    sixth = dt / 6.0
-    return (
-        theta + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        phi + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        p_theta + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        p_phi + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-    )
-
-
-def _readout(theta: float, phi: float) -> tuple:
-    """Map the signed-tilt chart back to (tilt in [0, pi], azimuth in [0, 2pi))."""
-    if theta >= 0.0:
-        return theta, float(np.mod(phi, TWO_PI))
-    return -theta, float(np.mod(phi + math.pi, TWO_PI))
+def _readout(theta, phi) -> tuple:
+    """Map the signed-tilt chart back to (tilt in [0, pi], azimuth in [0, 2pi)), elementwise."""
+    upright = theta >= 0.0
+    return np.where(upright, theta, -theta), np.mod(np.where(upright, phi, phi + math.pi), TWO_PI)
 
 
 def integrate(state: PhaseState, dt: float, steps: int, params: ConeParams = ConeParams()) -> PhaseState:
@@ -218,20 +369,18 @@ def integrate(state: PhaseState, dt: float, steps: int, params: ConeParams = Con
         raise ValidationError(f"dt must be positive, got {dt!r}")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps!r}")
-    theta = np.float64(state.tilt)
-    phi = np.float64(state.azimuth)
-    p_theta = np.float64(state.tilt_momentum)
-    p_phi = np.float64(state.azimuth_momentum)
-    for _ in range(int(steps)):
-        theta, phi, p_theta, p_phi = _rk4_step(theta, phi, p_theta, p_phi, dt, params)
-    vals = (float(theta), float(phi), float(p_theta), float(p_phi))
+    kernel = _Lockstep(
+        [state.tilt], [state.azimuth], [state.tilt_momentum], [state.azimuth_momentum], dt, params
+    )
+    kernel.advance(steps)
+    vals = tuple(float(row[0]) for row in (kernel.theta, kernel.phi, kernel.p_theta, kernel.p_phi))
     if not all(np.isfinite(v) for v in vals):
         raise NumericsError("trajectory left the finite range (non-finite state)")
     tilt, azimuth = _readout(vals[0], vals[1])
     momentum_sign = 1.0 if vals[0] >= 0.0 else -1.0
     return PhaseState(
-        tilt=tilt,
-        azimuth=azimuth,
+        tilt=float(tilt),
+        azimuth=float(azimuth),
         tilt_momentum=momentum_sign * vals[2],
         azimuth_momentum=vals[3],
     )
@@ -301,39 +450,32 @@ def run_ensemble(
     fall_steps = np.full(n, -1, dtype=np.int64)
     final_theta = np.full(n, np.nan)
     final_phi = np.full(n, np.nan)
-    active = np.ones(n, dtype=bool)
-    crossed0 = np.abs(theta) >= fall_threshold
-    if crossed0.any():
-        fall_steps[crossed0] = 0
-        final_theta[crossed0] = theta[crossed0]
-        final_phi[crossed0] = phi[crossed0]
-        active &= ~crossed0
-
+    kernel = _Lockstep(theta, phi, p_theta, p_phi, dt, params)
+    crossed = kernel.crossed(fall_threshold)
     step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while active.any() and step < max_steps:
-            idx = np.nonzero(active)[0]
-            new = _rk4_step(theta[idx], phi[idx], p_theta[idx], p_phi[idx], dt, params)
-            theta[idx], phi[idx], p_theta[idx], p_phi[idx] = new
+    with np.errstate(all="ignore"):
+        while True:
+            if crossed.any():
+                ids = kernel.ids[crossed]
+                fall_steps[ids] = step
+                final_theta[ids] = kernel.theta[crossed]
+                final_phi[ids] = kernel.phi[crossed]
+                kernel.compact(~crossed)
+            if kernel.n == 0 or step >= max_steps:
+                break
+            kernel.step()
             step += 1
-            crossed = idx[np.abs(theta[idx]) >= fall_threshold]
-            if crossed.size:
-                fall_steps[crossed] = step
-                final_theta[crossed] = theta[crossed]
-                final_phi[crossed] = phi[crossed]
-                active[crossed] = False
+            crossed = kernel.crossed(fall_threshold)
 
     sectors = np.full(n, -1, dtype=np.int64)
     fall_times = np.full(n, np.nan)
     final_azimuths = np.full(n, np.nan)
-    width = TWO_PI / n_sectors
     resolved = fall_steps >= 0
-    for m in np.nonzero(resolved)[0]:
-        _, azimuth = _readout(final_theta[m], final_phi[m])
-        final_azimuths[m] = azimuth
-        sectors[m] = min(int(azimuth // width), n_sectors - 1)
-        fall_times[m] = fall_steps[m] * dt
-    counts = np.bincount(sectors[resolved], minlength=n_sectors) if resolved.any() else np.zeros(n_sectors, dtype=int)
+    _, azimuths = _readout(final_theta[resolved], final_phi[resolved])
+    final_azimuths[resolved] = azimuths
+    sectors[resolved] = np.minimum(azimuths // (TWO_PI / n_sectors), n_sectors - 1)
+    fall_times[resolved] = fall_steps[resolved] * dt
+    counts = np.bincount(sectors[resolved], minlength=n_sectors)
     return EnsembleResult(
         sector_counts=counts.astype(int),
         n_unresolved=int(n - resolved.sum()),
@@ -387,10 +529,9 @@ def liouville_check(
             minus[axis] -= h[axis]
             probes[:, 2 * axis] = plus
             probes[:, 2 * axis + 1] = minus
-        th, ph, pt, pp = probes[0], probes[1], probes[2], probes[3]
-        for _ in range(int(steps)):
-            th, ph, pt, pp = _rk4_step(th, ph, pt, pp, dt, params)
-        flowed = np.vstack([th, ph, pt, pp])
+        kernel = _Lockstep(probes[0], probes[1], probes[2], probes[3], dt, params)
+        kernel.advance(steps)
+        flowed = np.vstack([kernel.theta, kernel.phi, kernel.p_theta, kernel.p_phi])
         if not np.all(np.isfinite(flowed)):
             raise NumericsError("degenerate probe bundle: flow produced non-finite probes")
         jac = np.empty((4, 4))

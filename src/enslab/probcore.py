@@ -70,7 +70,7 @@ def _shannon(p: np.ndarray) -> float:
     if not live.any():
         return 0.0
     q = p[live]
-    return float(-np.sum(q * np.log(q)))
+    return float(-np.sum(q * np.log(q))) + 0.0  # a point mass gives -0.0; report +0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,6 +114,20 @@ class TestSchema:
         code = cli.main(["canonical", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_negative_seed_flag_names_seed(self, tmp_path, capsys):
+        code = cli.main(["field", "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_config_seed_names_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": -3}))
+        code = cli.main(["cone", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "'seed'" in capsys.readouterr().err
+
     def test_numerics_error_exits_three(self, tmp_path, monkeypatch):
         def boom(params, seed, out_dir):
             raise NumericsError("synthetic runtime failure")
@@ -162,6 +176,14 @@ class TestSummaries:
         assert probs == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-12)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["kkt_spread"] <= 1e-10
+
+    def test_point_mass_entropy_is_not_negative_zero(self, tmp_path):
+        out = tmp_path / "cp"
+        cfg = tmp_path / "cp.json"
+        cfg.write_text(json.dumps({"energies": [0.0, 50.0], "temperature": 0.01}))
+        assert cli.main(["canonical", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        assert '"entropy": 0.0' in text and "-0.0" not in text
 
     def test_canonical_solves_temperature_from_target(self, tmp_path):
         out = tmp_path / "ct"

@@ -29,6 +29,10 @@ class TestEntropy:
     def test_point_mass_vanishes(self):
         assert entropy(DiscreteDistribution([1.0, 0.0, 0.0])) == 0.0
 
+    def test_point_mass_entropy_is_positive_zero(self):
+        # -sum(1 * log 1) is -0.0, which the CLI would print as "-0"
+        assert math.copysign(1.0, entropy(DiscreteDistribution([0.0, 1.0]))) == 1.0
+
     def test_half_quarter_quarter(self):
         d = DiscreteDistribution([0.5, 0.25, 0.25])
         assert entropy(d) == pytest.approx(1.0397207708399179, abs=1e-12)  # 1.5 ln 2
