@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -70,26 +70,45 @@ class RunManifest:
     finished_utc: str
     outputs: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "artifact_version": self.artifact_version,
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "outputs": self.outputs,
-        }
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_int(value)
+
+
+def _is_array(value, of=_is_number) -> bool:
+    return isinstance(value, list) and all(map(of, value))
+
+
+def _is_pair(value) -> bool:
+    return _is_array(value) and len(value) == 2
+
+
+# JSON-array tags: the test a value must pass, and how an error describes it
+_ARRAY_TAGS = {
+    "numbers": (_is_array, "an array of numbers"),
+    "integers": (lambda v: _is_array(v, _is_int), "an array of integers"),
+    "interval": (_is_pair, "an array of two numbers [a, b]"),
+    "number lists": (lambda v: _is_array(v, _is_array), "an array of arrays of numbers"),
+    "coefficients": (
+        lambda v: _is_array(v) or _is_array(v, _is_pair),
+        "an array of numbers or of [re, im] pairs",
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
-# parameter schemas: key -> (type tag, default). Type tags: int, float, str,
-# list (JSON array), or a tuple of allowed strings.
+# parameter schemas: key -> (type tag, default). Type tags: int, float, a key
+# of _ARRAY_TAGS (a JSON array with typed elements), or a tuple of allowed
+# strings.
 # ---------------------------------------------------------------------------
 
 SCHEMAS = {
     "entropy": {
-        "blocks": ("list", [[0.5], [0.3, 0.2]]),
+        "blocks": ("number lists", [[0.5], [0.3, 0.2]]),
     },
     "field": {
         "dim": ("int", 2),
@@ -102,22 +121,22 @@ SCHEMAS = {
         "width": ("float", 2.0),
         "cutoff": ("float", 0.0),  # 0 means no cutoff
         "spacing": ("float", 1.0),
-        "interval": ("list", [-1.0, 1.0]),
+        "interval": ("interval", [-1.0, 1.0]),
         "max_level": ("int", 3),
-        "two_point_r": ("list", [1.0, 1.5]),
+        "two_point_r": ("numbers", [1.0, 1.5]),
         "isotropy_r": ("float", 1.5),
     },
     "canonical": {
-        "energies": ("list", [0.0, 1.0, 2.0, 3.0]),
+        "energies": ("numbers", [0.0, 1.0, 2.0, 3.0]),
         "temperature": ("float", 1.0),
         "target_mean_energy": ("float", None),  # set -> temperature is solved for
     },
     "measure": {
-        "coefficients": ("list", [0.6, 0.8]),
+        "coefficients": ("coefficients", [0.6, 0.8]),
         "n_microstates": ("int", 10_000),
         "n_members": ("int", 10_000),
         "ledger_n_micro": ("int", 1024),
-        "suppression_m": ("list", [100, 1000, 10_000]),
+        "suppression_m": ("integers", [100, 1000, 10_000]),
         "suppression_seeds": ("int", 200),
     },
     "cone": {
@@ -151,22 +170,17 @@ def _check_type(key: str, value, tag):
             raise SchemaError(f"parameter '{key}' must be one of {tag}, got {value!r}")
         return value
     if tag == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise SchemaError(f"parameter '{key}' must be an integer, got {value!r}")
         return value
     if tag == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise SchemaError(f"parameter '{key}' must be a number, got {value!r}")
         return float(value)
-    if tag == "str":
-        if not isinstance(value, str):
-            raise SchemaError(f"parameter '{key}' must be a string, got {value!r}")
-        return value
-    if tag == "list":
-        if not isinstance(value, list):
-            raise SchemaError(f"parameter '{key}' must be a JSON array, got {value!r}")
-        return value
-    raise AssertionError(f"unknown schema tag {tag!r}")
+    accepts, description = _ARRAY_TAGS[tag]
+    if not accepts(value):
+        raise SchemaError(f"parameter '{key}' must be {description}, got {value!r}")
+    return value
 
 
 def resolve_parameters(subcommand: str, file_params: dict) -> dict:
@@ -306,15 +320,7 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         "side": field.side,
         "spacing": field.spacing,
         "seed": field.seed,
-        "spec": {
-            "mean": spec.mean,
-            "variance": spec.variance,
-            "spectrum": spec.spectrum,
-            "index": spec.index,
-            "center": spec.center,
-            "width": spec.width,
-            "cutoff": spec.cutoff,
-        },
+        "spec": asdict(spec),
     }
     sidecar_path = out_dir / "field.json"
     write_json(sidecar_path, sidecar)
@@ -360,11 +366,9 @@ def _run_canonical(params: dict, seed: int, out_dir: Path):
 
 def _coefficients_from_param(raw) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2:  # [[re, im], ...]
+    if arr.ndim == 2:  # [[re, im], ...]
         return arr[:, 0] + 1j * arr[:, 1]
-    if arr.ndim == 1:
-        return arr.astype(complex)
-    raise SchemaError("parameter 'coefficients' must be a flat array or [re, im] pairs")
+    return arr.astype(complex)
 
 
 def _run_measure(params: dict, seed: int, out_dir: Path):
@@ -511,7 +515,7 @@ def run(config: RunConfig) -> int:
         finished_utc=finished,
         outputs={f.name: sha256_of(f) for f in files},
     )
-    write_json(out_dir / "manifest.json", manifest.as_dict())
+    write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK
 
 
@@ -536,7 +540,7 @@ def build_config(argv) -> RunConfig:
             raise SchemaError("config file must hold a JSON object")
         file_params = dict(loaded)
         file_seed = file_params.pop("seed", None)
-        if file_seed is not None and (isinstance(file_seed, bool) or not isinstance(file_seed, int)):
+        if file_seed is not None and not _is_int(file_seed):
             raise SchemaError(f"parameter 'seed' must be an integer, got {file_seed!r}")
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
     if seed < 0:

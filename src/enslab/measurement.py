@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .probcore import SUM_TOL, DiscreteDistribution, _shannon
+from .probcore import SUM_TOL, DiscreteDistribution, _frozen_array, _shannon
 from .quantum import IMAG_TOL, Observable
 
 __all__ = [
@@ -50,19 +50,13 @@ class SystemState:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("coefficients must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("coefficients contain non-finite entries")
+        arr = _frozen_array(self.coefficients, dtype=complex, what="coefficients", ndim=1)
         total = float(np.sum(np.abs(arr) ** 2))
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(
                 f"squared coefficients sum to {total!r}, expected 1 within {SUM_TOL}"
             )
-        out = arr.copy()
-        out.flags.writeable = False
-        object.__setattr__(self, "coefficients", out)
+        object.__setattr__(self, "coefficients", arr)
 
     @property
     def n_outcomes(self) -> int:
@@ -78,21 +72,15 @@ class ApparatusEnsemble:
     seed: int
 
     def __post_init__(self):
-        arr = np.asarray(self.phases, dtype=float)
-        if arr.ndim != 2:
-            raise ValidationError("phase table must be 2-d with shape (K, M)")
+        arr = _frozen_array(self.phases, dtype=float, what="phase table", ndim=2)
         if arr.shape[1] != len(self.micro_probs):
             raise ValidationError(
                 f"phase table has {arr.shape[1]} microstate columns but "
                 f"micro_probs has {len(self.micro_probs)}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("phase table contains non-finite entries")
-        if arr.size and (arr.min() < 0.0 or arr.max() >= TWO_PI):
+        if arr.min() < 0.0 or arr.max() >= TWO_PI:
             raise ValidationError("phases must lie in [0, 2pi)")
-        out = arr.copy()
-        out.flags.writeable = False
-        object.__setattr__(self, "phases", out)
+        object.__setattr__(self, "phases", arr)
 
     @property
     def n_microstates(self) -> int:
@@ -117,15 +105,11 @@ class CombinedState:
     microstate: int
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("amplitudes must be a non-empty 1-d vector")
+        arr = _frozen_array(self.amplitudes, dtype=complex, what="amplitudes", ndim=1, finite=False)
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"combined-state norm {norm!r} differs from 1 beyond 1e-12")
-        out = arr.copy()
-        out.flags.writeable = False
-        object.__setattr__(self, "amplitudes", out)
+        object.__setattr__(self, "amplitudes", arr)
 
     def pointer_label(self, k: int) -> tuple:
         """The basis label (outcome, apparatus pointer index) carrying amplitude k."""
@@ -150,8 +134,7 @@ class EntropyLedger:
     microstate_counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.microstate_counts, dtype=int).copy()
-        counts.flags.writeable = False
+        counts = _frozen_array(self.microstate_counts, dtype=int, what="microstate counts", finite=False)
         object.__setattr__(self, "microstate_counts", counts)
         if abs(self.final_total - (self.final_coarse + self.final_residual)) > SUM_TOL:
             raise NumericsError("ledger identity coarse + residual = total violated")

@@ -47,21 +47,29 @@ __all__ = [
 ]
 
 
-def _validated_prob_vector(values, *, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError(f"{what} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contains non-finite entries")
-    if float(arr.min()) < 0.0:
-        raise ValidationError(f"{what} contains a negative entry ({arr.min()})")
-    return arr
+def _frozen_array(values, *, dtype, what: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
+    """A read-only copy of ``values`` as a ``dtype`` array.
 
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
+    With ``ndim`` set, the array must have that many axes and at least one
+    entry; with ``finite``, every entry must be finite. Either failure raises
+    ValidationError naming ``what``. The checks run before the copy, so their
+    temporaries never coexist with it.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    if ndim is not None and (arr.ndim != ndim or arr.size < 1):
+        raise ValidationError(f"{what} must be a non-empty {ndim}-d array")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} must be finite")
     out = arr.copy()
     out.flags.writeable = False
     return out
+
+
+def _validated_prob_vector(values, *, what: str) -> np.ndarray:
+    arr = _frozen_array(values, dtype=float, what=what, ndim=1)
+    if float(arr.min()) < 0.0:
+        raise ValidationError(f"{what} contains a negative entry ({arr.min()})")
+    return arr
 
 
 def _shannon(p: np.ndarray) -> float:
@@ -86,7 +94,7 @@ class DiscreteDistribution:
             raise ValidationError(
                 f"probabilities sum to {total!r}, expected 1 within {SUM_TOL}"
             )
-        object.__setattr__(self, "probs", _freeze(arr))
+        object.__setattr__(self, "probs", arr)
 
     @classmethod
     def from_weights(cls, weights) -> "DiscreteDistribution":
@@ -128,7 +136,7 @@ class PartitionedDistribution:
         for label, vec in raw:
             arr = _validated_prob_vector(vec, what=f"block {label!r}")
             grand += float(arr.sum())
-            cooked.append((str(label), _freeze(arr)))
+            cooked.append((str(label), arr))
         if abs(grand - 1.0) > SUM_TOL:
             raise ValidationError(
                 f"joint probabilities sum to {grand!r}, expected 1 within {SUM_TOL}"
@@ -161,9 +169,10 @@ class EntropyDecomposition:
     per_block_conditional: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "per_block_conditional", _freeze(np.asarray(self.per_block_conditional, dtype=float))
+        conditionals = _frozen_array(
+            self.per_block_conditional, dtype=float, what="per-block conditionals", finite=False
         )
+        object.__setattr__(self, "per_block_conditional", conditionals)
         if abs(self.total - (self.coarse + self.residual)) > SUM_TOL:
             raise NumericsError(
                 "entropy decomposition identity violated: "
@@ -185,14 +194,10 @@ class EnergyLevels:
     temperature: float
 
     def __post_init__(self):
-        arr = np.asarray(self.energies, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("energies must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("energies contain non-finite entries")
+        arr = _frozen_array(self.energies, dtype=float, what="energies", ndim=1)
         if not (np.isfinite(self.temperature) and self.temperature > 0.0):
             raise ValidationError(f"temperature must be positive, got {self.temperature!r}")
-        object.__setattr__(self, "energies", _freeze(arr))
+        object.__setattr__(self, "energies", arr)
 
 
 def entropy(dist: DiscreteDistribution) -> float:

@@ -43,16 +43,12 @@ __all__ = [
 
 
 def _as_complex_matrix(values, *, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+    arr = probcore._frozen_array(values, dtype=complex, what=what, ndim=2)
+    if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square matrix")
     if arr.shape[0] > MAX_DIM:
         raise ValidationError(f"{what} dimension {arr.shape[0]} exceeds cap {MAX_DIM}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contains non-finite entries")
-    out = arr.copy()
-    out.flags.writeable = False
-    return out
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,19 +58,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("state vector must be a non-empty 1-d vector")
+        arr = probcore._frozen_array(self.amplitudes, dtype=complex, what="state vector", ndim=1)
         if arr.size > MAX_DIM:
             raise ValidationError(f"state dimension {arr.size} exceeds cap {MAX_DIM}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("state vector contains non-finite entries")
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"state vector norm {norm!r} differs from 1 beyond 1e-12")
-        out = arr.copy()
-        out.flags.writeable = False
-        object.__setattr__(self, "amplitudes", out)
+        object.__setattr__(self, "amplitudes", arr)
 
     @property
     def dim(self) -> int:

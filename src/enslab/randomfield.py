@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySeparationError, GridError, NumericsError, ValidationError
+from .probcore import _frozen_array
 
 __all__ = [
     "CovarianceSpec",
@@ -123,16 +124,12 @@ class FieldSample:
             raise ValidationError(f"side must be >= 1, got {self.side!r}")
         if not (np.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValidationError(f"spacing must be positive, got {self.spacing!r}")
-        arr = np.asarray(self.values, dtype=float)
+        arr = _frozen_array(self.values, dtype=float, what="field values")
         if arr.shape != (self.side,) * self.dim:
             raise ValidationError(
                 f"values shape {arr.shape} does not match (side,)*dim = {(self.side,) * self.dim}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("field values contain non-finite entries")
-        out = arr.copy()
-        out.flags.writeable = False
-        object.__setattr__(self, "values", out)
+        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +141,10 @@ class IndicatorField:
     spacing: float
 
     def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
-        if not np.all((arr == 0) | (arr == 1)):
+        arr = _frozen_array(self.bits, dtype=np.uint8, what="indicator bits", finite=False)
+        if arr.max(initial=0) > 1:  # uint8: no entry above 1 means every bit is 0 or 1
             raise ValidationError("indicator bits must be 0 or 1")
-        out = arr.copy()
-        out.flags.writeable = False
-        object.__setattr__(self, "bits", out)
+        object.__setattr__(self, "bits", arr)
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
 
     @property

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .probcore import DiscreteDistribution, entropy
+from .probcore import DiscreteDistribution, _frozen_array, entropy
 
 __all__ = [
     "FrequencySpread",
@@ -64,16 +64,12 @@ class SpinEnsemble:
     seed: int
 
     def __post_init__(self):
-        freq = np.asarray(self.frequencies, dtype=float)
-        ph = np.asarray(self.phases, dtype=float)
-        if freq.ndim != 1 or freq.size < 1 or ph.shape != freq.shape:
-            raise ValidationError("frequencies and phases must be matching non-empty 1-d vectors")
-        if not (np.all(np.isfinite(freq)) and np.all(np.isfinite(ph))):
-            raise ValidationError("frequencies/phases contain non-finite entries")
-        for name, arr in (("frequencies", freq), ("phases", ph)):
-            out = arr.copy()
-            out.flags.writeable = False
-            object.__setattr__(self, name, out)
+        freq = _frozen_array(self.frequencies, dtype=float, what="frequencies", ndim=1)
+        ph = _frozen_array(self.phases, dtype=float, what="phases", ndim=1)
+        if ph.shape != freq.shape:
+            raise ValidationError("frequencies and phases must have the same length")
+        object.__setattr__(self, "frequencies", freq)
+        object.__setattr__(self, "phases", ph)
 
     @property
     def n_spins(self) -> int:
@@ -95,8 +91,7 @@ class EchoReport:
 
     def __post_init__(self):
         for name in ("times", "magnetization", "binned_entropy"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
+            arr = _frozen_array(getattr(self, name), dtype=float, what=name, finite=False)
             object.__setattr__(self, name, arr)
 
     def at(self, t: float) -> tuple:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, multivariate_normal, norm
 
-from conftest import random_partition, tilt_rows_to_mean
 from enslab import cli
 from enslab.conefall import (
     InitialMacrostate,
@@ -50,6 +49,7 @@ from enslab.randomfield import (
     pair_counts,
 )
 from enslab.spinecho import FrequencySpread, evolve, init_ensemble, magnetization, run_protocol
+from partition_helpers import random_partition, tilt_rows_to_mean
 
 PHI_BAND = 0.682689492137086  # Phi(1) - Phi(-1), Normal-CDF oracle
 

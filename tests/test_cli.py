@@ -103,6 +103,33 @@ class TestSchema:
         assert code == 2
         assert "side" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, key, value",
+        [
+            ("field", "interval", ["a", 1]),
+            ("field", "interval", [1]),
+            ("field", "interval", [1, 2, 3]),
+            ("field", "two_point_r", ["x"]),
+            ("entropy", "blocks", [["a"]]),
+            ("entropy", "blocks", [0.5, 0.5]),
+            ("measure", "coefficients", ["x", 1]),
+            ("measure", "coefficients", [0.6, [0.8, 0.0]]),
+            ("measure", "coefficients", [[0.6, 0.0, 0.0]]),
+            ("measure", "suppression_m", [1.5]),
+            ("measure", "suppression_m", [True]),
+            ("canonical", "energies", ["a"]),
+            ("canonical", "energies", "abc"),
+        ],
+    )
+    def test_ill_typed_array_names_offender(self, subcommand, key, value, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_json_exits_two(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_partition, tilt_rows_to_mean
 from enslab.errors import ConstraintError, ValidationError
 from enslab.probcore import (
     DiscreteDistribution,
@@ -20,6 +19,7 @@ from enslab.probcore import (
     refine,
     temperature_for_mean_energy,
 )
+from partition_helpers import random_partition, tilt_rows_to_mean
 
 
 class TestEntropy:
