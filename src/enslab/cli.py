@@ -184,13 +184,17 @@ def _check_type(key: str, value, tag):
 
 
 def resolve_parameters(subcommand: str, file_params: dict) -> dict:
-    """Apply defaults, then file values; reject unknown keys and bad types."""
+    """Apply defaults, then file values; reject unknown keys and bad types.
+
+    A key whose default is None (unset) also accepts JSON null, its default.
+    """
     schema = SCHEMAS[subcommand]
     resolved = {key: default for key, (_, default) in schema.items()}
     for key, value in file_params.items():
         if key not in schema:
             raise SchemaError(f"unknown parameter '{key}' for subcommand '{subcommand}'")
-        resolved[key] = _check_type(key, value, schema[key][0])
+        tag, default = schema[key]
+        resolved[key] = None if value is None and default is None else _check_type(key, value, tag)
     return resolved
 
 

@@ -105,7 +105,7 @@ class CombinedState:
     microstate: int
 
     def __post_init__(self):
-        arr = _frozen_array(self.amplitudes, dtype=complex, what="amplitudes", ndim=1, finite=False)
+        arr = _frozen_array(self.amplitudes, dtype=complex, what="amplitudes", ndim=1)
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"combined-state norm {norm!r} differs from 1 beyond 1e-12")

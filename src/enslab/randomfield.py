@@ -12,6 +12,14 @@ ever built: ``rfftn`` of the noise, one amplitude per stored mode, ``irfftn``
 back. The normalization weights each stored mode by its Hermitian
 multiplicity, so the variance is the same as on the full grid.
 
+Every n-d transform runs numpy's own passes in numpy's order, one 1-D
+transform per axis, with the lines of each pass split into one contiguous
+block per CPU and the blocks run in threads (numpy's FFT releases the GIL);
+blocks hold at least 2^16 elements, so small fields stay on one thread.
+Each line is transformed exactly as ``np.fft.rfftn``/``irfftn`` would
+transform it, so fields and pair counts are bit-identical to theirs on any
+number of CPUs. The complex passes run in place.
+
 On top of the fields sit the fractional-volume estimators: indicator
 bitmasks for half-open value intervals [a, b), spatial one-point and
 two-point probabilities with periodic wraparound, hierarchical 3^dim cell
@@ -31,7 +39,9 @@ correctly rounded.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +69,9 @@ SPECTRUM_KINDS = ("white", "power_law", "gaussian_bump")
 MIN_EPSILON_CELLS = 9
 # a pair count is an integer; its transform estimate must round unambiguously
 MAX_ROUNDING_RESIDUAL = 0.25
+# a transform block smaller than this (in elements) costs more to hand to a
+# thread than it saves
+_MIN_BLOCK_SIZE = 2**16
 
 
 @dataclass(frozen=True)
@@ -276,6 +289,68 @@ def _mode_amplitudes(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
     return np.sqrt(power, out=power)
 
 
+def _split_pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """Apply the 1-D ``transform`` along ``axis`` of ``src``, writing ``out``.
+
+    The lines are split along another axis into one contiguous block per
+    CPU, capped by that axis's length and by _MIN_BLOCK_SIZE elements per
+    block (a single block in 1-d). Each block runs as one
+    ``transform(src[block], axis=axis, out=out[block])`` call: the first on
+    the calling thread, the others in threads. An exception raised in a
+    block reaches the caller; no thread outlives the call.
+    """
+    # imported here: concurrent.futures pulls in logging and queue, start-up
+    # cost for every run that never transforms
+    from concurrent.futures import ThreadPoolExecutor
+
+    split = 1 if axis == 0 else 0
+    length = src.shape[split] if src.ndim > 1 else 1
+    n_blocks = max(1, min(len(os.sched_getaffinity(0)), length, src.size // _MIN_BLOCK_SIZE))
+    blocks = []
+    for i in range(n_blocks):
+        index = [slice(None)] * src.ndim
+        if src.ndim > 1:
+            index[split] = slice(length * i // n_blocks, length * (i + 1) // n_blocks)
+        blocks.append(tuple(index))
+
+    def run(block):
+        transform(src[block], axis=axis, out=out[block])
+
+    with ThreadPoolExecutor(max_workers=n_blocks) as pool:
+        others = [pool.submit(run, block) for block in blocks[1:]]
+        run(blocks[0])
+        for future in others:
+            future.result()
+
+
+def _rfftn(x) -> np.ndarray:
+    """``np.fft.rfftn(x)`` over every axis, bit for bit, split across the CPUs.
+
+    ``rfft`` on the last axis, then ``fft`` in place on axes dim-2 ... 0.
+    Integer input is converted to float64 once, here, before any thread
+    starts.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
+    _split_pass(np.fft.rfft, x, out, x.ndim - 1)
+    for axis in range(x.ndim - 2, -1, -1):
+        _split_pass(np.fft.fft, out, out, axis)
+    return out
+
+
+def _irfftn(modes: np.ndarray, shape: tuple) -> np.ndarray:
+    """``np.fft.irfftn(modes, s=shape)`` over every axis, bit for bit, split
+    across the CPUs. ``modes`` (complex128) is overwritten.
+
+    ``ifft`` in place on axes 0 ... dim-2, then ``irfft`` on the last axis.
+    """
+    for axis in range(len(shape) - 1):
+        _split_pass(np.fft.ifft, modes, modes, axis)
+    values = np.empty(shape)
+    _split_pass(partial(np.fft.irfft, n=shape[-1]), modes, values, len(shape) - 1)
+    return values
+
+
 def _admits_hierarchy(side: int) -> bool:
     for p in (2, 3):
         while side % p == 0:
@@ -302,12 +377,11 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     if spec.variance == 0.0:
         values = np.full(shape, spec.mean)
     else:
-        axes = tuple(range(dim))
         noise = np.random.default_rng(seed).standard_normal(shape)
-        modes = np.fft.rfftn(noise, axes=axes)
+        modes = _rfftn(noise)
         del noise
         modes *= _mode_amplitudes(spec, dim, side)
-        values = np.fft.irfftn(modes, s=shape, axes=axes)
+        values = _irfftn(modes, shape)
         del modes
         values += spec.mean
     return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec)
@@ -391,21 +465,24 @@ def pair_counts(ind_a: IndicatorField, ind_b: IndicatorField) -> PairCounts:
     counts[y] = sum_x a[x] b[x + y] is the inverse transform of conj(A) B,
     rounded to integers (Wiener-Khinchin). Passing the same indicator twice
     takes one forward transform instead of two.
+
+    Peak memory is the bits as float64 plus one half-grid complex table:
+    |A|^2 is formed in that table, and no view of it outlives ``del cross``.
     """
     if ind_a.bits.shape != ind_b.bits.shape or ind_a.spacing != ind_b.spacing:
         raise ValidationError(
             f"indicators differ in lattice: shapes {ind_a.bits.shape} and {ind_b.bits.shape}, "
             f"spacings {ind_a.spacing!r} and {ind_b.spacing!r}"
         )
-    shape = ind_a.bits.shape
-    axes = tuple(range(ind_a.dim))
-    cross = np.fft.rfftn(ind_a.bits, axes=axes)
-    if ind_b is ind_a:
-        cross = cross.real**2 + cross.imag**2
+    cross = _rfftn(ind_a.bits)
+    if ind_b is ind_a:  # re**2 + im**2 in place, bit for bit
+        np.square(cross.real, out=cross.real)
+        np.add(cross.real, np.square(cross.imag, out=cross.imag), out=cross.real)
+        cross.imag = 0.0
     else:
         np.conjugate(cross, out=cross)
-        cross *= np.fft.rfftn(ind_b.bits, axes=axes)
-    corr = np.fft.irfftn(cross, s=shape, axes=axes)
+        cross *= _rfftn(ind_b.bits)
+    corr = _irfftn(cross, ind_a.bits.shape)
     del cross
     return PairCounts(counts=_round_counts(corr), spacing=ind_a.spacing)
 

@@ -223,6 +223,15 @@ class TestSummaries:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["target_mean_energy"] == pytest.approx(1.0 / 3.0)
 
+    def test_canonical_accepts_null_target_as_its_default(self, tmp_path):
+        runs = {}
+        for name, params in (("omitted", {}), ("null", {"target_mean_energy": None})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"energies": [0.0, 1.0, 2.0], **params}))
+            assert cli.main(["canonical", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            runs[name] = (tmp_path / name / "summary.json").read_bytes()
+        assert runs["null"] == runs["omitted"]
+
     def test_spinecho_summary(self, tmp_path):
         out = tmp_path / "s"
         assert run_cli("spinecho", out, tmp_path=tmp_path) == 0

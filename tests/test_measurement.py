@@ -7,6 +7,7 @@ from scipy import stats
 from enslab.errors import ValidationError
 from enslab.measurement import (
     ApparatusEnsemble,
+    CombinedState,
     SystemState,
     build_apparatus,
     entropy_ledger,
@@ -85,6 +86,12 @@ class TestPremeasure:
         app = build_apparatus(10, 2, 5)
         with pytest.raises(ValidationError):
             premeasure(EQUAL_PAIR, app, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_combined_state_rejects_non_finite_amplitudes(self, bad):
+        # a NaN norm fails no |norm - 1| > tol comparison, so finiteness is checked first
+        with pytest.raises(ValidationError, match="amplitudes must be finite"):
+            CombinedState(np.array([bad, 0.0]), 0)
 
 
 class TestOffdiagSuppression:

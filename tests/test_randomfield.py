@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +11,15 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
 from enslab.errors import EmptySeparationError, GridError, NumericsError, ValidationError
+from enslab import randomfield
 from enslab.randomfield import (
     CovarianceSpec,
     FieldSample,
     IndicatorField,
     _mode_amplitudes,
     _offsets_in_bin,
+    _irfftn,
+    _rfftn,
     _round_counts,
     generate,
     hierarchical_average,
@@ -389,6 +394,74 @@ class TestPairCounts:
     def test_offsets_in_bin_matches_enumeration(self, dim, side, spacing, r):
         offsets = _offsets_in_bin(dim, side, spacing, r)
         assert [tuple(v) for v in offsets.tolist()] == listed_offsets(dim, spacing, r)
+
+
+def force_cpus(monkeypatch, n):
+    # n CPUs, and no minimum block size, so small arrays take the split path
+    monkeypatch.setattr(randomfield.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(randomfield, "_MIN_BLOCK_SIZE", 1)
+
+
+class TestSplitTransforms:
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    @pytest.mark.parametrize("side", [1, 2, 6, 9, 27, 54])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bit_identical_to_numpy(self, cpus, dim, side, dtype, monkeypatch):
+        # 3 blocks over a split axis of length 2, 5 or 28 are capped or uneven
+        force_cpus(monkeypatch, cpus)
+        shape = (side,) * dim
+        rng = np.random.default_rng([cpus, dim, side])
+        x = rng.standard_normal(shape) if dtype is np.float64 else rng.integers(0, 2, shape, np.uint8)
+        modes = _rfftn(x)
+        expected = np.fft.rfftn(x)
+        assert modes.dtype == expected.dtype and np.array_equal(modes, expected)
+        values = _irfftn(modes, shape)
+        expected = np.fft.irfftn(expected, s=shape, axes=tuple(range(dim)))
+        assert values.dtype == expected.dtype and np.array_equal(values, expected)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        ind = indicator(generate(WHITE, 3, 27, 2), (-1.0, 1.0))
+        assert threading.active_count() == before
+        pair_counts(ind, indicator(generate(WHITE, 3, 27, 3), (0.0, 2.0)))
+        pair_counts(ind, ind)
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        # the calling thread runs the first block; the second block's worker fails
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        fft = np.fft.fft
+
+        def fft_failing_off_the_main_thread(a, axis, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError(f"lines along axis {axis} of a block shaped {a.shape}")
+            return fft(a, axis=axis, out=out)
+
+        monkeypatch.setattr(np.fft, "fft", fft_failing_off_the_main_thread)
+        with pytest.raises(FloatingPointError, match=r"axis 0 of a block shaped \(6, 2\)"):
+            _rfftn(np.ones((6, 6)))
+        assert threading.active_count() == before
+
+    def test_pair_counts_peak_memory(self, monkeypatch):
+        # the bits as float64 plus one half-grid complex table, nothing else
+        # of the field's size: |A|^2 and both complex passes work in place.
+        # The slack holds the threads' bookkeeping (about 22 KB for 3 blocks,
+        # so the CPU count is fixed); one more 54^3 table would be 1.2 MB.
+        force_cpus(monkeypatch, 3)
+        ind = indicator(generate(WHITE, 3, 54, 9), (-1.0, 1.0))
+        budget = ind.bits.size * 8 + 54 * 54 * 28 * 16 + 2**16
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            counts = pair_counts(ind, ind)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert counts.counts[0, 0, 0] == ind.bits.sum()
+        assert peak <= budget
 
 
 class TestIsotropy:
