@@ -13,9 +13,10 @@ back. The normalization weights each stored mode by its Hermitian
 multiplicity, so the variance is the same as on the full grid.
 
 Every n-d transform runs numpy's own passes in numpy's order, one 1-D
-transform per axis, with the lines of each pass split into one contiguous
-block per CPU and the blocks run in threads (numpy's FFT releases the GIL);
-blocks hold at least 2^16 elements, so small fields stay on one thread.
+transform per axis, with the lines of each pass split into one block of
+consecutive indices per CPU and the blocks run in threads (numpy's FFT
+releases the GIL); blocks hold at least 2^16 elements, so small fields stay
+on one thread. The passes write through ``out=``, which needs NumPy 2.0.
 Each line is transformed exactly as ``np.fft.rfftn``/``irfftn`` would
 transform it, so fields and pair counts are bit-identical to theirs on any
 number of CPUs. The complex passes run in place.
@@ -289,11 +290,19 @@ def _mode_amplitudes(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
     return np.sqrt(power, out=power)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; the machine's count where the OS has
+    no affinity call (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _split_pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
     """Apply the 1-D ``transform`` along ``axis`` of ``src``, writing ``out``.
 
-    The lines are split along another axis into one contiguous block per
-    CPU, capped by that axis's length and by _MIN_BLOCK_SIZE elements per
+    The lines are split along another axis into one block of consecutive
+    indices per CPU, capped by that axis's length and by _MIN_BLOCK_SIZE elements per
     block (a single block in 1-d). Each block runs as one
     ``transform(src[block], axis=axis, out=out[block])`` call: the first on
     the calling thread, the others in threads. An exception raised in a
@@ -305,7 +314,7 @@ def _split_pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
 
     split = 1 if axis == 0 else 0
     length = src.shape[split] if src.ndim > 1 else 1
-    n_blocks = max(1, min(len(os.sched_getaffinity(0)), length, src.size // _MIN_BLOCK_SIZE))
+    n_blocks = max(1, min(_cpu_count(), length, src.size // _MIN_BLOCK_SIZE))
     blocks = []
     for i in range(n_blocks):
         index = [slice(None)] * src.ndim

@@ -429,6 +429,21 @@ class TestSplitTransforms:
         pair_counts(ind, ind)
         assert threading.active_count() == before
 
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: the machine's CPU
+        # count is used, and the split transforms stay bit-identical
+        monkeypatch.delattr(randomfield.os, "sched_getaffinity")
+        monkeypatch.setattr(randomfield.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(randomfield, "_MIN_BLOCK_SIZE", 1)
+        assert randomfield._cpu_count() == 3
+        x = np.random.default_rng(5).standard_normal((9, 6, 9))
+        modes = _rfftn(x)
+        assert np.array_equal(modes, np.fft.rfftn(x))
+        expected = np.fft.irfftn(np.fft.rfftn(x), s=x.shape, axes=(0, 1, 2))
+        assert np.array_equal(_irfftn(modes, x.shape), expected)
+        monkeypatch.setattr(randomfield.os, "cpu_count", lambda: None)
+        assert randomfield._cpu_count() == 1
+
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         # the calling thread runs the first block; the second block's worker fails
         force_cpus(monkeypatch, 2)
@@ -448,11 +463,12 @@ class TestSplitTransforms:
     def test_pair_counts_peak_memory(self, monkeypatch):
         # the bits as float64 plus one half-grid complex table, nothing else
         # of the field's size: |A|^2 and both complex passes work in place.
-        # The slack holds the threads' bookkeeping (about 22 KB for 3 blocks,
-        # so the CPU count is fixed); one more 54^3 table would be 1.2 MB.
+        # The 256 KiB slack holds the threads' bookkeeping (about 22 KB for
+        # 3 blocks, so the CPU count is fixed); one more 54^3 table would be
+        # 1.2 MB.
         force_cpus(monkeypatch, 3)
         ind = indicator(generate(WHITE, 3, 54, 9), (-1.0, 1.0))
-        budget = ind.bits.size * 8 + 54 * 54 * 28 * 16 + 2**16
+        budget = ind.bits.size * 8 + 54 * 54 * 28 * 16 + 2**18
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
