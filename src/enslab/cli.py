@@ -453,6 +453,7 @@ def _run_cone(params: dict, seed: int, out_dir: Path):
         "chi_square_uniform": conefall.chi_square_uniform(result.sector_counts),
         "fall_time_stats": result.fall_time_stats(),
         "n_sectors": result.n_sectors,
+        "diagnostics": {"max_norm_drift": result.max_norm_drift},
     }
     return summary, [csv_path]
 
@@ -500,7 +501,7 @@ def run(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         summary, files = RUNNERS[config.subcommand](config.parameters, config.seed, out_dir)
-    except (NumericsError, FloatingPointError) as exc:
+    except NumericsError as exc:
         print(f"numerics error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except EnslabError as exc:

@@ -291,7 +291,10 @@ def canonical(levels: EnergyLevels) -> DiscreteDistribution:
     overflow. This is the entropy maximizer at fixed mean energy.
     """
     x = -levels.energies / levels.temperature
-    w = np.exp(x - x.max())
+    # a spread of levels past the float range overflows the shift to -inf,
+    # and exp(-inf) = 0 is then the exact weight
+    with np.errstate(over="ignore"):
+        w = np.exp(x - x.max())
     return DiscreteDistribution(w / w.sum())
 
 

@@ -266,8 +266,9 @@ def _spectrum_table(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
     if spec.spectrum == "white":
         power = np.ones_like(k)
     elif spec.spectrum == "power_law":
-        with np.errstate(divide="ignore"):
-            power = np.where(k > 0.0, k, 1.0) ** float(spec.index)
+        power = np.where(k > 0.0, k, 1.0)
+        with np.errstate(over="ignore"):  # an overflow is caught as non-finite below
+            power **= float(spec.index)
     else:  # gaussian_bump
         power = np.exp(-0.5 * ((k - spec.center) / spec.width) ** 2)
     power[k == 0.0] = 0.0

@@ -162,6 +162,29 @@ class TestSchema:
         monkeypatch.setitem(cli.RUNNERS, "entropy", boom)
         assert cli.main(["entropy", "--out", str(tmp_path / "x")]) == 3
 
+    def test_coarse_cone_step_exits_three_naming_dt(self, tmp_path, capsys):
+        # at dt = 10 the rod direction leaves the unit sphere before the falls
+        out = tmp_path / "k"
+        assert run_cli("cone", out, extra={"dt": 10.0, "n_members": 50}, tmp_path=tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "dt=10.0" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_canonical_overflowing_shift_is_silent(self, tmp_path):
+        # the max-energy shift overflows to -inf, whose weight exp(-inf) = 0 is exact
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"energies": [0.0, 1e308, -1e308]}))
+        out = tmp_path / "c"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", "canonical", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = (out / "distribution.csv").read_text().split()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == [0.0, 0.0, 1.0]
+
 
 class TestSummaries:
     def test_measure_summary_values(self, tmp_path):
@@ -245,6 +268,7 @@ class TestSummaries:
         assert run_cli("cone", out, tmp_path=tmp_path) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert sum(summary["sector_counts"]) + summary["n_unresolved"] == 40
+        assert 0.0 < summary["diagnostics"]["max_norm_drift"] < 1e-12
         members = (out / "members.csv").read_text().strip().split("\n")
         assert members[0] == "member,seed,fall_time,final_azimuth,sector"
         assert len(members) == 41

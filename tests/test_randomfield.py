@@ -166,6 +166,22 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             generate(CovarianceSpec(cutoff=0.5), 2, 27, 0)
 
+    def test_spectrum_table_peak_memory(self):
+        # |k| and the power table (the power raised in place) plus the bool
+        # mask of the DC mode; the 64 KiB slack is well under the 0.65 MB of
+        # a third 54^3 half-grid table
+        spec = CovarianceSpec(spectrum="power_law", index=-3.0)
+        half = 54 * 54 * 28
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            power = randomfield._spectrum_table(spec, 3, 54)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert power.size == half
+        assert peak <= 2 * half * 8 + half + 2**16
+
 
 class TestIndicator:
     def test_full_range_is_all_ones(self):
