@@ -14,14 +14,18 @@ Each run writes into the output directory:
 
 * ``summary.json``  - the experiment's headline numbers (sorted keys),
 * one or more CSV files - per-row data, floats at 17 significant digits,
-* ``manifest.json`` - resolved config, seed, timestamps, SHA-256 of outputs.
+* ``manifest.json`` - resolved config, seed, timestamps, SHA-256 of outputs,
+  and the environment (Python and numpy versions, platform, CPU count).
+
+A run that exits 2 or 3 removes the output directory if it created it.
 
 All randomness flows from the single config seed. Streams for distinct roles
 are split as SeedSequence(seed, spawn_key=(role,)) with fixed role indices
 (0 = primary generation, 1 = outcome sampling, 2 = auxiliary curves), and
 per-member streams inside an experiment use spawn_key=(member,) on the
 derived stream. Identical config+seed therefore reproduces summary and CSV
-files byte for byte; the manifest differs only in its timestamps.
+files byte for byte, on any CPU count; the manifest differs only in its
+timestamps and, across machines, its environment.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import csv
 import hashlib
 import json
 import math
+import platform
+import shutil
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -38,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, conefall, measurement, probcore, randomfield, spinecho
+from . import __version__, _blocks, conefall, measurement, probcore, quantum, randomfield, spinecho
 from .errors import EnslabError, NumericsError
 
 EXIT_OK = 0
@@ -68,6 +74,7 @@ class RunManifest:
     seed: int
     started_utc: str
     finished_utc: str
+    environment: dict
     outputs: dict
 
 
@@ -369,10 +376,9 @@ def _run_canonical(params: dict, seed: int, out_dir: Path):
 
 
 def _coefficients_from_param(raw) -> np.ndarray:
+    """Real numbers, or [re, im] pairs in the JSON wire format."""
     arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 2:  # [[re, im], ...]
-        return arr[:, 0] + 1j * arr[:, 1]
-    return arr.astype(complex)
+    return quantum._from_pairs(arr, 1, "coefficients") if arr.ndim == 2 else arr.astype(complex)
 
 
 def _run_measure(params: dict, seed: int, out_dir: Path):
@@ -396,7 +402,7 @@ def _run_measure(params: dict, seed: int, out_dir: Path):
         "seed": seed,
         "M": params["n_microstates"],
         "K": k,
-        "c": [[float(z.real), float(z.imag)] for z in c],
+        "c": quantum._to_pairs(c),
         "fractions": [float(p) for p in fractions.probs],
         "counts": [int(v) for v in counts],
         "suppression_curve": [[m, med, p95] for m, med, p95 in curve],
@@ -494,11 +500,47 @@ RUNNERS = {
 }
 
 
+def _environment() -> dict:
+    """What the speed of a run depends on: interpreter, numpy, platform and the
+    CPUs the field transforms, suppression curve and spin echo split across."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        "cpu_count": _blocks._cpu_count(),
+    }
+
+
+def _outermost_missing(path: Path) -> Path | None:
+    """The outermost directory on ``path`` that does not exist yet, if any."""
+    missing = None
+    for p in (path, *path.parents):
+        if p.exists():
+            break
+        missing = p
+    return missing
+
+
 def run(config: RunConfig) -> int:
-    """Execute one experiment; returns the process exit status."""
+    """Execute one experiment; returns the process exit status.
+
+    A run that fails removes the output directory if it created it, with
+    any parents it created; a directory that existed before is left alone.
+    """
     started = datetime.now(timezone.utc).isoformat()
     out_dir = config.out_dir
+    created = _outermost_missing(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    status = None
+    try:
+        status = _run_into(config, out_dir, started)
+        return status
+    finally:
+        if status != EXIT_OK and created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+
+
+def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
     try:
         summary, files = RUNNERS[config.subcommand](config.parameters, config.seed, out_dir)
     except NumericsError as exc:
@@ -518,6 +560,7 @@ def run(config: RunConfig) -> int:
         seed=config.seed,
         started_utc=started,
         finished_utc=finished,
+        environment=_environment(),
         outputs={f.name: sha256_of(f) for f in files},
     )
     write_json(out_dir / "manifest.json", asdict(manifest))

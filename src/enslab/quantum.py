@@ -206,15 +206,26 @@ def vn_entropy_diagonal(rho: DensityOperator) -> float:
     return probcore._shannon(diag)
 
 
+def _to_pairs(values) -> list:
+    """Complex values of any shape as nested lists of [re, im] float pairs:
+    the JSON wire format for complex numbers."""
+    arr = np.asarray(values, dtype=complex)
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
+
+
+def _from_pairs(obj, ndim: int, what: str) -> np.ndarray:
+    """Inverse of :func:`_to_pairs` for an ``ndim``-dimensional array."""
+    arr = np.asarray(obj, dtype=float)
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ValidationError(f"{what} must be nested [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
 def matrix_to_json(matrix: np.ndarray) -> list:
     """Complex matrix as nested lists of [re, im] pairs (JSON wire format)."""
-    arr = np.asarray(matrix, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return _to_pairs(matrix)
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`."""
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValidationError("serialized matrix must be nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return _from_pairs(obj, 2, "serialized matrix")

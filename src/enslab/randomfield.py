@@ -14,12 +14,13 @@ multiplicity, so the variance is the same as on the full grid.
 
 Every n-d transform runs numpy's own passes in numpy's order, one 1-D
 transform per axis, with the lines of each pass split into one block of
-consecutive indices per CPU and the blocks run in threads (numpy's FFT
-releases the GIL); blocks hold at least 2^16 elements, so small fields stay
-on one thread. The passes write through ``out=``, which needs NumPy 2.0.
-Each line is transformed exactly as ``np.fft.rfftn``/``irfftn`` would
-transform it, so fields and pair counts are bit-identical to theirs on any
-number of CPUs. The complex passes run in place.
+consecutive indices per CPU and the blocks run in threads by
+:mod:`._blocks` (numpy's FFT releases the GIL); blocks hold at least 2^16
+elements, so small fields stay on one thread. The passes write through
+``out=``, which needs NumPy 2.0. Each line is transformed exactly as
+``np.fft.rfftn``/``irfftn`` would transform it, so fields and pair counts
+are bit-identical to theirs on any number of CPUs. The complex passes run
+in place.
 
 On top of the fields sit the fractional-volume estimators: indicator
 bitmasks for half-open value intervals [a, b), spatial one-point and
@@ -40,12 +41,12 @@ correctly rounded.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from ._blocks import _split
 from .errors import EmptySeparationError, GridError, NumericsError, ValidationError
 from .probcore import _frozen_array
 
@@ -70,9 +71,6 @@ SPECTRUM_KINDS = ("white", "power_law", "gaussian_bump")
 MIN_EPSILON_CELLS = 9
 # a pair count is an integer; its transform estimate must round unambiguously
 MAX_ROUNDING_RESIDUAL = 0.25
-# a transform block smaller than this (in elements) costs more to hand to a
-# thread than it saves
-_MIN_BLOCK_SIZE = 2**16
 
 
 @dataclass(frozen=True)
@@ -291,46 +289,23 @@ def _mode_amplitudes(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
     return np.sqrt(power, out=power)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on; the machine's count where the OS has
-    no affinity call (macOS, Windows)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _split_pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
     """Apply the 1-D ``transform`` along ``axis`` of ``src``, writing ``out``.
 
-    The lines are split along another axis into one block of consecutive
-    indices per CPU, capped by that axis's length and by _MIN_BLOCK_SIZE elements per
-    block (a single block in 1-d). Each block runs as one
-    ``transform(src[block], axis=axis, out=out[block])`` call: the first on
-    the calling thread, the others in threads. An exception raised in a
-    block reaches the caller; no thread outlives the call.
+    The lines are split along another axis into blocks of consecutive
+    indices (:func:`_blocks._split`; a single block in 1-d). Each block runs
+    as one ``transform(src[block], axis=axis, out=out[block])`` call.
     """
-    # imported here: concurrent.futures pulls in logging and queue, start-up
-    # cost for every run that never transforms
-    from concurrent.futures import ThreadPoolExecutor
-
     split = 1 if axis == 0 else 0
-    length = src.shape[split] if src.ndim > 1 else 1
-    n_blocks = max(1, min(_cpu_count(), length, src.size // _MIN_BLOCK_SIZE))
-    blocks = []
-    for i in range(n_blocks):
+
+    def run(start, stop):
         index = [slice(None)] * src.ndim
         if src.ndim > 1:
-            index[split] = slice(length * i // n_blocks, length * (i + 1) // n_blocks)
-        blocks.append(tuple(index))
-
-    def run(block):
+            index[split] = slice(start, stop)
+        block = tuple(index)
         transform(src[block], axis=axis, out=out[block])
 
-    with ThreadPoolExecutor(max_workers=n_blocks) as pool:
-        others = [pool.submit(run, block) for block in blocks[1:]]
-        run(blocks[0])
-        for future in others:
-            future.result()
+    _split(run, src.shape[split] if src.ndim > 1 else 1, src.size)
 
 
 def _rfftn(x) -> np.ndarray:

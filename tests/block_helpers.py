@@ -1,0 +1,48 @@
+"""Shared test helpers: pretend the process may run on n CPUs, and watch
+which public functions run off the main thread."""
+
+import functools
+import inspect
+import threading
+
+from enslab import _blocks, conefall, measurement, probcore, randomfield, spinecho
+
+LAYERS = (probcore, randomfield, measurement, conefall, spinecho)
+
+
+def force_cpus(monkeypatch, n):
+    # n CPUs, and no minimum block size, so small inputs take the split path
+    monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(_blocks, "_MIN_BLOCK_SIZE", 1)
+
+
+def public_calls_off_the_main_thread(monkeypatch) -> list:
+    """A list that records the name of every public function (any ``__all__``
+    function, wherever a module holds it, and DiscreteDistribution's
+    constructors) called from a thread other than the main one. These are
+    the names a profiler wraps with unsynchronized state."""
+    calls = []
+
+    def spy(fn, name):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    public = {}
+    for module in LAYERS:
+        for name in module.__all__:
+            if inspect.isfunction(getattr(module, name)):
+                public[getattr(module, name)] = f"{module.__name__}.{name}"
+    for module in LAYERS:
+        for attr, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj in public:
+                monkeypatch.setattr(module, attr, spy(obj, public[obj]))
+    dist = probcore.DiscreteDistribution
+    for name in ("from_weights", "uniform"):
+        fn = inspect.getattr_static(dist, name).__func__
+        monkeypatch.setattr(dist, name, classmethod(spy(fn, f"DiscreteDistribution.{name}")))
+    return calls

@@ -1,0 +1,108 @@
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from block_helpers import force_cpus
+from enslab import _blocks
+from enslab._blocks import _split
+from enslab.measurement import suppression_curve
+from enslab.spinecho import FrequencySpread, run_protocol
+
+
+def record_blocks(length, size):
+    """The (start, stop, on the calling thread) of every block _split runs."""
+    seen, lock = [], threading.Lock()
+
+    def run(start, stop):
+        with lock:
+            seen.append((start, stop, threading.current_thread() is threading.main_thread()))
+
+    _split(run, length, size)
+    return sorted(seen)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 7, 101])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_blocks_cover_the_range_once_in_order(self, cpus, length, monkeypatch):
+        force_cpus(monkeypatch, cpus)
+        blocks = record_blocks(length, length)
+        assert len(blocks) == max(1, min(cpus, length))
+        assert blocks[0][0] == 0 and blocks[-1][1] == length
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(stop - start >= length // len(blocks) for start, stop, _ in blocks)
+        # the first block runs on the calling thread, the others do not
+        assert [on_caller for _, _, on_caller in blocks] == [True] + [False] * (len(blocks) - 1)
+
+    def test_block_floor_caps_the_count(self, monkeypatch):
+        monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: set(range(4)))
+        floor = _blocks._MIN_BLOCK_SIZE
+        assert len(record_blocks(100, 2 * floor - 1)) == 1
+        assert len(record_blocks(100, 2 * floor)) == 2
+        assert len(record_blocks(100, 100 * floor)) == 4
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        force_cpus(monkeypatch, 1)
+        before = threading.active_count()
+        started = []
+        _split(lambda start, stop: started.append(threading.active_count()), 9, 9)
+        assert started == [before]
+
+    @pytest.mark.parametrize("failing_block", [0, 1, 2])
+    def test_exception_reaches_the_caller_and_no_thread_outlives(self, failing_block, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        finished = []
+
+        def run(start, stop):
+            if start == failing_block * 3:
+                raise FloatingPointError(f"block [{start}, {stop})")
+            finished.append(start)
+
+        with pytest.raises(FloatingPointError, match=rf"block \[{failing_block * 3}, "):
+            _split(run, 9, 9)
+        assert threading.active_count() == before
+        # the blocks that do not fail still run to the end
+        assert sorted(finished) == [b * 3 for b in range(3) if b != failing_block]
+
+    @pytest.mark.parametrize("failing, raised", [((0, 2), 0), ((1, 2), 1)])
+    def test_first_failure_wins(self, failing, raised, monkeypatch):
+        # the calling thread's block first, then the lowest worker block
+        force_cpus(monkeypatch, 3)
+
+        def run(start, stop):
+            if start // 3 in failing:
+                raise FloatingPointError(f"block {start // 3}")
+
+        with pytest.raises(FloatingPointError, match=f"block {raised}"):
+            _split(run, 9, 9)
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # 8 blocks on a 2-CPU host, a thread switch every microsecond: every
+        # slot still holds what its own block wrote, and the curve and the
+        # protocol equal their one-block results
+        def results():
+            slots = np.zeros(1000)
+
+            def run(start, stop):
+                for i in range(start, stop):
+                    slots[i] = i
+
+            _split(run, 1000, 1000)
+            report = run_protocol(200, FrequencySpread(), 3.0, 8, seed=2, samples_per_leg=12)
+            return slots, report.magnetization, report.binned_entropy, suppression_curve([30], 41, 9)
+
+        force_cpus(monkeypatch, 1)
+        serial = results()
+        force_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = results()
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(split[0], np.arange(1000.0))
+        assert split[1].tobytes() == serial[1].tobytes() and split[2].tobytes() == serial[2].tobytes()
+        assert split[3] == serial[3]

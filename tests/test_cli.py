@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from enslab import cli
+from enslab import _blocks, cli
 from enslab.errors import NumericsError
 
 SMALL_CONFIGS = {
@@ -72,6 +73,27 @@ class TestManifest:
             actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert actual == digest
         assert "summary.json" in manifest["outputs"]
+
+    def test_manifest_records_the_environment(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("spinecho", out, tmp_path=tmp_path) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            "cpu_count": _blocks._cpu_count(),
+        }
+
+    def test_measure_coefficients_in_the_pair_wire_format(self, tmp_path):
+        # [re, im] pairs in, the same pairs out in summary.json; plain reals
+        # come out with zero imaginary parts
+        pairs = [[0.6, 0.0], [0.0, -0.8]]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("measure", a, extra={"coefficients": pairs}, tmp_path=tmp_path) == 0
+        assert json.loads((a / "summary.json").read_text())["c"] == pairs
+        assert run_cli("measure", b, extra={"coefficients": [0.6, 0.8]}, tmp_path=tmp_path) == 0
+        assert json.loads((b / "summary.json").read_text())["c"] == [[0.6, 0.0], [0.8, 0.0]]
 
     def test_every_run_writes_a_manifest(self, tmp_path):
         for name in SMALL_CONFIGS:
@@ -168,7 +190,21 @@ class TestSchema:
         assert run_cli("cone", out, extra={"dt": 10.0, "n_members": 50}, tmp_path=tmp_path) == 3
         err = capsys.readouterr().err
         assert "dt=10.0" in err and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_run_removes_the_directories_it_created(self, tmp_path, capsys):
+        # exit 2 from inside the runner: the squared coefficients sum to 0.72
+        out = tmp_path / "a" / "b" / "m"
+        assert run_cli("measure", out, extra={"coefficients": [0.6, 0.6]}, tmp_path=tmp_path) == 2
+        assert "squared coefficients sum to" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and tmp_path.exists()
+
+    def test_failed_run_keeps_a_directory_that_existed(self, tmp_path):
+        out = tmp_path / "m"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert run_cli("measure", out, extra={"coefficients": [0.6, 0.6]}, tmp_path=tmp_path) == 2
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
     def test_canonical_overflowing_shift_is_silent(self, tmp_path):
         # the max-energy shift overflows to -inf, whose weight exp(-inf) = 0 is exact

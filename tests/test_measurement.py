@@ -1,9 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, special, stats
 
+from block_helpers import force_cpus, public_calls_off_the_main_thread
+from enslab import measurement
 from enslab.errors import ValidationError
 from enslab.measurement import (
     ApparatusEnsemble,
@@ -266,3 +269,128 @@ class TestLargestRemainder:
 
     def test_exact_fractions_are_untouched(self):
         np.testing.assert_array_equal(largest_remainder_counts(np.array([0.25, 0.75]), 8), [2, 6])
+
+
+def reference_magnitudes(m_values, n_seeds, seed, n_outcomes=2) -> list:
+    """The magnitudes behind each curve point, one full apparatus at a time
+    through the public API, as the curve was first written."""
+    out = []
+    for j, m in enumerate(m_values):
+        mags = np.empty(n_seeds)
+        for s in range(n_seeds):
+            child = np.random.SeedSequence(entropy=int(seed), spawn_key=(j, s))
+            app = build_apparatus(int(m), n_outcomes, int(child.generate_state(1, np.uint64)[0]))
+            delta = app.phases[0] - app.phases[1]
+            mags[s] = float(abs(np.sum(app.micro_probs.probs * np.exp(1j * delta))))
+        out.append(mags)
+    return out
+
+
+def curve_and_magnitudes(monkeypatch, *args, **kwargs):
+    """suppression_curve's result, and a copy of the array behind each median."""
+    seen, median = [], np.median
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "median", lambda a, *rest, **kw: seen.append(a.copy()) or median(a, *rest, **kw))
+        curve = suppression_curve(*args, **kwargs)
+    return curve, seen
+
+
+class TestSplitCurve:
+    @pytest.mark.parametrize("batch", [300, measurement._PHASOR_BATCH])
+    @pytest.mark.parametrize("n_outcomes", [2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bit_identical_to_a_serial_loop(self, cpus, n_outcomes, batch, monkeypatch):
+        # 13 seeds in 1-3 blocks; a batch of 300 phases holds 3 seeds at
+        # M = 100 and 1 at M = 1001, the default batch all 13
+        force_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(measurement, "_PHASOR_BATCH", batch)
+        m_values, n_seeds, seed = [1, 7, 100, 1001], 13, 40 + cpus
+        before = threading.active_count()
+        curve, seen = curve_and_magnitudes(monkeypatch, m_values, n_seeds, seed, n_outcomes)
+        assert threading.active_count() == before
+        expected = reference_magnitudes(m_values, n_seeds, seed, n_outcomes)
+        assert [m for m, _, _ in curve] == m_values
+        for (_, med, p95), mags, ref in zip(curve, seen, expected):
+            assert mags.tobytes() == ref.tobytes()
+            assert (med, p95) == (float(np.median(ref)), float(np.percentile(ref, 95)))
+
+    def test_workers_call_no_public_function(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        calls = public_calls_off_the_main_thread(monkeypatch)
+        suppression_curve([10, 200], 9, 5, n_outcomes=3)
+        assert calls == []
+        # the spy sees a public call made off the main thread
+        worker = threading.Thread(target=measurement.offdiag_suppression, args=(build_apparatus(4, 2, 0), 0, 1))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert calls == ["enslab.measurement.offdiag_suppression"]
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        phasor_sum = measurement._phasor_sum
+
+        def failing_off_the_main_thread(probs, delta, work=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError(f"{delta.shape[0]} seeds of M = {delta.shape[1]}")
+            return phasor_sum(probs, delta, work)
+
+        monkeypatch.setattr(measurement, "_phasor_sum", failing_off_the_main_thread)
+        with pytest.raises(FloatingPointError, match="4 seeds of M = 50"):
+            suppression_curve([50], 8, 1)
+        assert threading.active_count() == before
+
+    def test_checks_keep_their_messages(self):
+        with pytest.raises(ValidationError, match="at least one seed per curve point"):
+            suppression_curve([10], 0, 1)
+        with pytest.raises(ValidationError, match="apparatus needs at least one microstate"):
+            suppression_curve([10, 0], 5, 1)
+        with pytest.raises(ValidationError, match="measurement needs at least two outcomes"):
+            suppression_curve([10], 5, 1, n_outcomes=1)
+        assert suppression_curve([], 5, 1, n_outcomes=1) == []
+
+
+def _first_zero_of_j0() -> float:
+    return float(special.jn_zeros(0, 1)[0])
+
+
+def flight_cdf(r: float, m: int) -> float:
+    """Kluyver's random-flight law: P(|S_M| <= r) = r int_0^inf J1(rt) J0(t)^M dt
+    for the sum S_M of M independent uniform unit phasors. Past the first
+    zero of J0, |J0|^M is below 0.403^M, so the integral stops there."""
+    f = lambda t: special.j1(r * t) * special.j0(t) ** m  # noqa: E731
+    return r * integrate.quad(f, 0.0, _first_zero_of_j0(), limit=200, epsabs=1e-13)[0]
+
+
+def flight_pdf(r: float, m: int) -> float:
+    """Density of |S_M|: r int_0^inf t J0(rt) J0(t)^M dt."""
+    f = lambda t: t * special.j0(r * t) * special.j0(t) ** m  # noqa: E731
+    return r * integrate.quad(f, 0.0, _first_zero_of_j0(), limit=200, epsabs=1e-13)[0]
+
+
+def flight_quantile(q: float, m: int) -> float:
+    return optimize.brentq(lambda r: flight_cdf(r, m) - q, 1e-9, 5.0 * math.sqrt(m), xtol=1e-12)
+
+
+class TestCurveAgainstRandomFlight:
+    """The curve's magnitude is |S_M| / M, so its exact finite-M quantiles
+    are Kluyver's divided by M."""
+
+    def test_oracle_at_m_100(self):
+        # exact median * sqrt(M) is 0.8339; the Rayleigh limit is sqrt(ln 2) = 0.8326
+        assert flight_quantile(0.5, 100) / 10.0 == pytest.approx(0.8339, abs=5e-5)
+        assert flight_quantile(0.5, 100) / 10.0 - math.sqrt(math.log(2.0)) > 1e-3
+        assert flight_quantile(0.95, 100) / 10.0 == pytest.approx(1.7287, abs=5e-5)
+        # the tail is near the Rayleigh tail exp(-r^2 / M)
+        assert flight_cdf(3.0 * 10.0, 100) == pytest.approx(1.0 - math.exp(-9.0), abs=1e-4)
+
+    @pytest.mark.parametrize("m", [100, 1000])
+    def test_median_and_p95_within_four_sampling_sd(self, m):
+        # sd of a sample q-quantile: sqrt(q (1 - q) / n) / density at it
+        n_seeds = 2001
+        (_, med, p95), = suppression_curve([m], n_seeds, seed=17 + m)
+        for q, got in ((0.5, med), (0.95, p95)):
+            r = flight_quantile(q, m)
+            sd = math.sqrt(q * (1.0 - q) / n_seeds) / (m * flight_pdf(r, m))
+            assert abs(got - r / m) < 4.0 * sd

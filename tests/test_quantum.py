@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from enslab import quantum
 from enslab.errors import BasisError, NumericsError, ValidationError
 from enslab.probcore import DiscreteDistribution, entropy
 from enslab.quantum import (
@@ -228,3 +229,14 @@ class TestMatrixSerialization:
     def test_malformed_payload_rejected(self):
         with pytest.raises(ValidationError):
             matrix_from_json([[1.0, 2.0]])
+
+    def test_vectors_share_the_pair_format(self):
+        # the CLI's measure coefficients and summary use the matrices' pairs
+        c = np.array([0.6 + 0.0j, -0.5 + 0.25j])
+        wire = quantum._to_pairs(c)
+        assert wire == [[0.6, 0.0], [-0.5, 0.25]]
+        np.testing.assert_array_equal(quantum._from_pairs(wire, 1, "coefficients"), c)
+        with pytest.raises(ValidationError, match="coefficients must be nested"):
+            quantum._from_pairs([0.6, 0.8], 1, "coefficients")
+        with pytest.raises(ValidationError, match="serialized matrix must be nested"):
+            matrix_from_json(wire)

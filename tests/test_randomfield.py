@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
 from enslab.errors import EmptySeparationError, GridError, NumericsError, ValidationError
-from enslab import randomfield
+from block_helpers import force_cpus
+from enslab import _blocks, randomfield
 from enslab.randomfield import (
     CovarianceSpec,
     FieldSample,
@@ -412,12 +413,6 @@ class TestPairCounts:
         assert [tuple(v) for v in offsets.tolist()] == listed_offsets(dim, spacing, r)
 
 
-def force_cpus(monkeypatch, n):
-    # n CPUs, and no minimum block size, so small arrays take the split path
-    monkeypatch.setattr(randomfield.os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(randomfield, "_MIN_BLOCK_SIZE", 1)
-
-
 class TestSplitTransforms:
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
     @pytest.mark.parametrize("side", [1, 2, 6, 9, 27, 54])
@@ -448,17 +443,17 @@ class TestSplitTransforms:
     def test_cpu_count_without_an_affinity_call(self, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity: the machine's CPU
         # count is used, and the split transforms stay bit-identical
-        monkeypatch.delattr(randomfield.os, "sched_getaffinity")
-        monkeypatch.setattr(randomfield.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(randomfield, "_MIN_BLOCK_SIZE", 1)
-        assert randomfield._cpu_count() == 3
+        monkeypatch.delattr(_blocks.os, "sched_getaffinity")
+        monkeypatch.setattr(_blocks.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(_blocks, "_MIN_BLOCK_SIZE", 1)
+        assert _blocks._cpu_count() == 3
         x = np.random.default_rng(5).standard_normal((9, 6, 9))
         modes = _rfftn(x)
         assert np.array_equal(modes, np.fft.rfftn(x))
         expected = np.fft.irfftn(np.fft.rfftn(x), s=x.shape, axes=(0, 1, 2))
         assert np.array_equal(_irfftn(modes, x.shape), expected)
-        monkeypatch.setattr(randomfield.os, "cpu_count", lambda: None)
-        assert randomfield._cpu_count() == 1
+        monkeypatch.setattr(_blocks.os, "cpu_count", lambda: None)
+        assert _blocks._cpu_count() == 1
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         # the calling thread runs the first block; the second block's worker fails

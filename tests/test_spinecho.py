@@ -1,10 +1,16 @@
+import concurrent.futures  # noqa: F401  (loaded before any memory is traced)
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from block_helpers import force_cpus, public_calls_off_the_main_thread
+from enslab import spinecho
 from enslab.errors import ValidationError
+from enslab.probcore import DiscreteDistribution, entropy
 from enslab.spinecho import (
     FrequencySpread,
     SpinEnsemble,
@@ -137,3 +143,96 @@ class TestEnsembleType:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValidationError):
             SpinEnsemble(frequencies=np.ones(3), phases=np.zeros(2), seed=0)
+
+
+def reference_sample(state, n_bins) -> tuple:
+    """(magnetization, binned entropy) of one state, as first written."""
+    counts, _ = np.histogram(np.mod(state.phases, 2.0 * math.pi), bins=n_bins, range=(0.0, 2.0 * math.pi))
+    return (
+        float(abs(np.mean(np.exp(1j * state.phases)))),
+        entropy(DiscreteDistribution.from_weights(counts.astype(float))),
+    )
+
+
+def reference_protocol(n, spread, tau, n_bins, seed, samples_per_leg) -> tuple:
+    """run_protocol's loop as first written: one sample at a time through the
+    public ensembles. Returns (times, magnetization, binned entropy)."""
+    base = init_ensemble(n, spread, seed)
+    pulsed = apply_pulse(evolve(base, tau))
+    rows = []
+    for t in np.linspace(0.0, tau, samples_per_leg + 1):
+        rows.append((float(t), *reference_sample(evolve(base, float(t)), n_bins)))
+    for t in np.linspace(tau, 2.0 * tau, samples_per_leg + 1)[1:]:
+        rows.append((float(t), *reference_sample(evolve(pulsed, float(t) - tau), n_bins)))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+class TestSplitProtocol:
+    @pytest.mark.parametrize("spread", [NORMAL_UNIT, FrequencySpread("uniform", 2.5, 0.3)])
+    @pytest.mark.parametrize("samples_per_leg", [1, 4])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bit_identical_to_a_serial_loop(self, cpus, samples_per_leg, spread, monkeypatch):
+        # 3 or 9 samples in 1-3 blocks, 301 spins, 13 bins
+        force_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        report = run_protocol(301, spread, 7.5, 13, seed=cpus, samples_per_leg=samples_per_leg)
+        assert threading.active_count() == before
+        times, mags, ents = reference_protocol(301, spread, 7.5, 13, cpus, samples_per_leg)
+        assert report.times.tobytes() == times.tobytes()
+        assert report.magnetization.tobytes() == mags.tobytes()
+        assert report.binned_entropy.tobytes() == ents.tobytes()
+
+    def test_public_functions_match_the_first_formulas(self):
+        state = evolve(init_ensemble(1001, NORMAL_UNIT, 4), 3.25)
+        assert (magnetization(state), binned_phase_entropy(state, 17)) == reference_sample(state, 17)
+
+    def test_workers_call_no_public_function(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        calls = public_calls_off_the_main_thread(monkeypatch)
+        run_protocol(50, NORMAL_UNIT, 2.0, 8, seed=1, samples_per_leg=3)
+        assert calls == []
+        worker = threading.Thread(target=spinecho.magnetization, args=(init_ensemble(4, NORMAL_UNIT, 0),))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert calls == ["enslab.spinecho.magnetization"]
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        binned = spinecho._binned_entropy
+
+        def failing_off_the_main_thread(phases, n_bins, out=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError(f"{phases.size} phases in a worker")
+            return binned(phases, n_bins, out)
+
+        monkeypatch.setattr(spinecho, "_binned_entropy", failing_off_the_main_thread)
+        with pytest.raises(FloatingPointError, match="20 phases in a worker"):
+            run_protocol(20, NORMAL_UNIT, 2.0, 8, seed=1, samples_per_leg=3)
+        assert threading.active_count() == before
+
+    def test_bin_check_keeps_its_message(self):
+        with pytest.raises(ValidationError, match="need at least 2 bins, got 1"):
+            run_protocol(10, NORMAL_UNIT, 2.0, 1, seed=0)
+
+    def test_two_workers_peak_memory(self, monkeypatch):
+        # two samples in flight, with the ensembles behind them, cost at most
+        # twice one sample of the serial loop above (measured: 8.6-8.8 MB
+        # against 2 x 4.8 MB at n = 1e5)
+        force_cpus(monkeypatch, 2)
+        n = 100_000
+        base = init_ensemble(n, NORMAL_UNIT, 3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            reference_sample(evolve(base, 7.0), 32)
+            single = tracemalloc.get_traced_memory()[1] - start
+            del base
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run_protocol(n, NORMAL_UNIT, 7.0, 32, seed=3, samples_per_leg=2)
+            split = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert split <= 2 * single
