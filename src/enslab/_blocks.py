@@ -1,20 +1,30 @@
-"""Work split into one block of consecutive indices per CPU.
+"""Work shared between the calling thread and one worker thread per other CPU.
+
+:class:`_Tasks` is a bounded task queue that lives for one ``with`` block.
+Up to ``_cpu_count() - 1`` worker threads, started as tasks arrive, take
+tasks from it in order; the calling thread takes them too, whenever more
+than ``backlog`` tasks wait and again at the end of the block. With one CPU
+it starts no thread, and the calling thread runs every task. The numpy work
+inside the tasks (transforms, elementwise ufuncs, histograms) releases the
+GIL, so the tasks run side by side with each other and with the caller.
 
 :func:`_split` runs a loop body over ``range(length)`` as a few calls
-``run(start, stop)`` on disjoint blocks: the first block on the calling
-thread, the others in threads. The numpy work inside (transforms, elementwise
-ufuncs, histograms) releases the GIL, so the blocks run side by side. Every
-caller writes each index's result to its own slot, so what the blocks
-compute does not depend on how many there are.
+``run(start, stop)`` on disjoint blocks, one per CPU: block 0 on the calling
+thread, the others as tasks. Every caller writes each index's result to its
+own slot, so what the tasks compute does not depend on how many threads run
+them.
 
-Worker threads must call only private kernels, never a public ``__all__``
-function or a ``DiscreteDistribution`` constructor: those are the names a
-profiler wraps, and its wrappers keep unsynchronized state.
+Tasks must call only private kernels, never a public ``__all__`` function or
+a ``DiscreteDistribution`` constructor: those are the names a profiler
+wraps, and its wrappers keep unsynchronized state.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from collections import deque
+from functools import partial
 
 # a block smaller than this (in elements) costs more to hand to a thread
 # than it saves
@@ -29,32 +39,105 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+class _Tasks:
+    """Run submitted callables on the calling thread and on worker threads.
+
+    Use as ``with _Tasks(backlog) as tasks: tasks.submit(task)``. Tasks are
+    taken oldest first, by idle workers before the calling thread. The
+    calling thread takes them while more than ``backlog`` wait, and on
+    leaving the block until none wait; then it joins the workers, so no
+    thread outlives the block. Every submitted task runs to its end,
+    whatever else fails. An exception raised by the block's own code then
+    propagates; failing that, the lowest-numbered failed task's does.
+    """
+
+    def __init__(self, backlog: int):
+        self._backlog = backlog
+        self._max_workers = _cpu_count() - 1
+        self._workers = []
+        self._idle = 0  # started workers not running a task
+        self._waiting = deque()  # (task number, task)
+        self._errors = {}  # task number -> exception
+        self._submitted = 0
+        self._closed = False
+        self._cond = threading.Condition()
+
+    def __enter__(self):
+        return self
+
+    def submit(self, task) -> None:
+        """Queue ``task()``; while more than ``backlog`` tasks wait, run the
+        oldest on the calling thread."""
+        with self._cond:
+            self._waiting.append((self._submitted, task))
+            self._submitted += 1
+            self._cond.notify_all()
+        if len(self._workers) < self._max_workers:
+            worker = threading.Thread(target=self._serve, daemon=True)
+            worker.start()
+            self._workers.append(worker)
+            with self._cond:
+                self._idle += 1
+        while (item := self._take(self._backlog)) is not None:
+            self._run(*item)
+
+    def __exit__(self, kind, error, tb):
+        try:
+            while (item := self._take(0)) is not None:
+                self._run(*item)
+        finally:
+            with self._cond:
+                self._closed = True
+                self._cond.notify_all()
+            for worker in self._workers:
+                worker.join()
+        if kind is None and self._errors:
+            raise self._errors[min(self._errors)]
+
+    def _take(self, keep: int):
+        """The oldest waiting task, for the calling thread, while more than
+        ``keep`` wait; None once ``keep`` or fewer do. Idle workers take
+        theirs first."""
+        with self._cond:
+            while len(self._waiting) > keep and self._idle > 0:
+                self._cond.wait()  # an idle worker is about to take one
+            return self._waiting.popleft() if len(self._waiting) > keep else None
+
+    def _run(self, number: int, task) -> None:
+        try:
+            task()
+        except Exception as exc:  # raised on the calling thread on exit
+            with self._cond:
+                self._errors[number] = exc
+
+    def _serve(self) -> None:
+        while True:
+            with self._cond:
+                while not self._waiting and not self._closed:
+                    self._cond.wait()
+                if not self._waiting:
+                    return
+                item = self._waiting.popleft()
+                self._idle -= 1
+                self._cond.notify_all()
+            self._run(*item)
+            with self._cond:
+                self._idle += 1
+
+
 def _split(run, length: int, size: int) -> None:
     """Call ``run(start, stop)`` on consecutive blocks covering ``range(length)``.
 
     ``size`` is the number of elements the whole loop touches. There is one
     block per CPU, capped by ``length`` and by _MIN_BLOCK_SIZE elements per
-    block; a single block runs on the calling thread with no pool. Otherwise
-    the first block runs on the calling thread and the others in threads.
-    Every block runs to its end; an exception raised in one reaches the
-    caller (the calling thread's first, then the lowest block's), and no
-    thread outlives the call.
+    block. Block 0 runs on the calling thread and the others are tasks of a
+    :class:`_Tasks`, so a single block starts no thread. Every block runs to
+    its end; an exception raised in one reaches the caller (block 0's
+    first, then the lowest block's), and no thread outlives the call.
     """
     n_blocks = max(1, min(_cpu_count(), length, size // _MIN_BLOCK_SIZE))
-    if n_blocks == 1:
-        run(0, length)
-        return
-    # imported here: concurrent.futures pulls in logging and queue, start-up
-    # cost for every run that never splits
-    from concurrent.futures import ThreadPoolExecutor
-
     bounds = [(length * i // n_blocks, length * (i + 1) // n_blocks) for i in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=n_blocks - 1) as pool:
-        others = [pool.submit(run, start, stop) for start, stop in bounds[1:]]
-        try:
-            run(*bounds[0])
-        finally:
-            errors = [future.exception() for future in others]  # waits for each
-    for error in errors:
-        if error is not None:
-            raise error
+    with _Tasks(backlog=n_blocks - 1) as tasks:
+        for start, stop in bounds[1:]:
+            tasks.submit(partial(run, start, stop))
+        run(*bounds[0])

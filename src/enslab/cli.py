@@ -171,6 +171,18 @@ SCHEMAS = {
 }
 
 
+def _fits_float(value) -> bool:
+    """False for a number, or an array holding one at any depth, that no
+    float can hold (a JSON integer of about 1.8e308 or more)."""
+    if isinstance(value, list):
+        return all(map(_fits_float, value))
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _check_type(key: str, value, tag):
     if isinstance(tag, tuple):
         if value not in tag:
@@ -180,14 +192,12 @@ def _check_type(key: str, value, tag):
         if not _is_int(value):
             raise SchemaError(f"parameter '{key}' must be an integer, got {value!r}")
         return value
-    if tag == "float":
-        if not _is_number(value):
-            raise SchemaError(f"parameter '{key}' must be a number, got {value!r}")
-        return float(value)
-    accepts, description = _ARRAY_TAGS[tag]
+    accepts, description = (_is_number, "a number") if tag == "float" else _ARRAY_TAGS[tag]
     if not accepts(value):
         raise SchemaError(f"parameter '{key}' must be {description}, got {value!r}")
-    return value
+    if tag != "integers" and not _fits_float(value):
+        raise SchemaError(f"parameter '{key}' holds an integer outside the float range")
+    return float(value) if tag == "float" else value
 
 
 def resolve_parameters(subcommand: str, file_params: dict) -> dict:
@@ -582,7 +592,7 @@ def build_config(argv) -> RunConfig:
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int over 4300 digits
             raise SchemaError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise SchemaError("config file must hold a JSON object")

@@ -13,22 +13,24 @@ The combined K*M-dimensional density operator is never materialized; all
 ensemble averages are evaluated analytically through the K x M phase table.
 
 The suppression curve builds its ensembles through :func:`build_apparatus`
-on the calling thread and splits the phasor sums, the elementwise complex
-exponentials that are nearly all of its work, into blocks of seeds across
-the CPUs (:mod:`._blocks`). Every magnitude is computed exactly as
-:func:`offdiag_suppression` computes it and lands in its own slot, so the
-curve is bit-identical on any number of CPUs. The worker threads call only
-the private kernel ``_phasor_sum``.
+on the calling thread, a batch of seeds at a time. Each batch's phasor sums,
+the elementwise complex exponentials that are most of its work, are a task
+on a bounded queue (:class:`._blocks._Tasks`): worker threads sum while the
+calling thread builds the next batches, and it sums too once the queue is
+full. Every magnitude is computed exactly as :func:`offdiag_suppression`
+computes it and lands in its own slot, so the curve is bit-identical on any
+number of CPUs. The tasks call only the private kernel ``_phasor_sum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._blocks import _split
+from ._blocks import _Tasks
 from .errors import NumericsError, ValidationError
 from .probcore import SUM_TOL, DiscreteDistribution, _frozen_array, _shannon
 from .quantum import IMAG_TOL, Observable
@@ -50,8 +52,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# phases per batch of suppression_curve: two blocks of _blocks._MIN_BLOCK_SIZE
-_PHASOR_BATCH = 2**17
+# suppression_curve's phases per task, and the tasks that may wait for a
+# worker before the calling thread stops building to run one; sized by timing
+# the default curve (M = 100, 1000, 10000 at 200 seeds) on 2 CPUs
+_PHASOR_BATCH = 2**15
+_BACKLOG = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,32 +345,38 @@ def suppression_curve(
     magnitude. Returns [(M, median, p95), ...] for scaling fits.
 
     The ensembles are built on the calling thread, a batch of seeds at a
-    time. The batch's phasor sums, nearly all of the work, are split into
-    blocks across the CPUs (:func:`_blocks._split`); each magnitude lands in
-    its own slot, so the curve does not depend on the number of CPUs.
+    time, all of one M sharing the first one's microstate distribution. Each
+    batch's phasor sums, most of the work, are a task of
+    :class:`_blocks._Tasks`: a worker thread runs it while the next batches
+    are built, or the calling thread does once more than _BACKLOG wait. Each
+    magnitude lands in its own slot, so the curve does not depend on the
+    number of CPUs.
     """
     if n_seeds < 1:
         raise ValidationError("need at least one seed per curve point")
-    out = []
-    for j, m in enumerate(m_values):
-        m = int(m)
-        if m < 1:
-            raise ValidationError("apparatus needs at least one microstate")
-        batch = min(n_seeds, -(-_PHASOR_BATCH // m))
-        delta, work = np.empty((batch, m)), np.empty((batch, m), dtype=complex)
-        mags = np.empty(n_seeds)
-        for lo in range(0, n_seeds, batch):
-            hi = min(n_seeds, lo + batch)
-            for s in range(lo, hi):
-                child = np.random.SeedSequence(entropy=int(seed), spawn_key=(j, s))
-                app = build_apparatus(m, n_outcomes, int(child.generate_state(1, np.uint64)[0]))
-                np.subtract(app.phases[0], app.phases[1], out=delta[s - lo])
-            probs = app.micro_probs.probs  # uniform: the same for every seed
+    curve = []
+    with _Tasks(_BACKLOG) as tasks:
+        for j, m in enumerate(m_values):
+            m = int(m)
+            if m < 1:
+                raise ValidationError("apparatus needs at least one microstate")
+            batch = min(n_seeds, -(-_PHASOR_BATCH // m))
+            mags, micro_probs = np.empty(n_seeds), None
+            for lo in range(0, n_seeds, batch):
+                delta = np.empty((min(batch, n_seeds - lo), m))
+                for s, row in enumerate(delta, lo):
+                    child = np.random.SeedSequence(entropy=int(seed), spawn_key=(j, s))
+                    app = build_apparatus(
+                        m, n_outcomes, int(child.generate_state(1, np.uint64)[0]), micro_probs
+                    )
+                    micro_probs = app.micro_probs
+                    np.subtract(app.phases[0], app.phases[1], out=row)
+                tasks.submit(partial(_resultants, micro_probs.probs, delta, mags[lo : lo + len(delta)]))
+            curve.append((m, mags))
+    return [(m, float(np.median(mags)), float(np.percentile(mags, 95))) for m, mags in curve]
 
-            def run(start, stop):  # called before lo moves on
-                sums = _phasor_sum(probs, delta[start:stop], work[start:stop])
-                mags[lo + start : lo + stop] = [abs(z) for z in sums.tolist()]
 
-            _split(run, hi - lo, (hi - lo) * m)
-        out.append((m, float(np.median(mags)), float(np.percentile(mags, 95))))
-    return out
+def _resultants(probs: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
+    """out[s] = |sum_i p_i exp(i delta[s, i])|, as offdiag_suppression computes it."""
+    sums = _phasor_sum(probs, delta, np.empty(delta.shape, dtype=complex))
+    out[:] = [abs(z) for z in sums.tolist()]

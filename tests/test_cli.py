@@ -206,6 +206,31 @@ class TestSchema:
         assert run_cli("measure", out, extra={"coefficients": [0.6, 0.6]}, tmp_path=tmp_path) == 2
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    @pytest.mark.parametrize(
+        "subcommand, key, text",
+        [
+            pytest.param("spinecho", "tau", '{"tau": 1%s}' % ("0" * 400), id="float"),
+            pytest.param("canonical", "energies", '{"energies": [0, 1%s]}' % ("0" * 400), id="numbers"),
+            pytest.param(
+                "measure", "coefficients", '{"coefficients": [[0.6, 0], [-1%s, 0]]}' % ("0" * 400), id="pairs"
+            ),
+            pytest.param("field", "config file", '{"side": 1%s}' % ("0" * 5000), id="int-digits"),
+        ],
+    )
+    def test_oversized_integer_exits_two_naming_key(self, subcommand, key, text, tmp_path):
+        # no float holds 10**400; json refuses to parse an int over 4300 digits
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", subcommand, "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert key in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_canonical_overflowing_shift_is_silent(self, tmp_path):
         # the max-energy shift overflows to -inf, whose weight exp(-inf) = 0 is exact
         cfg = tmp_path / "c.json"
@@ -330,6 +355,12 @@ class TestSummaries:
 
 
 class TestEntryPoint:
+    def test_import_loads_no_pool_or_logging(self):
+        # start-up cost paid by every run: numpy does not load these itself
+        code = "import sys, enslab.cli; print(*sorted({'concurrent.futures', 'queue', 'logging'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == ""
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "run"
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,12 +297,12 @@ def curve_and_magnitudes(monkeypatch, *args, **kwargs):
 
 
 class TestSplitCurve:
-    @pytest.mark.parametrize("batch", [300, measurement._PHASOR_BATCH])
+    @pytest.mark.parametrize("batch", [300, 2**17])
     @pytest.mark.parametrize("n_outcomes", [2, 3])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_bit_identical_to_a_serial_loop(self, cpus, n_outcomes, batch, monkeypatch):
-        # 13 seeds in 1-3 blocks; a batch of 300 phases holds 3 seeds at
-        # M = 100 and 1 at M = 1001, the default batch all 13
+        # 13 seeds on 1-3 threads; a batch of 300 phases holds 3 seeds at
+        # M = 100 and 1 at M = 1001, one of 2**17 (as the default) all 13
         force_cpus(monkeypatch, cpus)
         monkeypatch.setattr(measurement, "_PHASOR_BATCH", batch)
         m_values, n_seeds, seed = [1, 7, 100, 1001], 13, 40 + cpus
@@ -337,9 +338,35 @@ class TestSplitCurve:
             return phasor_sum(probs, delta, work)
 
         monkeypatch.setattr(measurement, "_phasor_sum", failing_off_the_main_thread)
-        with pytest.raises(FloatingPointError, match="4 seeds of M = 50"):
+        with pytest.raises(FloatingPointError, match="8 seeds of M = 50"):
             suppression_curve([50], 8, 1)
         assert threading.active_count() == before
+
+    def test_one_uniform_distribution_per_m(self, monkeypatch):
+        # the later builds of each M reuse the first build's micro_probs
+        uniform = DiscreteDistribution.uniform.__func__
+        sizes = []
+        monkeypatch.setattr(
+            DiscreteDistribution, "uniform", classmethod(lambda cls, n: sizes.append(n) or uniform(cls, n))
+        )
+        suppression_curve([10, 300, 10], 7, 2)
+        assert sizes == [10, 300, 10]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_peak_memory_is_bounded(self, cpus, monkeypatch):
+        # at most _BACKLOG batches of 2**15 phases (0.26 MB each) wait while
+        # the worker and the calling thread sum one each (0.79 MB with the
+        # complex work buffer): about 2.0 MB on 1 CPU and 3.1 MB on 2, where
+        # a first version of this queue peaked at 3.9 MB. With no bound, the
+        # queue holds every batch of the curve on 1 CPU, 18.5 MB.
+        force_cpus(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            suppression_curve([100, 1000, 10_000], 200, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.9e6 + 0.6e6
 
     def test_checks_keep_their_messages(self):
         with pytest.raises(ValidationError, match="at least one seed per curve point"):
