@@ -4,9 +4,10 @@
 Up to ``_cpu_count() - 1`` worker threads, started as tasks arrive, take
 tasks from it in order; the calling thread takes them too, whenever more
 than ``backlog`` tasks wait and again at the end of the block. With one CPU
-it starts no thread, and the calling thread runs every task. The numpy work
-inside the tasks (transforms, elementwise ufuncs, histograms) releases the
-GIL, so the tasks run side by side with each other and with the caller.
+it starts no thread, and the calling thread runs every task. The work
+inside the tasks (numpy transforms, ufuncs, reductions, histograms and
+random draws, and ``hashlib`` on a large buffer) releases the GIL, so the
+tasks run side by side with each other and with the caller.
 
 :func:`_split` runs a loop body over ``range(length)`` as a few calls
 ``run(start, stop)`` on disjoint blocks, one per CPU: block 0 on the calling
@@ -14,9 +15,15 @@ thread, the others as tasks. Every caller writes each index's result to its
 own slot, so what the tasks compute does not depend on how many threads run
 them.
 
-Tasks must call only private kernels, never a public ``__all__`` function or
-a ``DiscreteDistribution`` constructor: those are the names a profiler
-wraps, and its wrappers keep unsynchronized state.
+The callers: the field transforms and per-block stages of ``randomfield``
+(with ``generate``'s noise draw beside the amplitude table), the CLI's hash
+of ``field.bin`` beside its write, the suppression curve's phasor sums and
+the spin echo's samples.
+
+Tasks must call only private kernels, never a public ``__all__`` function,
+a ``DiscreteDistribution`` constructor or the CLI's file writers and
+hasher: those are the names a profiler wraps, and its wrappers keep
+unsynchronized state.
 """
 
 from __future__ import annotations

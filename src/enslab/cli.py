@@ -17,7 +17,14 @@ Each run writes into the output directory:
 * ``manifest.json`` - resolved config, seed, timestamps, SHA-256 of outputs,
   and the environment (Python and numpy versions, platform, CPU count).
 
-A run that exits 2 or 3 removes the output directory if it created it.
+Digests are read back from the files, except for the field's ``field.bin``:
+a worker thread hashes its bytes from memory while the calling thread
+writes the file and takes the field's mean and variance.
+
+Before a run starts, the outputs of an earlier run in the same directory
+(every file its manifest lists, its summary and the manifest) are deleted;
+other files stay. A run that exits 2 or 3 removes the output directory if
+it created it.
 
 All randomness flows from the single config seed. Streams for distinct roles
 are split as SeedSequence(seed, spawn_key=(role,)) with fixed role indices
@@ -183,19 +190,29 @@ def _fits_float(value) -> bool:
     return True
 
 
+def _fits_int64(value) -> bool:
+    """False for an integer, or an array holding one, outside int64."""
+    values = value if isinstance(value, list) else [value]
+    return all(-(2**63) <= v < 2**63 for v in values)
+
+
 def _check_type(key: str, value, tag):
     if isinstance(tag, tuple):
         if value not in tag:
             raise SchemaError(f"parameter '{key}' must be one of {tag}, got {value!r}")
         return value
     if tag == "int":
-        if not _is_int(value):
-            raise SchemaError(f"parameter '{key}' must be an integer, got {value!r}")
-        return value
-    accepts, description = (_is_number, "a number") if tag == "float" else _ARRAY_TAGS[tag]
+        accepts, description = _is_int, "an integer"
+    elif tag == "float":
+        accepts, description = _is_number, "a number"
+    else:
+        accepts, description = _ARRAY_TAGS[tag]
     if not accepts(value):
         raise SchemaError(f"parameter '{key}' must be {description}, got {value!r}")
-    if tag != "integers" and not _fits_float(value):
+    if tag in ("int", "integers"):
+        if not _fits_int64(value):
+            raise SchemaError(f"parameter '{key}' holds an integer outside the int64 range")
+    elif not _fits_float(value):
         raise SchemaError(f"parameter '{key}' holds an integer outside the float range")
     return float(value) if tag == "float" else value
 
@@ -254,7 +271,8 @@ def _role_seed(seed: int, role: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (summary dict, list of files written)
+# experiments: each returns (summary dict, list of files written); an entry
+# may be a (path, SHA-256 hex digest) pair for a file hashed from memory
 # ---------------------------------------------------------------------------
 
 
@@ -330,12 +348,24 @@ def _run_field(params: dict, seed: int, out_dir: Path):
                     n_points,
                 )
             )
+    residual = counts.residual
     del counts  # as large as the field; gone before field.bin is encoded
     csv_path = out_dir / "estimates.csv"
     write_csv(csv_path, ["query", "estimate", "mc_sigma", "n_samples"], rows)
 
     bin_path = out_dir / "field.bin"
-    bin_path.write_bytes(np.ascontiguousarray(field.values, dtype="<f8"))  # no copy when native
+    data = np.ascontiguousarray(field.values, dtype="<f8")  # no copy when native
+    moments, digest = {}, {}
+
+    def save(start, stop):  # part 0 on the calling thread, part 1 on a worker
+        for part in range(start, stop):
+            if part:
+                digest["field.bin"] = hashlib.sha256(data).hexdigest()
+            else:
+                bin_path.write_bytes(data)
+                moments["mean"], moments["variance"] = float(field.values.mean()), float(field.values.var())
+
+    _blocks._split(save, 2, data.size)
     sidecar = {
         "dim": field.dim,
         "side": field.side,
@@ -352,10 +382,14 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         "isotropy_spread": iso.spread if iso else None,
         "epsilons": epsilons,
         "global_mean": global_mean,
-        "sample_mean": float(field.values.mean()),
-        "sample_variance": float(field.values.var()),
+        "sample_mean": moments["mean"],
+        "sample_variance": moments["variance"],
+        "diagnostics": {
+            "fft_rounding_residual": residual,
+            "variance_ratio": moments["variance"] / spec.variance if spec.variance > 0 else None,
+        },
     }
-    return summary, [csv_path, bin_path, sidecar_path]
+    return summary, [csv_path, (bin_path, digest["field.bin"]), sidecar_path]
 
 
 def _run_canonical(params: dict, seed: int, out_dir: Path):
@@ -531,9 +565,24 @@ def _outermost_missing(path: Path) -> Path | None:
     return missing
 
 
+def _remove_previous_outputs(out_dir: Path) -> None:
+    """Delete an earlier run's outputs from ``out_dir``: every file its
+    manifest lists, its summary, then the manifest. Other files stay."""
+    manifest = out_dir / "manifest.json"
+    try:
+        listed = list(json.loads(manifest.read_text())["outputs"])
+    except (OSError, ValueError, KeyError, TypeError):
+        listed = []
+    for name in [*listed, "summary.json", "manifest.json"]:
+        # only plain file names directly inside out_dir
+        if isinstance(name, str) and Path(name).name == name and (out_dir / name).is_file():
+            (out_dir / name).unlink()
+
+
 def run(config: RunConfig) -> int:
     """Execute one experiment; returns the process exit status.
 
+    The outputs of an earlier run in the same directory are deleted first.
     A run that fails removes the output directory if it created it, with
     any parents it created; a directory that existed before is left alone.
     """
@@ -541,6 +590,7 @@ def run(config: RunConfig) -> int:
     out_dir = config.out_dir
     created = _outermost_missing(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_previous_outputs(out_dir)
     status = None
     try:
         status = _run_into(config, out_dir, started)
@@ -561,7 +611,10 @@ def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
         return EXIT_SCHEMA
     summary_path = out_dir / "summary.json"
     write_json(summary_path, summary)
-    files = [summary_path] + list(files)
+    outputs = {}
+    for f in [summary_path, *files]:  # a (path, digest) pair was hashed as it was written
+        path, digest = f if isinstance(f, tuple) else (f, None)
+        outputs[path.name] = digest or sha256_of(path)
     finished = datetime.now(timezone.utc).isoformat()
     manifest = RunManifest(
         artifact_version=__version__,
@@ -571,7 +624,7 @@ def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
         started_utc=started,
         finished_utc=finished,
         environment=_environment(),
-        outputs={f.name: sha256_of(f) for f in files},
+        outputs=outputs,
     )
     write_json(out_dir / "manifest.json", asdict(manifest))
     return EXIT_OK

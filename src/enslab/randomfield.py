@@ -12,15 +12,28 @@ ever built: ``rfftn`` of the noise, one amplitude per stored mode, ``irfftn``
 back. The normalization weights each stored mode by its Hermitian
 multiplicity, so the variance is the same as on the full grid.
 
-Every n-d transform runs numpy's own passes in numpy's order, one 1-D
-transform per axis, with the lines of each pass split into one block of
-consecutive indices per CPU and the blocks run in threads by
-:mod:`._blocks` (numpy's FFT releases the GIL); blocks hold at least 2^16
-elements, so small fields stay on one thread. The passes write through
-``out=``, which needs NumPy 2.0. Each line is transformed exactly as
-``np.fft.rfftn``/``irfftn`` would transform it, so fields and pair counts
-are bit-identical to theirs on any number of CPUs. The complex passes run
-in place.
+Every n-d transform runs numpy's own 1-D transforms in numpy's order, in
+passes of blocks split across the CPUs by :mod:`._blocks` (numpy's FFT and
+ufuncs release the GIL). Row blocks (consecutive indices on axis 0)
+transform the last axis and then axes dim-2 ... 1; column blocks (on axis
+1) transform axis 0, apply the step between the forward and the inverse
+transform (the amplitudes of a synthesis, |A|^2 or conj(A) B of a pair
+count), and transform axis 0 back; row blocks finish the inverse. Each line
+is transformed exactly as ``np.fft.rfftn``/``irfftn`` would transform it, so
+fields and pair counts are bit-identical to theirs on any number of CPUs.
+The passes write through ``out=``, which needs NumPy 2.0.
+
+The elementwise and reducing stages run per row block as well: the
+indicator, the conversion of bits to float64, adding the mean, the
+hierarchy's coarsening (one slab of parent cells per block) and spread (the
+extremes of each block), and the rounding of pair counts (the worst residual
+is the largest of the blocks'). In :func:`generate` the calling thread
+builds the amplitude table while a worker draws the noise. Every block
+writes only its own slots, so no result depends on the CPU count. Blocks
+hold at least 2^16 elements, so small fields stay on one thread. Every
+table is allocated on the calling thread, the noise and the float copy of
+bits included: memory a worker thread allocates and frees stays in that
+thread's C-allocator arena and would raise the process's peak RSS.
 
 On top of the fields sit the fractional-volume estimators: indicator
 bitmasks for half-open value intervals [a, b), spatial one-point and
@@ -176,10 +189,13 @@ class PairCounts:
     periodic wraparound, for every offset y taken mod side; ``counts[0]`` of
     an autocorrelation is the number of ones. The table is stored without a
     copy (it is as large as the field) and handed out read-only.
+    ``residual`` is the largest distance of the transform estimate of a
+    count from its integer (0 for counts that were never transformed).
     """
 
     counts: np.ndarray
     spacing: float
+    residual: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.counts)
@@ -289,51 +305,131 @@ def _mode_amplitudes(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
     return np.sqrt(power, out=power)
 
 
-def _split_pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
-    """Apply the 1-D ``transform`` along ``axis`` of ``src``, writing ``out``.
+def _rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of ``x`` along axis 0, or all of a 1-d ``x``: the
+    blocks of the passes on axes 1 ... dim-1 and of elementwise work."""
+    return x[start:stop] if x.ndim > 1 else x
 
-    The lines are split along another axis into blocks of consecutive
-    indices (:func:`_blocks._split`; a single block in 1-d). Each block runs
-    as one ``transform(src[block], axis=axis, out=out[block])`` call.
-    """
-    split = 1 if axis == 0 else 0
 
-    def run(start, stop):
-        index = [slice(None)] * src.ndim
-        if src.ndim > 1:
-            index[split] = slice(start, stop)
-        block = tuple(index)
-        transform(src[block], axis=axis, out=out[block])
+def _columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Columns start:stop of ``x`` along axis 1, or all of a 1-d ``x``: the
+    blocks of the passes on axis 0."""
+    return x[:, start:stop] if x.ndim > 1 else x
 
-    _split(run, src.shape[split] if src.ndim > 1 else 1, src.size)
+
+def _each_row(run, x: np.ndarray) -> None:
+    """``run(start, stop)`` over the row blocks of ``x``, split by :func:`_blocks._split`."""
+    _split(run, len(x) if x.ndim > 1 else 1, x.size)
+
+
+def _each_column(run, x: np.ndarray) -> None:
+    _split(run, x.shape[1] if x.ndim > 1 else 1, x.size)
+
+
+def _half_grid(shape: tuple) -> np.ndarray:
+    return np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+
+
+def _as_float(x: np.ndarray) -> np.ndarray:
+    """``x`` as float64, converted per row block into one table."""
+    if x.dtype == float:
+        return x
+    out = np.empty(x.shape)
+    _each_row(lambda start, stop: np.copyto(_rows(out, start, stop), _rows(x, start, stop)), out)
+    return out
+
+
+def _forward_rows(x: np.ndarray, modes: np.ndarray, start: int, stop: int) -> None:
+    """``rfft`` on the last axis of rows start:stop of ``x`` into ``modes``,
+    then ``fft`` in place on axes dim-2 ... 1."""
+    block = _rows(modes, start, stop)
+    np.fft.rfft(_rows(x, start, stop), axis=-1, out=block)
+    for axis in range(x.ndim - 2, 0, -1):
+        np.fft.fft(block, axis=axis, out=block)
+
+
+def _inverse_rows(modes: np.ndarray, values: np.ndarray, start: int, stop: int) -> None:
+    """``ifft`` in place on axes 1 ... dim-2 of rows start:stop of ``modes``,
+    then ``irfft`` on the last axis into ``values``."""
+    block = _rows(modes, start, stop)
+    for axis in range(1, modes.ndim - 1):
+        np.fft.ifft(block, axis=axis, out=block)
+    np.fft.irfft(block, n=values.shape[-1], axis=-1, out=_rows(values, start, stop))
 
 
 def _rfftn(x) -> np.ndarray:
     """``np.fft.rfftn(x)`` over every axis, bit for bit, split across the CPUs.
 
-    ``rfft`` on the last axis, then ``fft`` in place on axes dim-2 ... 0.
-    Integer input is converted to float64 once, here, before any thread
-    starts.
+    One pass of row blocks (``rfft`` on the last axis, ``fft`` on axes
+    dim-2 ... 1), then one of column blocks (``fft`` on axis 0).
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (x.shape[-1] // 2 + 1,), dtype=complex)
-    _split_pass(np.fft.rfft, x, out, x.ndim - 1)
-    for axis in range(x.ndim - 2, -1, -1):
-        _split_pass(np.fft.fft, out, out, axis)
-    return out
+    x = _as_float(np.asarray(x))
+    modes = _half_grid(x.shape)
+    _each_row(partial(_forward_rows, x, modes), x)
+
+    def columns(start, stop):
+        block = _columns(modes, start, stop)
+        np.fft.fft(block, axis=0, out=block)
+
+    if x.ndim > 1:
+        _each_column(columns, modes)
+    return modes
 
 
-def _irfftn(modes: np.ndarray, shape: tuple) -> np.ndarray:
-    """``np.fft.irfftn(modes, s=shape)`` over every axis, bit for bit, split
-    across the CPUs. ``modes`` (complex128) is overwritten.
+def _filtered(x: np.ndarray, scale) -> np.ndarray:
+    """``np.fft.irfftn(scale(np.fft.rfftn(x)), s=x.shape)`` bit for bit, split
+    across the CPUs in three passes.
 
-    ``ifft`` in place on axes 0 ... dim-2, then ``irfft`` on the last axis.
+    Row blocks transform the axes after the first; each column block then
+    finishes its modes on axis 0, calls ``scale(block, start, stop)``, which
+    changes ``_columns(modes, start, stop)`` in place, and transforms axis 0
+    back; row blocks finish the inverse. Pass ``x`` and ``scale`` with no
+    other reference to them: they are dropped after their pass, so neither
+    outlives its use.
     """
-    for axis in range(len(shape) - 1):
-        _split_pass(np.fft.ifft, modes, modes, axis)
+    x = _as_float(x)
+    modes = _half_grid(x.shape)
+    _each_row(partial(_forward_rows, x, modes), x)
+    shape = x.shape
+    del x
+
+    def columns(start, stop):
+        block = _columns(modes, start, stop)
+        if modes.ndim > 1:
+            np.fft.fft(block, axis=0, out=block)
+        scale(block, start, stop)
+        if modes.ndim > 1:
+            np.fft.ifft(block, axis=0, out=block)
+
+    _each_column(columns, modes)
+    del columns, scale
     values = np.empty(shape)
-    _split_pass(partial(np.fft.irfft, n=shape[-1]), modes, values, len(shape) - 1)
+    _each_row(partial(_inverse_rows, modes, values), values)
     return values
+
+
+def _times(amps: np.ndarray, block: np.ndarray, start: int, stop: int) -> None:
+    np.multiply(block, _columns(amps, start, stop), out=block)
+
+
+def _add(values: np.ndarray, shift: float, start: int, stop: int) -> None:
+    block = _rows(values, start, stop)
+    np.add(block, shift, out=block)
+
+
+def _square(block: np.ndarray, start: int, stop: int) -> None:
+    """|block|^2 in place, as re**2 + im**2, bit for bit."""
+    np.square(block.real, out=block.real)
+    np.add(block.real, np.square(block.imag, out=block.imag), out=block.real)
+    block.imag = 0.0
+
+
+def _times_conjugate(first: np.ndarray, block: np.ndarray, start: int, stop: int) -> None:
+    """conj(first) * block into block, in that operand order; ``first`` is
+    conjugated in place."""
+    other = _columns(first, start, stop)
+    np.conjugate(other, out=other)
+    np.multiply(other, block, out=block)
 
 
 def _admits_hierarchy(side: int) -> bool:
@@ -346,10 +442,12 @@ def _admits_hierarchy(side: int) -> bool:
 def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: float = 1.0) -> FieldSample:
     """Synthesize one Gaussian field realization.
 
-    The white-noise cube is drawn first from the seeded generator, so equal
+    The white-noise cube is drawn from the seeded generator, so equal
     (spec, dim, side, seed) always reproduces the same array bit for bit.
     Every point is exactly N(mean, variance) marginally; zero variance gives
-    the constant field.
+    the constant field. The calling thread builds the amplitude table while
+    a worker draws the noise (one thread for both below two blocks of
+    _MIN_BLOCK_SIZE); the amplitudes and the mean are applied per block.
     """
     if dim not in (1, 2, 3):
         raise ValidationError(f"dim must be 1, 2 or 3, got {dim!r}")
@@ -362,13 +460,19 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     if spec.variance == 0.0:
         values = np.full(shape, spec.mean)
     else:
-        noise = np.random.default_rng(seed).standard_normal(shape)
-        modes = _rfftn(noise)
-        del noise
-        modes *= _mode_amplitudes(spec, dim, side)
-        values = _irfftn(modes, shape)
-        del modes
-        values += spec.mean
+        rng = np.random.default_rng(seed)
+        parts = {1: np.empty(shape)}  # the noise, filled by a worker
+
+        def build(start, stop):  # part 0, the amplitude table, on the calling thread
+            for part in range(start, stop):
+                if part:
+                    rng.standard_normal(out=parts[1])
+                else:
+                    parts[0] = _mode_amplitudes(spec, dim, side)
+
+        _split(build, 2, side**dim)
+        values = _filtered(parts.pop(1), partial(_times, parts.pop(0)))
+        _each_row(partial(_add, values, spec.mean), values)
     return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec)
 
 
@@ -377,16 +481,45 @@ def indicator(field: FieldSample, interval) -> IndicatorField:
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValidationError(f"interval must satisfy a < b, got [{a!r}, {b!r})")
-    bits = ((field.values >= a) & (field.values < b)).astype(np.uint8)
+    values = field.values
+    bits = np.empty(values.shape, dtype=np.uint8)
+    below = np.empty(values.shape, dtype=np.bool_)
+
+    def run(start, stop):
+        block, inside = values[start:stop], bits[start:stop].view(np.bool_)
+        np.greater_equal(block, a, out=inside)
+        np.logical_and(inside, np.less(block, b, out=below[start:stop]), out=inside)
+
+    _split(run, len(bits), bits.size)
+    del below  # its memory goes to the frozen copy of bits
     return IndicatorField(bits=bits, interval=(a, b), spacing=field.spacing)
 
 
 def _coarsen(means: np.ndarray) -> np.ndarray:
-    """Average 3^dim sibling cells into their parent."""
-    d = means.ndim
-    shape = tuple(x for n in means.shape for x in (n // 3, 3))
-    reduce_axes = tuple(range(1, 2 * d, 2))
-    return means.reshape(shape).mean(axis=reduce_axes)
+    """Average 3^dim sibling cells into their parent, one slab of parents
+    along axis 0 per block."""
+    parents = np.empty(tuple(n // 3 for n in means.shape))
+    reduce_axes = tuple(range(1, 2 * means.ndim, 2))
+
+    def run(start, stop):
+        block = means[3 * start : 3 * stop]
+        shape = tuple(x for n in block.shape for x in (n // 3, 3))
+        block.reshape(shape).mean(axis=reduce_axes, out=parents[start:stop])
+
+    _split(run, len(parents), means.size)
+    return parents
+
+
+def _spread(means: np.ndarray) -> float:
+    """max - min of ``means``, from the extremes of each row block."""
+    extremes = {}
+
+    def run(start, stop):
+        block = means[start:stop]
+        extremes[start] = (block.max(), block.min())
+
+    _split(run, len(means), means.size)
+    return float(max(hi for hi, _ in extremes.values()) - min(lo for _, lo in extremes.values()))
 
 
 def hierarchical_average(ind: IndicatorField, max_level: int) -> HierarchyReport:
@@ -403,15 +536,12 @@ def hierarchical_average(ind: IndicatorField, max_level: int) -> HierarchyReport
         raise GridError(
             f"side {side} is not divisible by 3^{max_level}; hierarchy does not fit"
         )
-    means = ind.bits.astype(float)
+    means = _as_float(ind.bits)
     cell_means = []
     epsilons = []
     for level in range(max_level + 1):
         cell_means.append(means)
-        if means.size >= MIN_EPSILON_CELLS:
-            epsilons.append(float(means.max() - means.min()))
-        else:
-            epsilons.append(None)
+        epsilons.append(_spread(means) if means.size >= MIN_EPSILON_CELLS else None)
         if level < max_level:
             means = _coarsen(means)
     for arr in cell_means:
@@ -424,24 +554,33 @@ def one_point_prob(field: FieldSample, interval) -> float:
     return float(indicator(field, interval).bits.mean())
 
 
-def _round_counts(corr: np.ndarray) -> np.ndarray:
-    """Nearest integers of a transform estimate of pair counts, as int64.
+def _round_counts(corr: np.ndarray) -> tuple:
+    """Nearest integers of a transform estimate of pair counts, as int64,
+    and the largest distance of an entry from its integer.
 
     ``corr`` is overwritten with the rounding error, so no second table of
-    its size is ever allocated. Raises NumericsError when an entry lies
-    MAX_ROUNDING_RESIDUAL or more from its integer: the count is then not
-    pinned down by the transform.
+    its size is ever allocated; the work runs per row block, and the
+    largest distance is the largest of the blocks'. Raises NumericsError
+    when it is MAX_ROUNDING_RESIDUAL or more: a count is then not pinned
+    down by the transform.
     """
     counts = np.empty(corr.shape, dtype=np.int64)
-    np.rint(corr, out=counts, casting="unsafe")
-    corr -= counts
-    residual = float(np.abs(corr, out=corr).max())
+    worst = {}
+
+    def run(start, stop):
+        error, rounded = _rows(corr, start, stop), _rows(counts, start, stop)
+        np.rint(error, out=rounded, casting="unsafe")
+        error -= rounded
+        worst[start] = np.abs(error, out=error).max()
+
+    _each_row(run, corr)
+    residual = float(np.max(list(worst.values())))  # a NaN in any block propagates
     if not residual < MAX_ROUNDING_RESIDUAL:
         raise NumericsError(
             f"pair-count transform is {residual!r} from the nearest integer "
             f"(limit {MAX_ROUNDING_RESIDUAL})"
         )
-    return counts
+    return counts, residual
 
 
 def pair_counts(ind_a: IndicatorField, ind_b: IndicatorField) -> PairCounts:
@@ -449,27 +588,22 @@ def pair_counts(ind_a: IndicatorField, ind_b: IndicatorField) -> PairCounts:
 
     counts[y] = sum_x a[x] b[x + y] is the inverse transform of conj(A) B,
     rounded to integers (Wiener-Khinchin). Passing the same indicator twice
-    takes one forward transform instead of two.
+    takes one forward transform instead of two, and forms |A|^2 per block.
 
-    Peak memory is the bits as float64 plus one half-grid complex table:
-    |A|^2 is formed in that table, and no view of it outlives ``del cross``.
+    Peak memory is one float64 table of the field's size plus one half-grid
+    complex table (two for distinct indicators): |A|^2 is formed in that
+    table, and each table is dropped once the next pass has read it.
     """
     if ind_a.bits.shape != ind_b.bits.shape or ind_a.spacing != ind_b.spacing:
         raise ValidationError(
             f"indicators differ in lattice: shapes {ind_a.bits.shape} and {ind_b.bits.shape}, "
             f"spacings {ind_a.spacing!r} and {ind_b.spacing!r}"
         )
-    cross = _rfftn(ind_a.bits)
-    if ind_b is ind_a:  # re**2 + im**2 in place, bit for bit
-        np.square(cross.real, out=cross.real)
-        np.add(cross.real, np.square(cross.imag, out=cross.imag), out=cross.real)
-        cross.imag = 0.0
-    else:
-        np.conjugate(cross, out=cross)
-        cross *= _rfftn(ind_b.bits)
-    corr = _irfftn(cross, ind_a.bits.shape)
-    del cross
-    return PairCounts(counts=_round_counts(corr), spacing=ind_a.spacing)
+    corr = _filtered(
+        ind_b.bits, _square if ind_b is ind_a else partial(_times_conjugate, _rfftn(ind_a.bits))
+    )
+    counts, residual = _round_counts(corr)
+    return PairCounts(counts=counts, spacing=ind_a.spacing, residual=residual)
 
 
 def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> np.ndarray:

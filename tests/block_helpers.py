@@ -3,9 +3,10 @@ which public functions run off the main thread."""
 
 import functools
 import inspect
+import pathlib
 import threading
 
-from enslab import _blocks, conefall, measurement, probcore, randomfield, spinecho
+from enslab import _blocks, cli, conefall, measurement, probcore, randomfield, spinecho
 
 LAYERS = (probcore, randomfield, measurement, conefall, spinecho)
 
@@ -18,9 +19,10 @@ def force_cpus(monkeypatch, n):
 
 def public_calls_off_the_main_thread(monkeypatch) -> list:
     """A list that records the name of every public function (any ``__all__``
-    function, wherever a module holds it, and DiscreteDistribution's
-    constructors) called from a thread other than the main one. These are
-    the names a profiler wraps with unsynchronized state."""
+    function, wherever a module holds it, DiscreteDistribution's
+    constructors, and the CLI's file writers and hasher) called from a
+    thread other than the main one. These are the names a profiler wraps
+    with unsynchronized state."""
     calls = []
 
     def spy(fn, name):
@@ -45,4 +47,7 @@ def public_calls_off_the_main_thread(monkeypatch) -> list:
     for name in ("from_weights", "uniform"):
         fn = inspect.getattr_static(dist, name).__func__
         monkeypatch.setattr(dist, name, classmethod(spy(fn, f"DiscreteDistribution.{name}")))
+    for name in ("write_csv", "write_json", "sha256_of"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name), f"enslab.cli.{name}"))
+    monkeypatch.setattr(pathlib.Path, "write_bytes", spy(pathlib.Path.write_bytes, "pathlib.Path.write_bytes"))
     return calls

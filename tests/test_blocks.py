@@ -9,6 +9,7 @@ from block_helpers import force_cpus
 from enslab import _blocks, measurement
 from enslab._blocks import _split, _Tasks
 from enslab.measurement import suppression_curve
+from enslab.randomfield import CovarianceSpec, generate, hierarchical_average, indicator, pair_counts
 from enslab.spinecho import FrequencySpread, run_protocol
 
 
@@ -84,7 +85,8 @@ class TestSplit:
         # 8 blocks, or 7 workers and the calling thread on a queue of 200
         # tasks, on a 2-CPU host, a thread switch every microsecond: every
         # slot still holds what its own block or task wrote, and the curve
-        # (14 tasks per M) and the protocol equal their one-thread results
+        # (14 tasks per M), the protocol and every field stage equal their
+        # one-thread results
         monkeypatch.setattr(measurement, "_PHASOR_BATCH", 90)
 
         def results():
@@ -103,7 +105,13 @@ class TestSplit:
                     tasks.submit(partial(task, i))
             report = run_protocol(200, FrequencySpread(), 3.0, 8, seed=2, samples_per_leg=12)
             curve = suppression_curve([30, 45], 41, 9)
-            return slots, queued, report.magnetization, report.binned_entropy, curve
+            field = generate(CovarianceSpec(spectrum="power_law", index=-2.0), 2, 54, 3)
+            ind = indicator(field, (-1.0, 1.0))
+            levels = hierarchical_average(ind, 2)
+            counts = pair_counts(ind, ind)
+            stages = [field.values, ind.bits, *levels.cell_means, counts.counts]
+            stages = [a.tobytes() for a in stages] + [levels.epsilons, counts.residual]
+            return slots, queued, report.magnetization, report.binned_entropy, curve, stages
 
         force_cpus(monkeypatch, 1)
         serial = results()
@@ -118,6 +126,7 @@ class TestSplit:
         assert np.array_equal(split[1], np.arange(200.0))
         assert split[2].tobytes() == serial[2].tobytes() and split[3].tobytes() == serial[3].tobytes()
         assert split[4] == serial[4]
+        assert split[5] == serial[5]
 
 
 class TestTasks:

@@ -4,10 +4,12 @@ import math
 import platform
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from block_helpers import force_cpus, public_calls_off_the_main_thread
 from enslab import _blocks, cli
 from enslab.errors import NumericsError
 
@@ -215,10 +217,13 @@ class TestSchema:
                 "measure", "coefficients", '{"coefficients": [[0.6, 0], [-1%s, 0]]}' % ("0" * 400), id="pairs"
             ),
             pytest.param("field", "config file", '{"side": 1%s}' % ("0" * 5000), id="int-digits"),
+            pytest.param("measure", "n_microstates", '{"n_microstates": 1%s}' % ("0" * 400), id="int"),
+            pytest.param("measure", "suppression_m", '{"suppression_m": [100, 1%s]}' % ("0" * 400), id="integers"),
         ],
     )
     def test_oversized_integer_exits_two_naming_key(self, subcommand, key, text, tmp_path):
-        # no float holds 10**400; json refuses to parse an int over 4300 digits
+        # no float holds 10**400, and no int64; json refuses to parse an int
+        # over 4300 digits
         cfg = tmp_path / "c.json"
         cfg.write_text(text)
         out = tmp_path / "x"
@@ -230,6 +235,38 @@ class TestSchema:
         assert proc.returncode == 2
         assert key in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_integer_tags_hold_int64(self, value):
+        with pytest.raises(cli.SchemaError, match="'n_bins' holds an integer outside the int64 range"):
+            cli.resolve_parameters("spinecho", {"n_bins": value})
+        with pytest.raises(cli.SchemaError, match="'suppression_m' holds an integer outside the int64 range"):
+            cli.resolve_parameters("measure", {"suppression_m": [1, value]})
+        assert cli.resolve_parameters("spinecho", {"n_bins": value // 2})["n_bins"] == value // 2
+
+    def test_failed_rerun_leaves_no_stale_outputs(self, tmp_path):
+        # the first run's outputs go before the second starts; a file that no
+        # manifest lists stays
+        out = tmp_path / "e"
+        assert run_cli("entropy", out, tmp_path=tmp_path) == 0
+        (out / "notes.txt").write_text("kept")
+        assert run_cli("entropy", out, extra={"blocks": [[0.5], [0.3, 0.1]]}, tmp_path=tmp_path) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    def test_rerun_removes_only_listed_plain_files(self, tmp_path):
+        out = tmp_path / "e"
+        out.mkdir()
+        (out / "keep").mkdir()
+        (tmp_path / "outside.csv").write_text("kept")
+        listed = {"blocks.csv": "0", "keep": "0", "../outside.csv": "0", "keep/../summary.json": "0"}
+        (out / "manifest.json").write_text(json.dumps({"outputs": listed}))
+        (out / "blocks.csv").write_text("stale")
+        cli._remove_previous_outputs(out)
+        assert sorted(p.name for p in out.iterdir()) == ["keep"]
+        assert (tmp_path / "outside.csv").exists()
+        (out / "manifest.json").write_text("not json")
+        cli._remove_previous_outputs(out)
+        assert sorted(p.name for p in out.iterdir()) == ["keep"]
 
     def test_canonical_overflowing_shift_is_silent(self, tmp_path):
         # the max-energy shift overflows to -inf, whose weight exp(-inf) = 0 is exact
@@ -343,6 +380,19 @@ class TestSummaries:
         est = (out / "estimates.csv").read_text().strip().split("\n")
         assert est[0] == "query,estimate,mc_sigma,n_samples"
 
+    def test_field_diagnostics(self, tmp_path):
+        out = tmp_path / "f"
+        assert run_cli("field", out, extra={"variance": 2.0}, tmp_path=tmp_path) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        diagnostics = summary["diagnostics"]
+        assert 0.0 <= diagnostics["fft_rounding_residual"] < 1e-9
+        assert diagnostics["variance_ratio"] == summary["sample_variance"] / 2.0
+        values = np.fromfile(out / "field.bin", dtype="<f8")
+        assert (summary["sample_mean"], summary["sample_variance"]) == (values.mean(), values.var())
+        flat = tmp_path / "flat"
+        assert run_cli("field", flat, extra={"variance": 0.0}, tmp_path=tmp_path) == 0
+        assert json.loads((flat / "summary.json").read_text())["diagnostics"]["variance_ratio"] is None
+
     def test_one_dimensional_field_skips_isotropy(self, tmp_path):
         # a 1-d lattice has a single direction, so there is no isotropy query
         out = tmp_path / "f1"
@@ -352,6 +402,74 @@ class TestSummaries:
         assert summary["isotropy_spread"] is None
         queries = [row.split(",")[0] for row in (out / "estimates.csv").read_text().split()[1:]]
         assert queries == ["one_point", "two_point_r=1", "two_point_r=2"]
+
+
+POWER_LAW_27 = {
+    "dim": 3,
+    "side": 27,
+    "spectrum": "power_law",
+    "index": -3.0,
+    "max_level": 3,
+    "two_point_r": [1.0, 4.0],
+    "isotropy_r": 2.0,
+}
+
+
+def field_config(params, out_dir, seed=5):
+    return cli.RunConfig("field", cli.resolve_parameters("field", params), seed, out_dir)
+
+
+@pytest.fixture(params=[{}, POWER_LAW_27], ids=["default", "power-law-27"])
+def manifests_by_cpus(request, tmp_path, monkeypatch):
+    """The manifest of one field run on 1, 2 and 3 forced CPUs."""
+    manifests = {}
+    for cpus in (1, 2, 3):
+        force_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.run(field_config(request.param, out)) == 0
+        manifests[cpus] = json.loads((out / "manifest.json").read_text())
+        for name, digest in manifests[cpus]["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    return manifests
+
+
+class TestFieldOnEveryCpuCount:
+    def test_digests_do_not_depend_on_the_cpu_count(self, manifests_by_cpus):
+        outputs = [m["outputs"] for m in manifests_by_cpus.values()]
+        assert sorted(outputs[0]) == ["estimates.csv", "field.bin", "field.json", "summary.json"]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_workers_call_no_public_function_and_none_outlives_the_run(self, tmp_path, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        calls = public_calls_off_the_main_thread(monkeypatch)
+        before = threading.active_count()
+        assert cli.run(field_config(POWER_LAW_27, tmp_path / "f")) == 0
+        assert threading.active_count() == before
+        assert calls == []
+
+    def test_small_field_starts_no_thread(self, tmp_path, monkeypatch):
+        # a 2-CPU host with the real block floor: the default 81^2 field
+        monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: {0, 1})
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        assert cli.run(field_config({}, tmp_path / "f")) == 0
+        assert started == []
+
+    def test_hash_worker_exception_reaches_the_caller(self, tmp_path, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        sha256 = hashlib.sha256
+
+        def failing_off_the_main_thread(data=b""):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError(f"hashing {len(memoryview(data).cast('B'))} bytes")
+            return sha256(data)
+
+        monkeypatch.setattr(cli.hashlib, "sha256", failing_off_the_main_thread)
+        with pytest.raises(FloatingPointError, match=f"hashing {27**3 * 8} bytes"):
+            cli.run(field_config(POWER_LAW_27, tmp_path / "f"))
+        assert threading.active_count() == before
+        assert not (tmp_path / "f").exists()
 
 
 class TestEntryPoint:

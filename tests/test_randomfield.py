@@ -3,6 +3,7 @@ import math
 import threading
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,17 +12,18 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
 from enslab.errors import EmptySeparationError, GridError, NumericsError, ValidationError
-from block_helpers import force_cpus
+from block_helpers import force_cpus, public_calls_off_the_main_thread
 from enslab import _blocks, randomfield
 from enslab.randomfield import (
     CovarianceSpec,
     FieldSample,
     IndicatorField,
+    _filtered,
     _mode_amplitudes,
     _offsets_in_bin,
-    _irfftn,
     _rfftn,
     _round_counts,
+    _times,
     generate,
     hierarchical_average,
     indicator,
@@ -389,7 +391,9 @@ class TestPairCounts:
         exact = brute_pair_counts(ind.bits, ind.bits)
         nudged = exact.astype(float)
         nudged[3, 5] += 0.2
-        assert np.array_equal(_round_counts(nudged), exact)
+        counts, residual = _round_counts(nudged)
+        assert np.array_equal(counts, exact)
+        assert residual == pytest.approx(0.2, abs=1e-12)
         corrupted = exact.astype(float)
         corrupted[3, 5] += 0.3
         with pytest.raises(NumericsError):
@@ -427,8 +431,9 @@ class TestSplitTransforms:
         modes = _rfftn(x)
         expected = np.fft.rfftn(x)
         assert modes.dtype == expected.dtype and np.array_equal(modes, expected)
-        values = _irfftn(modes, shape)
-        expected = np.fft.irfftn(expected, s=shape, axes=tuple(range(dim)))
+        amps = rng.random(modes.shape)
+        values = _filtered(x, partial(_times, amps))
+        expected = np.fft.irfftn(expected * amps, s=shape, axes=tuple(range(dim)))
         assert values.dtype == expected.dtype and np.array_equal(values, expected)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
@@ -448,10 +453,9 @@ class TestSplitTransforms:
         monkeypatch.setattr(_blocks, "_MIN_BLOCK_SIZE", 1)
         assert _blocks._cpu_count() == 3
         x = np.random.default_rng(5).standard_normal((9, 6, 9))
-        modes = _rfftn(x)
-        assert np.array_equal(modes, np.fft.rfftn(x))
+        assert np.array_equal(_rfftn(x), np.fft.rfftn(x))
         expected = np.fft.irfftn(np.fft.rfftn(x), s=x.shape, axes=(0, 1, 2))
-        assert np.array_equal(_irfftn(modes, x.shape), expected)
+        assert np.array_equal(_filtered(x, lambda block, start, stop: None), expected)
         monkeypatch.setattr(_blocks.os, "cpu_count", lambda: None)
         assert _blocks._cpu_count() == 1
 
@@ -489,6 +493,147 @@ class TestSplitTransforms:
             tracemalloc.stop()
         assert counts.counts[0, 0, 0] == ind.bits.sum()
         assert peak <= budget
+
+
+def serial_generate(spec, dim, side, seed):
+    """The synthesis as one numpy call per step, on one thread."""
+    shape = (side,) * dim
+    modes = np.fft.rfftn(np.random.default_rng(seed).standard_normal(shape))
+    modes *= _mode_amplitudes(spec, dim, side)
+    values = np.fft.irfftn(modes, s=shape, axes=tuple(range(dim)))
+    values += spec.mean
+    return values
+
+
+def serial_hierarchy(bits, max_level):
+    means, levels, spreads = bits.astype(float), [], []
+    for level in range(max_level + 1):
+        levels.append(means)
+        spreads.append(float(means.max() - means.min()) if means.size >= 9 else None)
+        if level < max_level:
+            shape = tuple(x for n in means.shape for x in (n // 3, 3))
+            means = means.reshape(shape).mean(axis=tuple(range(1, 2 * means.ndim, 2)))
+    return levels, spreads
+
+
+def serial_pair_counts(bits_a, bits_b):
+    """(counts, worst rounding residual) from whole-array numpy calls."""
+    cross = np.fft.rfftn(bits_a.astype(float))
+    if bits_b is bits_a:
+        np.square(cross.real, out=cross.real)
+        np.add(cross.real, np.square(cross.imag, out=cross.imag), out=cross.real)
+        cross.imag = 0.0
+    else:
+        np.conjugate(cross, out=cross)
+        cross *= np.fft.rfftn(bits_b.astype(float))
+    corr = np.fft.irfftn(cross, s=bits_a.shape, axes=tuple(range(bits_a.ndim)))
+    counts = np.rint(corr).astype(np.int64)
+    return counts, float(np.abs(corr - counts).max())
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSplitStages:
+    # sides 16 and 24 give uneven blocks on 2 or 3 CPUs: 16 rows split 5/5/6,
+    # 9 half-grid columns in 2-d 4/5, and 24 cells 8 level-1 parents 2/3/3
+    @pytest.mark.parametrize("side", [16, 24])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_stage_equals_the_serial_code(self, cpus, dim, side, monkeypatch):
+        force_cpus(monkeypatch, cpus)
+        spec = CovarianceSpec(mean=-0.25, variance=2.0, spectrum="power_law", index=-2.5)
+        field = generate(spec, dim, side, 100 + dim)
+        assert same_bytes(field.values, serial_generate(spec, dim, side, 100 + dim))
+
+        a, b = (-1.0, 0.5), (0.0, 2.0)
+        ind_a, ind_b = indicator(field, a), indicator(field, b)
+        for ind, (lo, hi) in ((ind_a, a), (ind_b, b)):
+            assert same_bytes(ind.bits, ((field.values >= lo) & (field.values < hi)).astype(np.uint8))
+
+        max_level = 1 if side == 24 else 0
+        report = hierarchical_average(ind_a, max_level)
+        levels, spreads = serial_hierarchy(ind_a.bits, max_level)
+        assert all(same_bytes(x, y) for x, y in zip(report.cell_means, levels, strict=True))
+        assert report.epsilons == tuple(spreads)
+
+        for other in (ind_a, ind_b):
+            counts = pair_counts(ind_a, other)
+            expected, residual = serial_pair_counts(ind_a.bits, ind_a.bits if other is ind_a else other.bits)
+            assert same_bytes(counts.counts, expected)
+            assert counts.residual == residual
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_deeper_levels_equal_the_serial_code(self, cpus, monkeypatch):
+        # 54 -> 18 -> 6 -> 2 cells a side, every level split across the CPUs
+        force_cpus(monkeypatch, cpus)
+        for dim in (1, 2, 3):
+            ind = indicator(generate(BUMP, dim, 54, 7), (-0.5, 0.5))
+            report = hierarchical_average(ind, 3)
+            levels, spreads = serial_hierarchy(ind.bits, 3)
+            assert all(same_bytes(x, y) for x, y in zip(report.cell_means, levels, strict=True))
+            assert report.epsilons == tuple(spreads)
+
+    def test_small_fields_start_no_thread(self, monkeypatch):
+        # a 2-CPU host with the real block floor: the default 81^2 field runs
+        # every stage on the calling thread
+        monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: {0, 1})
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        ind = indicator(generate(WHITE, 2, 81, 1), (-1.0, 1.0))
+        hierarchical_average(ind, 3)
+        pair_counts(ind, ind)
+        assert started == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_generate_peak_memory(self, cpus, monkeypatch):
+        # the noise, the half-grid modes and the amplitude table while the
+        # rows are transformed; the noise is dropped before the inverse, so
+        # the 1.26 MB 54^3 field never coexists with it and the modes. The
+        # 128 KiB slack holds the threads' bookkeeping.
+        force_cpus(monkeypatch, cpus)
+        spec = CovarianceSpec(spectrum="power_law", index=-3.0)
+        n, half = 54**3, 54 * 54 * 28
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            field = generate(spec, 3, 54, 9)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert field.values.shape == (54, 54, 54)
+        assert peak <= n * 8 + half * 16 + half * 8 + 2**17
+
+    def test_workers_call_no_public_function(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        calls = public_calls_off_the_main_thread(monkeypatch)
+        field = randomfield.generate(CovarianceSpec(mean=1.0), 3, 18, 4)
+        ind = randomfield.indicator(field, (0.0, 1.5))
+        randomfield.hierarchical_average(ind, 2)
+        randomfield.pair_counts(ind, ind)
+        randomfield.pair_counts(ind, randomfield.indicator(field, (1.0, 9.0)))
+        assert calls == []
+
+    def test_noise_worker_exception_reaches_the_caller(self, monkeypatch):
+        # the worker draws the noise; the calling thread builds the amplitudes
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        default_rng = np.random.default_rng
+
+        class FailingOffTheMainThread:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, out):
+                if threading.current_thread() is not threading.main_thread():
+                    raise FloatingPointError(f"noise of shape {out.shape}")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(randomfield.np.random, "default_rng", FailingOffTheMainThread)
+        with pytest.raises(FloatingPointError, match=r"noise of shape \(6, 6\)"):
+            generate(WHITE, 2, 6, 1)
+        assert threading.active_count() == before
 
 
 class TestIsotropy:
