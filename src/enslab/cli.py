@@ -8,7 +8,8 @@ One subcommand per experiment::
 Parameters come from the JSON config file (a flat object); --seed and --out
 override the file. Every parameter is validated against the subcommand's
 schema before any computation; an unknown or ill-typed key exits with status
-2 and a message naming it. Runtime numerical failures exit with status 3.
+2 and a message naming it. Runtime numerical failures exit with status 3, as
+does a size numpy cannot allocate.
 
 Each run writes into the output directory:
 
@@ -325,10 +326,8 @@ def _run_field(params: dict, seed: int, out_dir: Path):
     interval = tuple(float(v) for v in params["interval"])
     ind = randomfield.indicator(field, interval)
     report = randomfield.hierarchical_average(ind, params["max_level"])
-    epsilons, global_mean = list(report.epsilons), report.global_mean()
-    del report  # holds a float copy of the bitmask; gone before the pair counts
     n_points = field.values.size
-    p1 = float(ind.bits.mean())
+    p1 = report.global_mean()  # ones / points: also the one-point estimate
     rows = [("one_point", p1, math.sqrt(max(p1 * (1 - p1), 0.0) / n_points), n_points)]
     counts = randomfield.pair_counts(ind, ind)
     for r in params["two_point_r"]:
@@ -380,8 +379,8 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         "interval": list(interval),
         "one_point_prob": p1,
         "isotropy_spread": iso.spread if iso else None,
-        "epsilons": epsilons,
-        "global_mean": global_mean,
+        "epsilons": list(report.epsilons),
+        "global_mean": p1,
         "sample_mean": moments["mean"],
         "sample_variance": moments["variance"],
         "diagnostics": {
@@ -609,6 +608,9 @@ def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
     except EnslabError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
     summary_path = out_dir / "summary.json"
     write_json(summary_path, summary)
     outputs = {}

@@ -49,7 +49,6 @@ __all__ = [
     "ConeParams",
     "PhaseState",
     "InitialMacrostate",
-    "FallOutcome",
     "EnsembleResult",
     "integrate",
     "sample_initial",
@@ -120,12 +119,6 @@ class InitialMacrostate:
         if self.center.tilt - radii[0] < 0.0 or self.center.tilt + radii[0] > MAX_TILT:
             raise ValidationError("tilt support must stay inside [0, pi/2]")
         object.__setattr__(self, "support_radii", radii)
-
-
-@dataclass(frozen=True)
-class FallOutcome:
-    sector: int
-    fall_time: float
 
 
 @dataclass(frozen=True, eq=False)

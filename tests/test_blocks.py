@@ -109,7 +109,7 @@ class TestSplit:
             ind = indicator(field, (-1.0, 1.0))
             levels = hierarchical_average(ind, 2)
             counts = pair_counts(ind, ind)
-            stages = [field.values, ind.bits, *levels.cell_means, counts.counts]
+            stages = [field.values, ind.bits, *levels.cell_counts, counts.counts]
             stages = [a.tobytes() for a in stages] + [levels.epsilons, counts.residual]
             return slots, queued, report.magnetization, report.binned_entropy, curve, stages
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import platform
+import resource
 import subprocess
 import sys
 import threading
@@ -234,6 +235,26 @@ class TestSchema:
         )
         assert proc.returncode == 2
         assert key in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, key", [("measure", "n_microstates"), ("spinecho", "n"), ("cone", "n_members")]
+    )
+    def test_unallocatable_size_exits_three(self, subcommand, key, tmp_path):
+        # 2^50 members: numpy refuses the first table of 8 PiB or more before
+        # it touches any memory. The address-space cap keeps that so on a host
+        # that overcommits every allocation.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 2**50}))
+        out = tmp_path / "x"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", subcommand, "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**33, 2**33)),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("out of memory: Unable to allocate ") and proc.stderr.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])

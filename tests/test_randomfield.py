@@ -36,6 +36,8 @@ from enslab.randomfield import (
 WHITE = CovarianceSpec()
 BUMP = CovarianceSpec(variance=1.0, spectrum="gaussian_bump", center=8.0, width=2.0)
 PHI_BAND = norm.cdf(1.0) - norm.cdf(-1.0)  # 0.6826894921370859
+# every side 2^a 3^b up to 54
+HIERARCHY_SIDES = sorted(2**a * 3**b for a in range(6) for b in range(4) if 2**a * 3**b <= 54)
 
 
 def lattice_correlation(spec, dim, side, offset):
@@ -219,26 +221,50 @@ class TestIndicator:
 class TestHierarchy:
     def test_constant_indicator_has_zero_spread(self):
         f = generate(CovarianceSpec(mean=1.0, variance=0.0), 2, 81, 0)
-        report = hierarchical_average(indicator(f, (0.0, 2.0)), 4)
+        ind = indicator(f, (0.0, 2.0))
+        report = hierarchical_average(ind, 4)
+        assert_exact_hierarchy(report, ind, 4)
         for level, eps in enumerate(report.epsilons):
-            n_cells = report.cell_means[level].size
-            if n_cells >= 9:
+            # every level-n cell is full: 3^(2n) ones
+            assert np.all(report.cell_counts[level] == 9**level)
+            if report.cell_counts[level].size >= 9:
                 assert eps == 0.0
             else:
                 assert eps is None
 
     def test_level_zero_means_are_raw_bits(self):
+        # level 0 is the bitmask itself, not a copy; a 2-d level-n cell holds
+        # up to 9^n ones, so levels 1 and 2 fit in uint8 and level 3 in uint16
         f = generate(WHITE, 2, 81, 11)
         ind = indicator(f, (-1.0, 1.0))
         report = hierarchical_average(ind, 3)
-        np.testing.assert_array_equal(report.cell_means[0], ind.bits.astype(float))
+        assert [c.dtype for c in report.cell_counts] == [np.uint8, np.uint8, np.uint8, np.uint16]
+        assert_exact_hierarchy(report, ind, 3)
 
     def test_global_mean_is_level_invariant(self):
         f = generate(WHITE, 2, 243, 13)
-        report = hierarchical_average(indicator(f, (-1.0, 1.0)), 5)
-        base = report.global_mean(0)
+        ind = indicator(f, (-1.0, 1.0))
+        report = hierarchical_average(ind, 5)
+        ones = Fraction(int(ind.bits.sum()), ind.bits.size)
         for level in range(report.n_levels):
-            assert report.global_mean(level) == pytest.approx(base, abs=1e-12)
+            assert report.global_mean(level) == float(ones)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        side=st.sampled_from(HIERARCHY_SIDES),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_counts_spreads_and_mean_are_exact(self, dim, side, density, seed, data):
+        levels = 0
+        while side % 3 ** (levels + 1) == 0:
+            levels += 1
+        max_level = data.draw(st.integers(0, levels), label="max_level")
+        bits = (np.random.default_rng(seed).random((side,) * dim) < density).astype(np.uint8)
+        ind = IndicatorField(bits=bits, interval=(0.0, 1.0), spacing=1.0)
+        assert_exact_hierarchy(hierarchical_average(ind, max_level), ind, max_level)
 
     def test_divisibility_guard(self):
         f = generate(WHITE, 2, 81, 0)
@@ -505,15 +531,36 @@ def serial_generate(spec, dim, side, seed):
     return values
 
 
-def serial_hierarchy(bits, max_level):
-    means, levels, spreads = bits.astype(float), [], []
-    for level in range(max_level + 1):
-        levels.append(means)
-        spreads.append(float(means.max() - means.min()) if means.size >= 9 else None)
-        if level < max_level:
-            shape = tuple(x for n in means.shape for x in (n // 3, 3))
-            means = means.reshape(shape).mean(axis=tuple(range(1, 2 * means.ndim, 2)))
+def brute_hierarchy(bits, max_level):
+    """Each level's cell counts, one integer sum per cell, and each level's
+    spread as the exact fraction (max - min) / 3^(n dim), rounded once."""
+    dim, side = bits.ndim, bits.shape[0]
+    levels, spreads = [bits.astype(np.int64)], []
+    for level in range(1, max_level + 1):
+        width, n = 3**level, side // 3**level
+        counts = np.zeros((n,) * dim, dtype=np.int64)
+        for cell in itertools.product(range(n), repeat=dim):
+            block = bits[tuple(slice(c * width, (c + 1) * width) for c in cell)]
+            counts[cell] = int(block.sum(dtype=np.int64))
+        levels.append(counts)
+    for level, counts in enumerate(levels):
+        spread = Fraction(int(counts.max() - counts.min()), 3 ** (level * dim))
+        spreads.append(float(spread) if counts.size >= 9 else None)
     return levels, spreads
+
+
+def assert_exact_hierarchy(report, ind, max_level):
+    """Counts, spreads and global means against the integer oracles."""
+    levels, spreads = brute_hierarchy(ind.bits, max_level)
+    assert report.cell_counts[0] is ind.bits
+    for level, (counts, expected) in enumerate(zip(report.cell_counts, levels, strict=True)):
+        # the narrowest type that holds a full cell, whatever the data
+        assert counts.dtype == np.min_scalar_type(3 ** (level * ind.dim))
+        assert not counts.flags.writeable
+        assert np.array_equal(counts, expected)
+    assert report.epsilons == tuple(spreads)
+    mean = float(Fraction(int(ind.bits.sum()), ind.bits.size))
+    assert [report.global_mean(level) for level in range(max_level + 1)] == [mean] * (max_level + 1)
 
 
 def serial_pair_counts(bits_a, bits_b):
@@ -537,7 +584,7 @@ def same_bytes(a, b):
 
 class TestSplitStages:
     # sides 16 and 24 give uneven blocks on 2 or 3 CPUs: 16 rows split 5/5/6,
-    # 9 half-grid columns in 2-d 4/5, and 24 cells 8 level-1 parents 2/3/3
+    # and the 9 half-grid columns of side 16 in 1-d (one row) and 2-d 4/5
     @pytest.mark.parametrize("side", [16, 24])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -553,10 +600,7 @@ class TestSplitStages:
             assert same_bytes(ind.bits, ((field.values >= lo) & (field.values < hi)).astype(np.uint8))
 
         max_level = 1 if side == 24 else 0
-        report = hierarchical_average(ind_a, max_level)
-        levels, spreads = serial_hierarchy(ind_a.bits, max_level)
-        assert all(same_bytes(x, y) for x, y in zip(report.cell_means, levels, strict=True))
-        assert report.epsilons == tuple(spreads)
+        assert_exact_hierarchy(hierarchical_average(ind_a, max_level), ind_a, max_level)
 
         for other in (ind_a, ind_b):
             counts = pair_counts(ind_a, other)
@@ -566,14 +610,12 @@ class TestSplitStages:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_deeper_levels_equal_the_serial_code(self, cpus, monkeypatch):
-        # 54 -> 18 -> 6 -> 2 cells a side, every level split across the CPUs
+        # 54 -> 18 -> 6 -> 2 cells a side, on the calling thread whatever the
+        # CPU count
         force_cpus(monkeypatch, cpus)
         for dim in (1, 2, 3):
             ind = indicator(generate(BUMP, dim, 54, 7), (-0.5, 0.5))
-            report = hierarchical_average(ind, 3)
-            levels, spreads = serial_hierarchy(ind.bits, 3)
-            assert all(same_bytes(x, y) for x, y in zip(report.cell_means, levels, strict=True))
-            assert report.epsilons == tuple(spreads)
+            assert_exact_hierarchy(hierarchical_average(ind, 3), ind, 3)
 
     def test_small_fields_start_no_thread(self, monkeypatch):
         # a 2-CPU host with the real block floor: the default 81^2 field runs
