@@ -11,19 +11,19 @@ tasks run side by side with each other and with the caller.
 
 :func:`_split` runs a loop body over ``range(length)`` as a few calls
 ``run(start, stop)`` on disjoint blocks, one per CPU: block 0 on the calling
-thread, the others as tasks. Every caller writes each index's result to its
-own slot, so what the tasks compute does not depend on how many threads run
-them.
+thread, the others as tasks. It returns the blocks' values in block order;
+a block writes per-index results only to its own slots, so what the tasks
+compute does not depend on how many threads run them. :func:`_both` runs
+two jobs as the two indices of one ``_split``.
 
-The callers: the field transforms and per-block stages of ``randomfield``
-(with ``generate``'s noise draw beside the amplitude table), the CLI's hash
-of ``field.bin`` beside its write, the suppression curve's phasor sums and
-the spin echo's samples.
+The callers: the field transforms and per-block stages of ``randomfield``,
+``generate``'s noise draw beside the amplitude table, the CLI's hash of
+``field.bin`` beside its write and moments, the suppression curve's phasor
+sums and the spin echo's samples.
 
 Tasks must call only private kernels, never a public ``__all__`` function,
-a ``DiscreteDistribution`` constructor or the CLI's file writers and
-hasher: those are the names a profiler wraps, and its wrappers keep
-unsynchronized state.
+a ``DiscreteDistribution`` constructor or the CLI's file writers: those are
+the names a profiler wraps, and its wrappers keep unsynchronized state.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class _Tasks:
                 self._idle += 1
 
 
-def _split(run, length: int, size: int) -> None:
-    """Call ``run(start, stop)`` on consecutive blocks covering ``range(length)``.
+def _split(run, length: int, size: int) -> list:
+    """Call ``run(start, stop)`` on consecutive blocks covering ``range(length)``
+    and return the calls' values in block order.
 
     ``size`` is the number of elements the whole loop touches. There is one
     block per CPU, capped by ``length`` and by _MIN_BLOCK_SIZE elements per
@@ -144,7 +145,21 @@ def _split(run, length: int, size: int) -> None:
     """
     n_blocks = max(1, min(_cpu_count(), length, size // _MIN_BLOCK_SIZE))
     bounds = [(length * i // n_blocks, length * (i + 1) // n_blocks) for i in range(n_blocks)]
+    values = [None] * n_blocks
+
+    def block(i):
+        values[i] = run(*bounds[i])
+
     with _Tasks(backlog=n_blocks - 1) as tasks:
-        for start, stop in bounds[1:]:
-            tasks.submit(partial(run, start, stop))
-        run(*bounds[0])
+        for i in range(1, n_blocks):
+            tasks.submit(partial(block, i))
+        block(0)
+    return values
+
+
+def _both(first, second, size: int) -> tuple:
+    """``(first(), second())``: ``first`` on the calling thread, ``second``
+    beside it on a worker exactly when :func:`_split` would make two blocks
+    of two jobs of ``size`` elements. ``first``'s exception wins."""
+    blocks = _split(lambda start, stop: [job() for job in (first, second)[start:stop]], 2, size)
+    return tuple(value for block in blocks for value in block)

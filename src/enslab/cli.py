@@ -18,9 +18,11 @@ Each run writes into the output directory:
 * ``manifest.json`` - resolved config, seed, timestamps, SHA-256 of outputs,
   and the environment (Python and numpy versions, platform, CPU count).
 
-Digests are read back from the files, except for the field's ``field.bin``:
-a worker thread hashes its bytes from memory while the calling thread
-writes the file and takes the field's mean and variance.
+Every digest is taken from the bytes in memory as they are written: the
+file writers return it, and a worker thread hashes ``field.bin`` while the
+calling thread writes it and takes the field's mean and variance. Every JSON
+file is standard JSON; a run whose summary holds a non-finite number exits
+with status 3, naming the entry.
 
 Before a run starts, the outputs of an earlier run in the same directory
 (every file its manifest lists, its summary and the manifest) are deleted;
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import platform
@@ -59,6 +62,10 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_NUMERICS = 3
 
+# numpy raises ValueError, not MemoryError, when an array's size in bytes
+# overflows; this message is reported as out of memory too
+_NUMPY_TOO_BIG = "array is too big"
+
 LOG_BASE_NOTE = "e (entropies in nats)"
 
 
@@ -72,18 +79,6 @@ class RunConfig:
     parameters: dict
     seed: int
     out_dir: Path
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    artifact_version: str
-    subcommand: str
-    parameters: dict
-    seed: int
-    started_utc: str
-    finished_utc: str
-    environment: dict
-    outputs: dict
 
 
 def _is_int(value) -> bool:
@@ -179,16 +174,15 @@ SCHEMAS = {
 }
 
 
-def _fits_float(value) -> bool:
-    """False for a number, or an array holding one at any depth, that no
-    float can hold (a JSON integer of about 1.8e308 or more)."""
+def _is_finite(value) -> bool:
+    """False for a number, or an array holding one at any depth, that is NaN,
+    an infinity, or a JSON integer no float can hold (about 1.8e308 or more)."""
     if isinstance(value, list):
-        return all(map(_fits_float, value))
+        return all(map(_is_finite, value))
     try:
-        float(value)
+        return math.isfinite(value)
     except OverflowError:
         return False
-    return True
 
 
 def _fits_int64(value) -> bool:
@@ -213,8 +207,8 @@ def _check_type(key: str, value, tag):
     if tag in ("int", "integers"):
         if not _fits_int64(value):
             raise SchemaError(f"parameter '{key}' holds an integer outside the int64 range")
-    elif not _fits_float(value):
-        raise SchemaError(f"parameter '{key}' holds an integer outside the float range")
+    elif not _is_finite(value):
+        raise SchemaError(f"parameter '{key}' holds a number that is not finite as a float")
     return float(value) if tag == "float" else value
 
 
@@ -246,24 +240,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _write_text(path: Path, text: str) -> str:
+    """Write ``text`` as ASCII bytes; returns their SHA-256 hex digest."""
+    data = text.encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_csv(path: Path, header, rows) -> str:
+    """Write a CSV file; returns its SHA-256 hex digest."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return _write_text(path, text.getvalue())
 
 
-def sha256_of(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
+def write_json(path: Path, obj) -> str:
+    """Write standard JSON (no NaN or infinity); returns its SHA-256 hex digest."""
+    return _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _role_seed(seed: int, role: int) -> int:
@@ -272,8 +268,8 @@ def _role_seed(seed: int, role: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (summary dict, list of files written); an entry
-# may be a (path, SHA-256 hex digest) pair for a file hashed from memory
+# experiments: each returns (summary dict, {file name: SHA-256 hex digest})
+# for the files it wrote
 # ---------------------------------------------------------------------------
 
 
@@ -291,7 +287,8 @@ def _run_entropy(params: dict, seed: int, out_dir: Path):
     ):
         rows.append((label, vec.size, mass, cond, bound))
     csv_path = out_dir / "blocks.csv"
-    write_csv(csv_path, ["block", "n_states", "mass", "conditional_entropy", "s_max_conditional"], rows)
+    header = ["block", "n_states", "mass", "conditional_entropy", "s_max_conditional"]
+    files = {csv_path.name: write_csv(csv_path, header, rows)}
     summary = {
         "log_base": LOG_BASE_NOTE,
         "entropy": {
@@ -307,7 +304,7 @@ def _run_entropy(params: dict, seed: int, out_dir: Path):
             "s_max_coarse": s_max_coarse,
         },
     }
-    return summary, [csv_path]
+    return summary, files
 
 
 def _run_field(params: dict, seed: int, out_dir: Path):
@@ -350,21 +347,18 @@ def _run_field(params: dict, seed: int, out_dir: Path):
     residual = counts.residual
     del counts  # as large as the field; gone before field.bin is encoded
     csv_path = out_dir / "estimates.csv"
-    write_csv(csv_path, ["query", "estimate", "mc_sigma", "n_samples"], rows)
+    files = {csv_path.name: write_csv(csv_path, ["query", "estimate", "mc_sigma", "n_samples"], rows)}
 
-    bin_path = out_dir / "field.bin"
     data = np.ascontiguousarray(field.values, dtype="<f8")  # no copy when native
-    moments, digest = {}, {}
 
-    def save(start, stop):  # part 0 on the calling thread, part 1 on a worker
-        for part in range(start, stop):
-            if part:
-                digest["field.bin"] = hashlib.sha256(data).hexdigest()
-            else:
-                bin_path.write_bytes(data)
-                moments["mean"], moments["variance"] = float(field.values.mean()), float(field.values.var())
+    def save():  # on the calling thread, while a worker hashes the same bytes
+        (out_dir / "field.bin").write_bytes(data)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment fails the run
+            return float(field.values.mean()), float(field.values.var())
 
-    _blocks._split(save, 2, data.size)
+    (mean, variance), files["field.bin"] = _blocks._both(
+        save, lambda: hashlib.sha256(data).hexdigest(), data.size
+    )
     sidecar = {
         "dim": field.dim,
         "side": field.side,
@@ -372,8 +366,7 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         "seed": field.seed,
         "spec": asdict(spec),
     }
-    sidecar_path = out_dir / "field.json"
-    write_json(sidecar_path, sidecar)
+    files["field.json"] = write_json(out_dir / "field.json", sidecar)
     summary = {
         "log_base": LOG_BASE_NOTE,
         "interval": list(interval),
@@ -381,14 +374,14 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         "isotropy_spread": iso.spread if iso else None,
         "epsilons": list(report.epsilons),
         "global_mean": p1,
-        "sample_mean": moments["mean"],
-        "sample_variance": moments["variance"],
+        "sample_mean": mean,
+        "sample_variance": variance,
         "diagnostics": {
             "fft_rounding_residual": residual,
-            "variance_ratio": moments["variance"] / spec.variance if spec.variance > 0 else None,
+            "variance_ratio": variance / spec.variance if spec.variance > 0 else None,
         },
     }
-    return summary, [csv_path, (bin_path, digest["field.bin"]), sidecar_path]
+    return summary, files
 
 
 def _run_canonical(params: dict, seed: int, out_dir: Path):
@@ -406,7 +399,7 @@ def _run_canonical(params: dict, seed: int, out_dir: Path):
     kkt = np.log(dist.probs[live]) + energies[live] / temperature
     rows = [(k, energies[k], dist.probs[k]) for k in range(len(dist))]
     csv_path = out_dir / "distribution.csv"
-    write_csv(csv_path, ["level", "energy", "prob"], rows)
+    files = {csv_path.name: write_csv(csv_path, ["level", "energy", "prob"], rows)}
     summary = {
         "log_base": LOG_BASE_NOTE,
         "temperature": temperature,
@@ -415,7 +408,7 @@ def _run_canonical(params: dict, seed: int, out_dir: Path):
         "information": probcore.information(dist, math.log(len(dist))),
         "kkt_spread": float(kkt.max() - kkt.min()),
     }
-    return summary, [csv_path]
+    return summary, files
 
 
 def _coefficients_from_param(raw) -> np.ndarray:
@@ -439,7 +432,7 @@ def _run_measure(params: dict, seed: int, out_dir: Path):
     ledger = measurement.entropy_ledger(system, params["ledger_n_micro"])
     rows = [(i, fractions.probs[i], int(counts[i])) for i in range(k)]
     csv_path = out_dir / "outcomes.csv"
-    write_csv(csv_path, ["outcome", "born_fraction", "sampled_count"], rows)
+    files = {csv_path.name: write_csv(csv_path, ["outcome", "born_fraction", "sampled_count"], rows)}
     summary = {
         "log_base": LOG_BASE_NOTE,
         "seed": seed,
@@ -458,7 +451,7 @@ def _run_measure(params: dict, seed: int, out_dir: Path):
             "microstate_counts": [int(v) for v in ledger.microstate_counts],
         },
     }
-    return summary, [csv_path]
+    return summary, files
 
 
 def _run_cone(params: dict, seed: int, out_dir: Path):
@@ -495,7 +488,8 @@ def _run_cone(params: dict, seed: int, out_dir: Path):
         result.sectors.tolist(),
     )
     csv_path = out_dir / "members.csv"
-    write_csv(csv_path, ["member", "seed", "fall_time", "final_azimuth", "sector"], rows)
+    header = ["member", "seed", "fall_time", "final_azimuth", "sector"]
+    files = {csv_path.name: write_csv(csv_path, header, rows)}
     summary = {
         "sector_counts": [int(v) for v in result.sector_counts],
         "n_unresolved": result.n_unresolved,
@@ -504,7 +498,7 @@ def _run_cone(params: dict, seed: int, out_dir: Path):
         "n_sectors": result.n_sectors,
         "diagnostics": {"max_norm_drift": result.max_norm_drift},
     }
-    return summary, [csv_path]
+    return summary, files
 
 
 def _run_spinecho(params: dict, seed: int, out_dir: Path):
@@ -519,7 +513,7 @@ def _run_spinecho(params: dict, seed: int, out_dir: Path):
     )
     rows = list(zip(report.times, report.magnetization, report.binned_entropy))
     csv_path = out_dir / "trace.csv"
-    write_csv(csv_path, ["t", "magnetization", "binned_entropy"], rows)
+    files = {csv_path.name: write_csv(csv_path, ["t", "magnetization", "binned_entropy"], rows)}
     m_tau, s_tau = report.at(params["tau"])
     m_echo, _ = report.at(report.echo_time)
     summary = {
@@ -530,7 +524,7 @@ def _run_spinecho(params: dict, seed: int, out_dir: Path):
         "binned_entropy_at_tau": s_tau,
         "magnetization_at_echo": m_echo,
     }
-    return summary, [csv_path]
+    return summary, files
 
 
 RUNNERS = {
@@ -599,6 +593,22 @@ def run(config: RunConfig) -> int:
             shutil.rmtree(created, ignore_errors=True)
 
 
+def _non_finite_entry(obj, path: str = "") -> str | None:
+    """The dotted path of the first NaN or infinity in a summary, in the
+    order the runner built it; None when every number is finite."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return path if isinstance(obj, float) and not math.isfinite(obj) else None
+    for key, value in items:
+        found = _non_finite_entry(value, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
     try:
         summary, files = RUNNERS[config.subcommand](config.parameters, config.seed, out_dir)
@@ -608,27 +618,29 @@ def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
     except EnslabError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_NUMPY_TOO_BIG):
+            raise
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
-    summary_path = out_dir / "summary.json"
-    write_json(summary_path, summary)
-    outputs = {}
-    for f in [summary_path, *files]:  # a (path, digest) pair was hashed as it was written
-        path, digest = f if isinstance(f, tuple) else (f, None)
-        outputs[path.name] = digest or sha256_of(path)
-    finished = datetime.now(timezone.utc).isoformat()
-    manifest = RunManifest(
-        artifact_version=__version__,
-        subcommand=config.subcommand,
-        parameters=config.parameters,
-        seed=config.seed,
-        started_utc=started,
-        finished_utc=finished,
-        environment=_environment(),
-        outputs=outputs,
-    )
-    write_json(out_dir / "manifest.json", asdict(manifest))
+    entry = _non_finite_entry(summary)
+    if entry is not None:
+        for name in files:
+            (out_dir / name).unlink()
+        print(f"numerics error: summary entry '{entry}' is not finite", file=sys.stderr)
+        return EXIT_NUMERICS
+    files["summary.json"] = write_json(out_dir / "summary.json", summary)
+    manifest = {
+        "artifact_version": __version__,
+        "subcommand": config.subcommand,
+        "parameters": config.parameters,
+        "seed": config.seed,
+        "started_utc": started,
+        "finished_utc": datetime.now(timezone.utc).isoformat(),
+        "environment": _environment(),
+        "outputs": files,
+    }
+    write_json(out_dir / "manifest.json", manifest)
     return EXIT_OK
 
 

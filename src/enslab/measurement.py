@@ -67,7 +67,8 @@ class SystemState:
 
     def __post_init__(self):
         arr = _frozen_array(self.coefficients, dtype=complex, what="coefficients", ndim=1)
-        total = float(np.sum(np.abs(arr) ** 2))
+        with np.errstate(over="ignore"):  # an infinite total is rejected below
+            total = float(np.sum(np.abs(arr) ** 2))
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(
                 f"squared coefficients sum to {total!r}, expected 1 within {SUM_TOL}"

@@ -63,7 +63,7 @@ from functools import partial
 
 import numpy as np
 
-from ._blocks import _split
+from ._blocks import _both, _split
 from .errors import EmptySeparationError, GridError, NumericsError, ValidationError
 from .probcore import _frozen_array
 
@@ -433,8 +433,9 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     (spec, dim, side, seed) always reproduces the same array bit for bit.
     Every point is exactly N(mean, variance) marginally; zero variance gives
     the constant field. The calling thread builds the amplitude table while
-    a worker draws the noise (one thread for both below two blocks of
-    _MIN_BLOCK_SIZE); the amplitudes and the mean are applied per block.
+    a worker draws the noise, the two jobs of one ``_both`` (one thread does
+    both below two blocks of _MIN_BLOCK_SIZE); the amplitudes and the mean
+    are applied per block.
     """
     if dim not in (1, 2, 3):
         raise ValidationError(f"dim must be 1, 2 or 3, got {dim!r}")
@@ -447,18 +448,11 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     if spec.variance == 0.0:
         values = np.full(shape, spec.mean)
     else:
-        rng = np.random.default_rng(seed)
-        parts = {1: np.empty(shape)}  # the noise, filled by a worker
-
-        def build(start, stop):  # part 0, the amplitude table, on the calling thread
-            for part in range(start, stop):
-                if part:
-                    rng.standard_normal(out=parts[1])
-                else:
-                    parts[0] = _mode_amplitudes(spec, dim, side)
-
-        _split(build, 2, side**dim)
-        values = _filtered(parts.pop(1), partial(_times, parts.pop(0)))
+        draw = np.random.default_rng(seed).standard_normal
+        amplitudes = partial(_mode_amplitudes, spec, dim, side)
+        tables = list(_both(amplitudes, partial(draw, out=np.empty(shape)), side**dim))
+        # popped, so _filtered holds the only reference to the noise
+        values = _filtered(tables.pop(), partial(_times, tables.pop()))
         _split(partial(_add, values, spec.mean), len(values), values.size)
     return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec)
 
@@ -504,7 +498,8 @@ def hierarchical_average(ind: IndicatorField, max_level: int) -> HierarchyReport
     if max_level < 0:
         raise ValidationError(f"max_level must be >= 0, got {max_level!r}")
     side, dim = ind.side, ind.dim
-    if side % (3**max_level) != 0:
+    # past side.bit_length(), 3^max_level exceeds the side: no power to build
+    if max_level > side.bit_length() or side % (3**max_level) != 0:
         raise GridError(
             f"side {side} is not divisible by 3^{max_level}; hierarchy does not fit"
         )
@@ -541,16 +536,14 @@ def _round_counts(corr: np.ndarray) -> tuple:
     down by the transform.
     """
     counts = np.empty(corr.shape, dtype=np.int64)
-    worst = {}
 
     def run(start, stop):
         error, rounded = corr[start:stop], counts[start:stop]
         np.rint(error, out=rounded, casting="unsafe")
         error -= rounded
-        worst[start] = np.abs(error, out=error).max()
+        return np.abs(error, out=error).max()
 
-    _split(run, len(corr), corr.size)
-    residual = float(np.max(list(worst.values())))  # a NaN in any block propagates
+    residual = float(np.max(_split(run, len(corr), corr.size)))  # a NaN in any block propagates
     if not residual < MAX_ROUNDING_RESIDUAL:
         raise NumericsError(
             f"pair-count transform is {residual!r} from the nearest integer "

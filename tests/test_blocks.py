@@ -7,21 +7,24 @@ import pytest
 
 from block_helpers import force_cpus
 from enslab import _blocks, measurement
-from enslab._blocks import _split, _Tasks
+from enslab._blocks import _both, _split, _Tasks
 from enslab.measurement import suppression_curve
 from enslab.randomfield import CovarianceSpec, generate, hierarchical_average, indicator, pair_counts
 from enslab.spinecho import FrequencySpread, run_protocol
 
 
 def record_blocks(length, size):
-    """The (start, stop, on the calling thread) of every block _split runs."""
+    """The (start, stop, on the calling thread) of every block _split runs;
+    _split returns the blocks' values in block order."""
     seen, lock = [], threading.Lock()
 
     def run(start, stop):
         with lock:
             seen.append((start, stop, threading.current_thread() is threading.main_thread()))
+        return start, stop
 
-    _split(run, length, size)
+    values = _split(run, length, size)
+    assert values == [(start, stop) for start, stop, _ in sorted(seen)]
     return sorted(seen)
 
 
@@ -127,6 +130,47 @@ class TestSplit:
         assert split[2].tobytes() == serial[2].tobytes() and split[3].tobytes() == serial[3].tobytes()
         assert split[4] == serial[4]
         assert split[5] == serial[5]
+
+
+def on_the_calling_thread():
+    return threading.current_thread() is threading.main_thread()
+
+
+class TestBoth:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_results_in_order_with_first_on_the_calling_thread(self, cpus, monkeypatch):
+        # two jobs make two blocks on 2 or more CPUs: second then runs on a worker
+        force_cpus(monkeypatch, cpus)
+
+        def job(name):
+            return name, on_the_calling_thread()
+
+        results = _both(partial(job, "first"), partial(job, "second"), 2)
+        assert results == (("first", True), ("second", cpus == 1))
+
+    def test_no_thread_below_two_blocks(self, monkeypatch):
+        monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: {0, 1})
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        floor = _blocks._MIN_BLOCK_SIZE
+        assert _both(on_the_calling_thread, on_the_calling_thread, 2 * floor - 1) == (True, True)
+        assert started == []
+        assert _both(on_the_calling_thread, on_the_calling_thread, 2 * floor) == (True, False)
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_exception_is_raised_before_second(self, cpus, monkeypatch):
+        force_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+
+        def fail(name):
+            raise FloatingPointError(name)
+
+        with pytest.raises(FloatingPointError, match="first"):
+            _both(partial(fail, "first"), partial(fail, "second"), 2)
+        with pytest.raises(FloatingPointError, match="second"):
+            _both(lambda: None, partial(fail, "second"), 2)
+        assert threading.active_count() == before
 
 
 class TestTasks:

@@ -66,12 +66,15 @@ class TestReproducibility:
 
 
 class TestManifest:
-    def test_digests_match_emitted_files(self, tmp_path):
+    @pytest.mark.parametrize("subcommand", sorted(SMALL_CONFIGS))
+    def test_digests_match_emitted_files(self, subcommand, tmp_path):
+        # every digest is taken in memory as its file is written
         out = tmp_path / "run"
-        assert run_cli("field", out, tmp_path=tmp_path) == 0
+        assert run_cli(subcommand, out, tmp_path=tmp_path) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["subcommand"] == "field"
+        assert manifest["subcommand"] == subcommand
         assert manifest["seed"] == 11
+        assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
         for name, digest in manifest["outputs"].items():
             actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert actual == digest
@@ -238,14 +241,34 @@ class TestSchema:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "subcommand, key", [("measure", "n_microstates"), ("spinecho", "n"), ("cone", "n_members")]
+        "subcommand, key, value, message",
+        [
+            pytest.param("measure", "n_microstates", 2**50, "Unable to allocate ", id="measure-n_microstates"),
+            pytest.param("spinecho", "n", 2**50, "Unable to allocate ", id="spinecho-n"),
+            pytest.param("cone", "n_members", 2**50, "Unable to allocate ", id="cone-n_members"),
+            *[
+                pytest.param(subcommand, key, 2**62, "array is too big", id=f"{subcommand}-{key}-2^62")
+                for subcommand, key in [
+                    ("measure", "n_microstates"),
+                    ("measure", "suppression_seeds"),
+                    ("spinecho", "n"),
+                    ("spinecho", "n_bins"),
+                    ("spinecho", "samples_per_leg"),
+                    ("cone", "n_members"),
+                    ("cone", "n_sectors"),
+                ]
+            ],
+            pytest.param("field", "side", 2**40, "array is too big", id="field-side-2^40"),
+        ],
     )
-    def test_unallocatable_size_exits_three(self, subcommand, key, tmp_path):
+    def test_unallocatable_size_exits_three(self, subcommand, key, value, message, tmp_path):
         # 2^50 members: numpy refuses the first table of 8 PiB or more before
         # it touches any memory. The address-space cap keeps that so on a host
-        # that overcommits every allocation.
+        # that overcommits every allocation. At 2^62 elements (2^80 points of
+        # a side-2^40 field) the byte count overflows, and numpy raises its
+        # "array is too big" ValueError instead of MemoryError.
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({key: 2**50}))
+        cfg.write_text(json.dumps({key: value}))
         out = tmp_path / "x"
         proc = subprocess.run(
             [sys.executable, "-m", "enslab", subcommand, "--config", str(cfg), "--out", str(out)],
@@ -254,7 +277,73 @@ class TestSchema:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**33, 2**33)),
         )
         assert proc.returncode == 3
-        assert proc.stderr.startswith("out of memory: Unable to allocate ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"out of memory: {message}") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_other_value_errors_are_not_out_of_memory(self, tmp_path, monkeypatch):
+        def boom(params, seed, out_dir):
+            raise ValueError("not a size")
+
+        monkeypatch.setitem(cli.RUNNERS, "entropy", boom)
+        with pytest.raises(ValueError, match="not a size"):
+            cli.main(["entropy", "--out", str(tmp_path / "x")])
+        assert not (tmp_path / "x").exists()
+
+    def test_huge_max_level_exits_two_at_once(self, tmp_path):
+        # 3^max_level is never built once it must exceed the side
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"max_level": 10**9}))
+        out = tmp_path / "x"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", "field", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 2
+        assert "3^1000000000" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, key, text",
+        [
+            ("field", "index", '{"index": NaN}'),
+            ("field", "width", '{"width": Infinity}'),
+            ("canonical", "energies", '{"energies": [0, -Infinity]}'),
+            ("measure", "coefficients", '{"coefficients": [[0.6, NaN], [0.8, 0]]}'),
+        ],
+    )
+    def test_non_finite_number_exits_two_naming_key(self, subcommand, key, text, tmp_path, capsys):
+        # Python's json reads NaN and Infinity, which standard JSON lacks; a
+        # parameter holding one would reach the manifest
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"'{key}' holds a number that is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_summary_exits_three_naming_entry(self, tmp_path, capsys):
+        # at mean 1e300 the squared deviations overflow: the variance is
+        # infinite, and no warning is printed on the way to exit 3. The files
+        # the run wrote go too, from a directory that existed before.
+        out = tmp_path / "f"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert run_cli("field", out, extra={"mean": 1e300}, tmp_path=tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err == "numerics error: summary entry 'sample_variance' is not finite\n"
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_written_json_is_standard(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_json(tmp_path / "x.json", {"a": [1.0, math.inf]})
+
+    def test_overflowing_coefficients_exit_two_without_a_warning(self, tmp_path, capsys):
+        # the squared norm overflows to inf and is rejected; the RuntimeWarning
+        # filter of this suite turns any overflow warning into an error
+        out = tmp_path / "m"
+        assert run_cli("measure", out, extra={"coefficients": [1e300, 0]}, tmp_path=tmp_path) == 2
+        assert "squared coefficients sum to inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])

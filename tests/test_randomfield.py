@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -270,6 +271,16 @@ class TestHierarchy:
         f = generate(WHITE, 2, 81, 0)
         with pytest.raises(GridError):
             hierarchical_average(indicator(f, (-1.0, 1.0)), 5)
+
+    def test_level_past_the_side_fails_at_once(self):
+        # 3^max_level exceeds a side of 7 bits from level 8 on; the guard
+        # raises before building the power, which at 10^7 levels alone
+        # takes seconds
+        ind = indicator(generate(WHITE, 2, 81, 0), (-1.0, 1.0))
+        start = time.perf_counter()
+        with pytest.raises(GridError, match=r"3\^10000000;"):
+            hierarchical_average(ind, 10**7)
+        assert time.perf_counter() - start < 1.0
 
     def test_white_noise_epsilon_decay(self):
         # Monte Carlo fit of the per-level decay exponent (base-3 units):
