@@ -317,10 +317,18 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         width=params["width"],
         cutoff=params["cutoff"] if params["cutoff"] > 0 else None,
     )
+    # the lattice, interval and hierarchy rules need only the config, so they
+    # run before the field is built, in the order generate, indicator and
+    # hierarchical_average apply them. np.empty writes nothing: it raises
+    # numpy's own error for a field too big to allocate, which comes before
+    # the hierarchy rule, as it does inside generate
+    randomfield._check_lattice(params["dim"], params["side"])
+    np.empty((params["side"],) * params["dim"])
+    interval = randomfield._checked_interval(params["interval"])
+    randomfield._check_hierarchy(params["side"], params["max_level"])
     field = randomfield.generate(
         spec, params["dim"], params["side"], _role_seed(seed, 0), spacing=params["spacing"]
     )
-    interval = tuple(float(v) for v in params["interval"])
     ind = randomfield.indicator(field, interval)
     report = randomfield.hierarchical_average(ind, params["max_level"])
     n_points = field.values.size

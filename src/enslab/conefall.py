@@ -21,11 +21,14 @@ chart at entry and back at readout only.
 
 One lockstep kernel (``_Lockstep``) steps every integration here: the
 single state of :func:`integrate`, the probe bundles of
-:func:`liouville_check` and the whole ensemble of :func:`run_ensemble`. Its
-buffers are allocated once, and the batch is compacted only on steps where
-members fell. Each element sees the same operations in the same order
-whatever the batch, so a member's fall time and azimuth do not depend on
-the ensemble around it.
+:func:`liouville_check` (all in one batch) and the whole ensemble of
+:func:`run_ensemble`. Its buffers are allocated once, and the batch is
+compacted only on steps where members fell. The RK4 step and the fall test
+are call plans, lists of ufunc calls on views of the buffers, bound when
+the kernel is built and bound again at each compaction; every other step
+replays them without slicing an array. Each element sees the same
+operations in the same order whatever the batch, so a member's fall time
+and azimuth do not depend on the ensemble around it.
 
 A finite-support macrostate (uniform on a box) that straddles the
 equilibrium contains trajectories toward every fall direction; the ensemble
@@ -197,6 +200,14 @@ class _Lockstep:
     members and moves the survivors to the front. The state and stage
     buffers repeat n_x, n_y after n_z, so the cyclic shifts the cross
     product reads and the (n_y, n_x) pair of the torque are row slices.
+
+    The step and the fall test are call plans: lists of (function,
+    operands) on views of the buffers, built by ``_resize`` once per batch
+    size, so construction and every ``compact`` rebind them. ``step`` and
+    ``upright`` replay a plan and slice nothing. The fall test's squared
+    cosine and sine sit in 0-d arrays that ``upright`` writes before each
+    replay. A plan fixes operands, not arithmetic: each element still goes
+    through the ufuncs of the update above in the same order.
     """
 
     def __init__(self, y, dt: float, params: ConeParams):
@@ -209,6 +220,7 @@ class _Lockstep:
         self._stage_steps = (const(0.5 * dt), const(0.5 * dt), const(dt))
         self._sixth = const(dt / 6.0)
         self._two = const(2.0)
+        self._cos2, self._sin2 = const(0.0), const(0.0)
         n = y.shape[1]
         rows = {"y": 8, "stage": 8, "k": 24, "omega": 5, "torque": 3, "work": 3}
         self._buf = {name: np.empty(r * n) for name, r in rows.items()}
@@ -216,10 +228,11 @@ class _Lockstep:
         self.ids = np.arange(n)
         self._resize(n)
         self.y[...] = y
-        self._repeat(self._state)
+        _replay([self._repeat(self._state)])
 
     def _resize(self, n: int) -> None:
-        """Point every view at the first ``n`` members, contiguously."""
+        """Point every view at the first ``n`` members, contiguously, and
+        bind the step and fall-test plans to them."""
         view = lambda name, *shape: self._buf[name][: math.prod(shape)].reshape(shape)  # noqa: E731
         self.n = n
         self._state, self._stage = view("y", 8, n), view("stage", 8, n)
@@ -229,30 +242,81 @@ class _Lockstep:
         self._torque = view("torque", 3, n)
         self._torque[2] = 0.0
         self._keep = view("keep", n)
+        self._step_plan = self._rk4_calls()
+        self._fall_plan = self._fall_calls()
 
     @staticmethod
-    def _repeat(z) -> None:
-        """Copy n_x, n_y into the two rows after n_z."""
-        np.copyto(z[6:], z[3:5])
+    def _repeat(z) -> tuple:
+        """The call that copies n_x, n_y into the two rows after n_z."""
+        return np.copyto, (z[6:], z[3:5])
 
-    def upright(self, cos2: float, sin2: float) -> np.ndarray:
-        """Members still short of the tilt whose squared cosine and sine are
-        given (a buffer reused by the next call).
+    def _derivatives(self, z, k) -> list:
+        """The calls that put the equations of motion at the 8-row stage
+        values ``z`` into increments ``k``."""
+        omega, torque, work = self._omega, self._torque, self._work
+        return [
+            (np.divide, (z[:3], self._ml2, omega[:3])),
+            (np.copyto, (omega[3:], omega[:2])),
+            # (omega x n)_i = omega_(i+1) n_(i+2) - omega_(i+2) n_(i+1), indices mod 3
+            (np.multiply, (omega[1:4], z[5:8], k[3:])),
+            (np.multiply, (omega[2:5], z[4:7], work)),
+            (np.subtract, (k[3:], work, k[3:])),
+            # torque (-mgl n_y, mgl n_x, 0); its last row stays 0
+            (np.multiply, (self._torque_scale, z[4:2:-1], torque[:2])),
+            (np.multiply, (self._damping, z[:3], k[:3])),
+            (np.subtract, (torque, k[:3], k[:3])),
+        ]
+
+    def _rk4_calls(self) -> list:
+        """The calls of one RK4 step of size dt on every member."""
+        y, stage, k = self.y, self._stage, self.k
+        k1, k2, k3, k4 = k
+        plan = self._derivatives(self._state, k1)
+        for j, h in enumerate(self._stage_steps):
+            plan += [
+                (np.multiply, (h, k[j], stage[:6])),
+                (np.add, (y, stage[:6], stage[:6])),
+                self._repeat(stage),
+                *self._derivatives(stage, k[j + 1]),
+            ]
+        # the k buffers are spent once read: accumulate in k2
+        return plan + [
+            (np.multiply, (self._two, k2, k2)),
+            (np.add, (k1, k2, k2)),
+            (np.multiply, (self._two, k3, k3)),
+            (np.add, (k2, k3, k2)),
+            (np.add, (k2, k4, k2)),
+            (np.multiply, (self._sixth, k2, k2)),
+            (np.add, (y, k2, y)),
+            self._repeat(self._state),
+        ]
+
+    def _fall_calls(self) -> list:
+        """The calls of the fall test at the thresholds in ``_cos2``, ``_sin2``.
 
         tilt < threshold reads cos2 (n_x^2 + n_y^2) < sin2 n_z |n_z| for a
-        threshold in (0, pi/2): no trig, no square root. A non-finite member
-        is not upright, so it leaves the batch at once.
+        threshold in (0, pi/2): no trig, no square root.
         """
         a, b, _ = self._work
         nx, ny, nz = self.y[3:]
-        np.multiply(nx, nx, a)
-        np.multiply(ny, ny, b)
-        np.add(a, b, a)
-        np.multiply(cos2, a, a)
-        np.abs(nz, b)
-        np.multiply(nz, b, b)
-        np.multiply(sin2, b, b)
-        return np.less(a, b, self._keep)
+        return [
+            (np.multiply, (nx, nx, a)),
+            (np.multiply, (ny, ny, b)),
+            (np.add, (a, b, a)),
+            (np.multiply, (self._cos2, a, a)),
+            (np.abs, (nz, b)),
+            (np.multiply, (nz, b, b)),
+            (np.multiply, (self._sin2, b, b)),
+            (np.less, (a, b, self._keep)),
+        ]
+
+    def upright(self, cos2: float, sin2: float) -> np.ndarray:
+        """Members still short of the tilt whose squared cosine and sine are
+        given (a buffer reused by the next call). A non-finite member is not
+        upright, so it leaves the batch at once."""
+        self._cos2[...], self._sin2[...] = cos2, sin2
+        _replay(self._fall_plan)
+        return self._keep
 
     def compact(self, keep) -> None:
         """Keep only the members where ``keep`` is True, in order."""
@@ -261,45 +325,21 @@ class _Lockstep:
         self._resize(len(self.ids))
         self._state[...] = state
 
-    def _derivatives(self, z, k) -> None:
-        """Equations of motion at the 8-row stage values ``z`` into increments ``k``."""
-        omega, torque = self._omega, self._torque
-        np.divide(z[:3], self._ml2, omega[:3])
-        np.copyto(omega[3:], omega[:2])
-        # (omega x n)_i = omega_(i+1) n_(i+2) - omega_(i+2) n_(i+1), indices mod 3
-        np.multiply(omega[1:4], z[5:8], k[3:])
-        np.multiply(omega[2:5], z[4:7], self._work)
-        np.subtract(k[3:], self._work, k[3:])
-        # torque (-mgl n_y, mgl n_x, 0); its last row stays 0
-        np.multiply(self._torque_scale, z[4:2:-1], torque[:2])
-        np.multiply(self._damping, z[:3], k[:3])
-        np.subtract(torque, k[:3], k[:3])
-
     def step(self) -> None:
         """Advance every member by one RK4 step of size dt."""
-        y, stage = self.y, self._stage
-        k1, k2, k3, k4 = self.k
-        self._derivatives(self._state, k1)
-        for j, h in enumerate(self._stage_steps):
-            np.multiply(h, self.k[j], stage[:6])
-            np.add(y, stage[:6], stage[:6])
-            self._repeat(stage)
-            self._derivatives(stage, self.k[j + 1])
-        # the k buffers are spent once read: accumulate in k2
-        np.multiply(self._two, k2, k2)
-        np.add(k1, k2, k2)
-        np.multiply(self._two, k3, k3)
-        np.add(k2, k3, k2)
-        np.add(k2, k4, k2)
-        np.multiply(self._sixth, k2, k2)
-        np.add(y, k2, y)
-        self._repeat(self._state)
+        _replay(self._step_plan)
 
     def advance(self, steps: int) -> None:
         """Take ``steps`` steps (callers run it under ``np.errstate``, so
         overflow shows as non-finite state, not warnings)."""
         for _ in range(int(steps)):
             self.step()
+
+
+def _replay(plan) -> None:
+    """Make each call of a plan, in order."""
+    for call, operands in plan:
+        call(*operands)
 
 
 def _to_vector(theta, phi, p_theta, p_phi) -> np.ndarray:
@@ -415,6 +455,7 @@ def run_ensemble(
         raise ValidationError(f"dt must be positive, got {dt!r}")
 
     n = int(n_members)
+    counts = np.zeros(n_sectors, dtype=int)  # before the work: a table too big fails at once
     start = np.empty((4, n))
     member_seeds = np.empty(n, dtype=np.uint64)
     for m in range(n):
@@ -457,9 +498,9 @@ def run_ensemble(
     final_azimuths[resolved] = azimuths
     sectors[resolved] = np.minimum(azimuths // (TWO_PI / n_sectors), n_sectors - 1)
     fall_times[resolved] = fall_steps[resolved] * dt
-    counts = np.bincount(sectors[resolved], minlength=n_sectors)
+    np.add.at(counts, sectors[resolved], 1)
     return EnsembleResult(
-        sector_counts=counts.astype(int),
+        sector_counts=counts,
         n_unresolved=int(n - resolved.sum()),
         sectors=sectors,
         fall_times=fall_times,
@@ -487,7 +528,7 @@ def liouville_check(
     the Jacobian determinant estimates the local volume ratio, which is 1
     for the undamped Hamiltonian flow up to integrator and differencing
     error. ``n_probe // 8`` bundles are spread across the support and their
-    determinants averaged.
+    determinants averaged; all their probes flow in one lockstep batch.
     """
     if n_probe < 8:
         raise ValidationError(f"need at least 8 probes (2 per coordinate), got {n_probe!r}")
@@ -502,25 +543,26 @@ def liouville_check(
     radii = np.asarray(macro.support_radii)
     base = np.array([c.tilt, c.azimuth, c.tilt_momentum, c.azimuth_momentum])
     h = probe_scale * radii
-    dets = []
+    probes = np.empty((4, 8 * n_bundles))  # coords x probes, 8 per bundle
     for j in range(n_bundles):
         offset = (j / n_bundles - 0.5 * (n_bundles - 1) / n_bundles) * 0.5
         center_j = base + offset * radii
-        probes = np.empty((4, 8))  # coords x probes
         for axis in range(4):
             plus = center_j.copy()
             minus = center_j.copy()
             plus[axis] += h[axis]
             minus[axis] -= h[axis]
-            probes[:, 2 * axis] = plus
-            probes[:, 2 * axis + 1] = minus
-        with np.errstate(all="ignore"):
-            kernel = _Lockstep(_to_vector(*probes), dt, params)
-            kernel.advance(steps)
-            flowed = np.vstack(_to_canonical(kernel.y))
-        if not np.all(np.isfinite(flowed)):
+            probes[:, 8 * j + 2 * axis] = plus
+            probes[:, 8 * j + 2 * axis + 1] = minus
+    with np.errstate(all="ignore"):
+        kernel = _Lockstep(_to_vector(*probes), dt, params)
+        kernel.advance(steps)
+        flowed = np.vstack(_to_canonical(kernel.y))
+    dets = []
+    for bundle in np.hsplit(flowed, n_bundles):
+        if not np.all(np.isfinite(bundle)):
             raise NumericsError("degenerate probe bundle: flow produced non-finite probes")
-        diff = flowed[:, 0::2] - flowed[:, 1::2]
+        diff = bundle[:, 0::2] - bundle[:, 1::2]
         diff[1] = np.mod(diff[1] + math.pi, TWO_PI) - math.pi  # azimuths differ on the circle
         jac = diff / (2.0 * h)
         det = float(abs(np.linalg.det(jac)))

@@ -426,6 +426,17 @@ def _admits_hierarchy(side: int) -> bool:
     return side == 1
 
 
+def _check_lattice(dim: int, side: int) -> None:
+    """Raise unless a ``dim``-dimensional lattice of ``side`` can be synthesized."""
+    if dim not in (1, 2, 3):
+        raise ValidationError(f"dim must be 1, 2 or 3, got {dim!r}")
+    if side < 1 or not _admits_hierarchy(side):
+        raise GridError(
+            f"side {side!r} must be a product of powers of 2 and 3 "
+            "(transform plus ternary hierarchy)"
+        )
+
+
 def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: float = 1.0) -> FieldSample:
     """Synthesize one Gaussian field realization.
 
@@ -437,13 +448,7 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     both below two blocks of _MIN_BLOCK_SIZE); the amplitudes and the mean
     are applied per block.
     """
-    if dim not in (1, 2, 3):
-        raise ValidationError(f"dim must be 1, 2 or 3, got {dim!r}")
-    if side < 1 or not _admits_hierarchy(side):
-        raise GridError(
-            f"side {side!r} must be a product of powers of 2 and 3 "
-            "(transform plus ternary hierarchy)"
-        )
+    _check_lattice(dim, side)
     shape = (side,) * dim
     if spec.variance == 0.0:
         values = np.full(shape, spec.mean)
@@ -457,11 +462,28 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec)
 
 
-def indicator(field: FieldSample, interval) -> IndicatorField:
-    """Bitmask that is 1 exactly where a <= value < b."""
+def _checked_interval(interval) -> tuple:
+    """The bounds (a, b) of a half-open value interval, as floats; a < b."""
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValidationError(f"interval must satisfy a < b, got [{a!r}, {b!r})")
+    return a, b
+
+
+def _check_hierarchy(side: int, max_level: int) -> None:
+    """Raise unless ``max_level`` ternary levels fit a lattice of ``side``."""
+    if max_level < 0:
+        raise ValidationError(f"max_level must be >= 0, got {max_level!r}")
+    # past side.bit_length(), 3^max_level exceeds the side: no power to build
+    if max_level > side.bit_length() or side % (3**max_level) != 0:
+        raise GridError(
+            f"side {side} is not divisible by 3^{max_level}; hierarchy does not fit"
+        )
+
+
+def indicator(field: FieldSample, interval) -> IndicatorField:
+    """Bitmask that is 1 exactly where a <= value < b."""
+    a, b = _checked_interval(interval)
     values = field.values
     bits = np.empty(values.shape, dtype=np.uint8)
     below = np.empty(values.shape, dtype=np.bool_)
@@ -495,14 +517,8 @@ def hierarchical_average(ind: IndicatorField, max_level: int) -> HierarchyReport
     (max_k count_k - min_k count_k) / 3^(n dim), one correctly rounded
     division of integers. Runs on the calling thread.
     """
-    if max_level < 0:
-        raise ValidationError(f"max_level must be >= 0, got {max_level!r}")
     side, dim = ind.side, ind.dim
-    # past side.bit_length(), 3^max_level exceeds the side: no power to build
-    if max_level > side.bit_length() or side % (3**max_level) != 0:
-        raise GridError(
-            f"side {side} is not divisible by 3^{max_level}; hierarchy does not fit"
-        )
+    _check_hierarchy(side, max_level)
     counts = ind.bits
     cell_counts, epsilons = [], []
     for level in range(max_level + 1):

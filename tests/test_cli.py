@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from block_helpers import force_cpus, public_calls_off_the_main_thread
-from enslab import _blocks, cli
+from enslab import _blocks, cli, conefall, randomfield
 from enslab.errors import NumericsError
 
 SMALL_CONFIGS = {
@@ -303,6 +303,39 @@ class TestSchema:
         assert proc.returncode == 2
         assert "3^1000000000" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_oversized_sector_table_fails_before_any_step(self, tmp_path, monkeypatch, capsys):
+        # the sector-count table is allocated before the members are drawn
+        def unreachable(*args):
+            raise AssertionError("the ensemble ran before its sector table existed")
+
+        monkeypatch.setattr(conefall, "sample_initial", unreachable)
+        monkeypatch.setattr(conefall._Lockstep, "step", unreachable)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_sectors": 2**62}))
+        assert cli.main(["cone", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: array is too big") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"max_level": 5}, "side 162 is not divisible by 3^5; hierarchy does not fit"),
+            ({"interval": [1, 0]}, "interval must satisfy a < b, got [1.0, 0.0)"),
+        ],
+        ids=["max_level", "interval"],
+    )
+    def test_field_config_rules_run_before_the_field_is_built(self, extra, message, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the field was built for a config that fails")
+
+        monkeypatch.setattr(randomfield, "generate", unreachable)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"dim": 3, "side": 162, **extra}))
+        assert cli.main(["field", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "subcommand, key, text",

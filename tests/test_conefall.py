@@ -583,3 +583,61 @@ class TestBitIdentity:
         large = run_ensemble(macro, n_small + extra, 8, **kw)
         for field in ("sectors", "fall_times", "final_azimuths"):
             assert np.array_equal(getattr(small, field), getattr(large, field)[:n_small], equal_nan=True)
+
+
+def assert_plans_bound(kernel):
+    """Every operand of both call plans is a 0-d constant, the broadcast
+    torque scale, or a view of the kernel's buffers over its current batch."""
+    for plan in (kernel._step_plan, kernel._fall_plan):
+        for _, operands in plan:
+            for op in operands:
+                assert isinstance(op, np.ndarray)
+                if op.ndim == 0 or op is kernel._torque_scale:
+                    continue
+                assert op.shape[-1] == kernel.n
+                assert any(op.base is buf for buf in kernel._buf.values())
+
+
+class TestCallPlans:
+    def test_plans_follow_every_compaction(self, monkeypatch):
+        sizes = []
+        init, compact = conefall._Lockstep.__init__, conefall._Lockstep.compact
+
+        def checked_init(kernel, *args):
+            init(kernel, *args)
+            assert_plans_bound(kernel)
+            sizes.append(kernel.n)
+
+        def checked_compact(kernel, keep):
+            compact(kernel, keep)
+            assert_plans_bound(kernel)
+            sizes.append(kernel.n)
+
+        monkeypatch.setattr(conefall._Lockstep, "__init__", checked_init)
+        monkeypatch.setattr(conefall._Lockstep, "compact", checked_compact)
+        result = run_both(SPINNING, 40, 1.0, 7, 1e-2, 3000)
+        assert sizes[0] == 40 and sizes[-1] == result.n_unresolved == 0 and len(sizes) > 5
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_upright_reads_the_thresholds_of_each_call(self):
+        kernel = conefall._Lockstep(conefall._to_vector(*starts(SPINNING, 5, 30)), 1e-2, ConeParams())
+        nx, ny, nz = kernel.y[3:]
+        results = []
+        for threshold in (0.2, 0.4, 0.2):
+            cos2, sin2 = math.cos(threshold) ** 2, math.sin(threshold) ** 2
+            results.append(kernel.upright(cos2, sin2).copy())
+            assert np.array_equal(results[-1], cos2 * (nx * nx + ny * ny) < sin2 * (nz * np.abs(nz)))
+        assert 0 < results[0].sum() < results[1].sum() < 30
+        assert np.array_equal(results[0], results[2])
+
+    def test_liouville_bundles_share_one_batch(self, monkeypatch):
+        sizes = []
+        init = conefall._Lockstep.__init__
+
+        def counted_init(kernel, y, *args):
+            sizes.append(y.shape[1])
+            init(kernel, y, *args)
+
+        monkeypatch.setattr(conefall._Lockstep, "__init__", counted_init)
+        liouville_check(SYMMETRIC_MACRO, 1e-3, 10, n_probe=24)
+        assert sizes == [24]
