@@ -18,16 +18,18 @@ Each run writes into the output directory:
 * ``manifest.json`` - resolved config, seed, timestamps, SHA-256 of outputs,
   and the environment (Python and numpy versions, platform, CPU count).
 
-Every digest is taken from the bytes in memory as they are written: the
-file writers return it, and a worker thread hashes ``field.bin`` while the
-calling thread writes it and takes the field's mean and variance. Every JSON
-file is standard JSON; a run whose summary holds a non-finite number exits
-with status 3, naming the entry.
+Each experiment's runner only computes: it returns its summary and, for
+every output file, the encoded bytes with their SHA-256 digest, and it never
+touches the disk. A worker thread hashes ``field.bin``'s bytes while the
+calling thread takes the field's mean and variance. Every JSON file is
+standard JSON; a run whose summary holds a non-finite number exits with
+status 3, naming the entry.
 
 Before a run starts, the outputs of an earlier run in the same directory
 (every file its manifest lists, its summary and the manifest) are deleted;
-other files stay. A run that exits 2 or 3 removes the output directory if
-it created it.
+other files stay. Only a run that succeeds creates the output directory and
+writes its files, then the summary, then the manifest: a run that exits 2
+or 3 creates no directory and writes no file.
 
 All randomness flows from the single config seed. Streams for distinct roles
 are split as SeedSequence(seed, spawn_key=(role,)) with fixed role indices
@@ -47,7 +49,6 @@ import io
 import json
 import math
 import platform
-import shutil
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -240,26 +241,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(path: Path, text: str) -> str:
-    """Write ``text`` as ASCII bytes; returns their SHA-256 hex digest."""
-    data = text.encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+def _output(data) -> tuple:
+    """``(data, SHA-256 hex digest of its bytes)``: one output file, in memory."""
+    return data, hashlib.sha256(data).hexdigest()
 
 
-def write_csv(path: Path, header, rows) -> str:
-    """Write a CSV file; returns its SHA-256 hex digest."""
+def encode_csv(header, rows) -> tuple:
+    """A CSV file's ASCII bytes and their digest."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
-    return _write_text(path, text.getvalue())
+    return _output(text.getvalue().encode("ascii"))
 
 
-def write_json(path: Path, obj) -> str:
-    """Write standard JSON (no NaN or infinity); returns its SHA-256 hex digest."""
-    return _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def encode_json(obj) -> tuple:
+    """Standard JSON's ASCII bytes (no NaN or infinity) and their digest."""
+    return _output((json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("ascii"))
 
 
 def _role_seed(seed: int, role: int) -> int:
@@ -268,12 +266,12 @@ def _role_seed(seed: int, role: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (summary dict, {file name: SHA-256 hex digest})
-# for the files it wrote
+# experiments: each returns (summary dict, {file name: (bytes, SHA-256 hex
+# digest)}) and touches no file
 # ---------------------------------------------------------------------------
 
 
-def _run_entropy(params: dict, seed: int, out_dir: Path):
+def _run_entropy(params: dict, seed: int):
     blocks = [(f"block{i}", np.asarray(vec, dtype=float)) for i, vec in enumerate(params["blocks"])]
     joint = probcore.PartitionedDistribution(tuple(blocks))
     decomp = probcore.decompose(joint)
@@ -286,9 +284,8 @@ def _run_entropy(params: dict, seed: int, out_dir: Path):
         joint.blocks, masses, decomp.per_block_conditional, s_max_cond
     ):
         rows.append((label, vec.size, mass, cond, bound))
-    csv_path = out_dir / "blocks.csv"
     header = ["block", "n_states", "mass", "conditional_entropy", "s_max_conditional"]
-    files = {csv_path.name: write_csv(csv_path, header, rows)}
+    outputs = {"blocks.csv": encode_csv(header, rows)}
     summary = {
         "log_base": LOG_BASE_NOTE,
         "entropy": {
@@ -304,10 +301,10 @@ def _run_entropy(params: dict, seed: int, out_dir: Path):
             "s_max_coarse": s_max_coarse,
         },
     }
-    return summary, files
+    return summary, outputs
 
 
-def _run_field(params: dict, seed: int, out_dir: Path):
+def _run_field(params: dict, seed: int):
     spec = randomfield.CovarianceSpec(
         mean=params["mean"],
         variance=params["variance"],
@@ -317,18 +314,18 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         width=params["width"],
         cutoff=params["cutoff"] if params["cutoff"] > 0 else None,
     )
-    # the lattice, interval and hierarchy rules need only the config, so they
-    # run before the field is built, in the order generate, indicator and
-    # hierarchical_average apply them. np.empty writes nothing: it raises
-    # numpy's own error for a field too big to allocate, which comes before
-    # the hierarchy rule, as it does inside generate
-    randomfield._check_lattice(params["dim"], params["side"])
-    np.empty((params["side"],) * params["dim"])
+    # every rule that needs only the config runs before the field is built,
+    # in the order the library applies them: the lattice and its spacing, the
+    # interval, the hierarchy fit, then the separation bins of every query
+    dim, side, spacing = params["dim"], params["side"], params["spacing"]
+    randomfield._check_lattice(dim, side, spacing)
     interval = randomfield._checked_interval(params["interval"])
-    randomfield._check_hierarchy(params["side"], params["max_level"])
-    field = randomfield.generate(
-        spec, params["dim"], params["side"], _role_seed(seed, 0), spacing=params["spacing"]
-    )
+    randomfield._check_hierarchy(side, params["max_level"])
+    for r in params["two_point_r"]:
+        randomfield._pair_offsets(dim, side, spacing, float(r))
+    if dim > 1:  # a 1-d lattice has a single direction: nothing to compare
+        randomfield._direction_groups(dim, side, spacing, params["isotropy_r"])
+    field = randomfield.generate(spec, dim, side, _role_seed(seed, 0), spacing=spacing)
     ind = randomfield.indicator(field, interval)
     report = randomfield.hierarchical_average(ind, params["max_level"])
     n_points = field.values.size
@@ -341,7 +338,7 @@ def _run_field(params: dict, seed: int, out_dir: Path):
             (f"two_point_r={_fmt(float(r))}", p2, math.sqrt(max(p2 * (1 - p2), 0.0) / n_points), n_points)
         )
     iso = None
-    if field.dim > 1:  # a 1-d lattice has a single direction: nothing to compare
+    if dim > 1:
         iso = randomfield.isotropy_report(counts, params["isotropy_r"])
         for e in iso.estimates:
             rows.append(
@@ -353,20 +350,17 @@ def _run_field(params: dict, seed: int, out_dir: Path):
                 )
             )
     residual = counts.residual
-    del counts  # as large as the field; gone before field.bin is encoded
-    csv_path = out_dir / "estimates.csv"
-    files = {csv_path.name: write_csv(csv_path, ["query", "estimate", "mc_sigma", "n_samples"], rows)}
+    del counts  # as large as the field; gone before the moments are taken
+    outputs = {"estimates.csv": encode_csv(["query", "estimate", "mc_sigma", "n_samples"], rows)}
 
     data = np.ascontiguousarray(field.values, dtype="<f8")  # no copy when native
 
-    def save():  # on the calling thread, while a worker hashes the same bytes
-        (out_dir / "field.bin").write_bytes(data)
+    def moments():  # on the calling thread, while a worker hashes the same bytes
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment fails the run
             return float(field.values.mean()), float(field.values.var())
 
-    (mean, variance), files["field.bin"] = _blocks._both(
-        save, lambda: hashlib.sha256(data).hexdigest(), data.size
-    )
+    (mean, variance), digest = _blocks._both(moments, lambda: hashlib.sha256(data).hexdigest(), data.size)
+    outputs["field.bin"] = data, digest
     sidecar = {
         "dim": field.dim,
         "side": field.side,
@@ -374,7 +368,7 @@ def _run_field(params: dict, seed: int, out_dir: Path):
         "seed": field.seed,
         "spec": asdict(spec),
     }
-    files["field.json"] = write_json(out_dir / "field.json", sidecar)
+    outputs["field.json"] = encode_json(sidecar)
     summary = {
         "log_base": LOG_BASE_NOTE,
         "interval": list(interval),
@@ -389,10 +383,10 @@ def _run_field(params: dict, seed: int, out_dir: Path):
             "variance_ratio": variance / spec.variance if spec.variance > 0 else None,
         },
     }
-    return summary, files
+    return summary, outputs
 
 
-def _run_canonical(params: dict, seed: int, out_dir: Path):
+def _run_canonical(params: dict, seed: int):
     energies = np.asarray(params["energies"], dtype=float)
     target = params["target_mean_energy"]
     if target is None:
@@ -406,8 +400,7 @@ def _run_canonical(params: dict, seed: int, out_dir: Path):
     live = dist.probs > probcore.ZERO_CUTOFF
     kkt = np.log(dist.probs[live]) + energies[live] / temperature
     rows = [(k, energies[k], dist.probs[k]) for k in range(len(dist))]
-    csv_path = out_dir / "distribution.csv"
-    files = {csv_path.name: write_csv(csv_path, ["level", "energy", "prob"], rows)}
+    outputs = {"distribution.csv": encode_csv(["level", "energy", "prob"], rows)}
     summary = {
         "log_base": LOG_BASE_NOTE,
         "temperature": temperature,
@@ -416,7 +409,7 @@ def _run_canonical(params: dict, seed: int, out_dir: Path):
         "information": probcore.information(dist, math.log(len(dist))),
         "kkt_spread": float(kkt.max() - kkt.min()),
     }
-    return summary, files
+    return summary, outputs
 
 
 def _coefficients_from_param(raw) -> np.ndarray:
@@ -425,7 +418,7 @@ def _coefficients_from_param(raw) -> np.ndarray:
     return quantum._from_pairs(arr, 1, "coefficients") if arr.ndim == 2 else arr.astype(complex)
 
 
-def _run_measure(params: dict, seed: int, out_dir: Path):
+def _run_measure(params: dict, seed: int):
     c = _coefficients_from_param(params["coefficients"])
     system = measurement.SystemState(coefficients=c)
     k = system.n_outcomes
@@ -439,8 +432,7 @@ def _run_measure(params: dict, seed: int, out_dir: Path):
     )
     ledger = measurement.entropy_ledger(system, params["ledger_n_micro"])
     rows = [(i, fractions.probs[i], int(counts[i])) for i in range(k)]
-    csv_path = out_dir / "outcomes.csv"
-    files = {csv_path.name: write_csv(csv_path, ["outcome", "born_fraction", "sampled_count"], rows)}
+    outputs = {"outcomes.csv": encode_csv(["outcome", "born_fraction", "sampled_count"], rows)}
     summary = {
         "log_base": LOG_BASE_NOTE,
         "seed": seed,
@@ -459,10 +451,10 @@ def _run_measure(params: dict, seed: int, out_dir: Path):
             "microstate_counts": [int(v) for v in ledger.microstate_counts],
         },
     }
-    return summary, files
+    return summary, outputs
 
 
-def _run_cone(params: dict, seed: int, out_dir: Path):
+def _run_cone(params: dict, seed: int):
     macro = conefall.InitialMacrostate(
         center=conefall.PhaseState(
             tilt=params["tilt_center"],
@@ -495,9 +487,8 @@ def _run_cone(params: dict, seed: int, out_dir: Path):
         result.final_azimuths.tolist(),
         result.sectors.tolist(),
     )
-    csv_path = out_dir / "members.csv"
     header = ["member", "seed", "fall_time", "final_azimuth", "sector"]
-    files = {csv_path.name: write_csv(csv_path, header, rows)}
+    outputs = {"members.csv": encode_csv(header, rows)}
     summary = {
         "sector_counts": [int(v) for v in result.sector_counts],
         "n_unresolved": result.n_unresolved,
@@ -506,10 +497,10 @@ def _run_cone(params: dict, seed: int, out_dir: Path):
         "n_sectors": result.n_sectors,
         "diagnostics": {"max_norm_drift": result.max_norm_drift},
     }
-    return summary, files
+    return summary, outputs
 
 
-def _run_spinecho(params: dict, seed: int, out_dir: Path):
+def _run_spinecho(params: dict, seed: int):
     spread = spinecho.FrequencySpread(kind=params["spread_kind"], scale=params["spread_scale"])
     report = spinecho.run_protocol(
         params["n"],
@@ -520,8 +511,7 @@ def _run_spinecho(params: dict, seed: int, out_dir: Path):
         samples_per_leg=params["samples_per_leg"],
     )
     rows = list(zip(report.times, report.magnetization, report.binned_entropy))
-    csv_path = out_dir / "trace.csv"
-    files = {csv_path.name: write_csv(csv_path, ["t", "magnetization", "binned_entropy"], rows)}
+    outputs = {"trace.csv": encode_csv(["t", "magnetization", "binned_entropy"], rows)}
     m_tau, s_tau = report.at(params["tau"])
     m_echo, _ = report.at(report.echo_time)
     summary = {
@@ -532,7 +522,7 @@ def _run_spinecho(params: dict, seed: int, out_dir: Path):
         "binned_entropy_at_tau": s_tau,
         "magnetization_at_echo": m_echo,
     }
-    return summary, files
+    return summary, outputs
 
 
 RUNNERS = {
@@ -556,16 +546,6 @@ def _environment() -> dict:
     }
 
 
-def _outermost_missing(path: Path) -> Path | None:
-    """The outermost directory on ``path`` that does not exist yet, if any."""
-    missing = None
-    for p in (path, *path.parents):
-        if p.exists():
-            break
-        missing = p
-    return missing
-
-
 def _remove_previous_outputs(out_dir: Path) -> None:
     """Delete an earlier run's outputs from ``out_dir``: every file its
     manifest lists, its summary, then the manifest. Other files stay."""
@@ -578,27 +558,6 @@ def _remove_previous_outputs(out_dir: Path) -> None:
         # only plain file names directly inside out_dir
         if isinstance(name, str) and Path(name).name == name and (out_dir / name).is_file():
             (out_dir / name).unlink()
-
-
-def run(config: RunConfig) -> int:
-    """Execute one experiment; returns the process exit status.
-
-    The outputs of an earlier run in the same directory are deleted first.
-    A run that fails removes the output directory if it created it, with
-    any parents it created; a directory that existed before is left alone.
-    """
-    started = datetime.now(timezone.utc).isoformat()
-    out_dir = config.out_dir
-    created = _outermost_missing(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _remove_previous_outputs(out_dir)
-    status = None
-    try:
-        status = _run_into(config, out_dir, started)
-        return status
-    finally:
-        if status != EXIT_OK and created is not None:
-            shutil.rmtree(created, ignore_errors=True)
 
 
 def _non_finite_entry(obj, path: str = "") -> str | None:
@@ -617,9 +576,20 @@ def _non_finite_entry(obj, path: str = "") -> str | None:
     return None
 
 
-def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
+def run(config: RunConfig) -> int:
+    """Execute one experiment; returns the process exit status.
+
+    The outputs of an earlier run in the same directory are deleted first.
+    The runner computes every output in memory. Only then, and only if the
+    summary is finite, the directory is created and the outputs, the summary
+    and the manifest are written, in that order: a failed run creates no
+    directory and writes no file.
+    """
+    started = datetime.now(timezone.utc).isoformat()
+    out_dir = config.out_dir
+    _remove_previous_outputs(out_dir)
     try:
-        summary, files = RUNNERS[config.subcommand](config.parameters, config.seed, out_dir)
+        summary, outputs = RUNNERS[config.subcommand](config.parameters, config.seed)
     except NumericsError as exc:
         print(f"numerics error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
@@ -633,11 +603,12 @@ def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
         return EXIT_NUMERICS
     entry = _non_finite_entry(summary)
     if entry is not None:
-        for name in files:
-            (out_dir / name).unlink()
         print(f"numerics error: summary entry '{entry}' is not finite", file=sys.stderr)
         return EXIT_NUMERICS
-    files["summary.json"] = write_json(out_dir / "summary.json", summary)
+    outputs["summary.json"] = encode_json(summary)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (data, _) in outputs.items():
+        (out_dir / name).write_bytes(data)
     manifest = {
         "artifact_version": __version__,
         "subcommand": config.subcommand,
@@ -646,9 +617,9 @@ def _run_into(config: RunConfig, out_dir: Path, started: str) -> int:
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "environment": _environment(),
-        "outputs": files,
+        "outputs": {name: digest for name, (_, digest) in outputs.items()},
     }
-    write_json(out_dir / "manifest.json", manifest)
+    (out_dir / "manifest.json").write_bytes(encode_json(manifest)[0])
     return EXIT_OK
 
 

@@ -27,6 +27,10 @@ from .errors import ConstraintError, NumericsError, ValidationError
 
 SUM_TOL = 1e-12
 ZERO_CUTOFF = 1e-15
+# temperature_for_mean_energy's bisection: the mean-energy tolerance it
+# stops at, and its most halvings
+MEAN_ENERGY_TOL = 1e-10
+BISECTION_MAX_ITER = 400
 
 __all__ = [
     "SUM_TOL",
@@ -304,14 +308,12 @@ def mean_energy(levels: EnergyLevels) -> float:
     return float(p @ levels.energies)
 
 
-def temperature_for_mean_energy(
-    energies, target_mean: float, *, tol: float = 1e-10, max_iter: int = 400
-) -> float:
+def temperature_for_mean_energy(energies, target_mean: float) -> float:
     """Positive temperature whose canonical mean energy equals target_mean.
 
     The canonical mean is strictly increasing in T, from min(E) (T -> 0) to
     the plain average of the levels (T -> inf), so the target must lie in
-    that open interval; bisection then converges to |mean - target| <= tol.
+    that open interval; bisection then converges to |mean - target| <= MEAN_ENERGY_TOL.
     """
     arr = np.asarray(energies, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -347,16 +349,16 @@ def temperature_for_mean_energy(
                 f"target mean {target_mean!r} needs an astronomically large temperature"
             )
     t = 0.5 * (t_lo + t_hi)
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_ITER):
         m = mean_at(t)
-        if abs(m - target_mean) <= tol:
+        if abs(m - target_mean) <= MEAN_ENERGY_TOL:
             return t
         if m < target_mean:
             t_lo = t
         else:
             t_hi = t
         t = 0.5 * (t_lo + t_hi)
-    if abs(mean_at(t) - target_mean) > max(tol, 1e-12 * span):
+    if abs(mean_at(t) - target_mean) > max(MEAN_ENERGY_TOL, 1e-12 * span):
         raise NumericsError(
             f"bisection stalled at T={t!r}; mean-energy residual above tolerance"
         )

@@ -151,8 +151,7 @@ class FieldSample:
             raise ValidationError(f"dim must be 1, 2 or 3, got {self.dim!r}")
         if self.side < 1:
             raise ValidationError(f"side must be >= 1, got {self.side!r}")
-        if not (np.isfinite(self.spacing) and self.spacing > 0.0):
-            raise ValidationError(f"spacing must be positive, got {self.spacing!r}")
+        _check_spacing(self.spacing)
         arr = _frozen_array(self.values, dtype=float, what="field values")
         if arr.shape != (self.side,) * self.dim:
             raise ValidationError(
@@ -426,8 +425,15 @@ def _admits_hierarchy(side: int) -> bool:
     return side == 1
 
 
-def _check_lattice(dim: int, side: int) -> None:
-    """Raise unless a ``dim``-dimensional lattice of ``side`` can be synthesized."""
+def _check_spacing(spacing: float) -> None:
+    """Raise unless ``spacing`` is a finite positive lattice spacing."""
+    if not (np.isfinite(spacing) and spacing > 0.0):
+        raise ValidationError(f"spacing must be positive, got {spacing!r}")
+
+
+def _check_lattice(dim: int, side: int, spacing: float) -> None:
+    """Raise unless a ``dim``-dimensional lattice of ``side`` points at
+    ``spacing`` can be synthesized."""
     if dim not in (1, 2, 3):
         raise ValidationError(f"dim must be 1, 2 or 3, got {dim!r}")
     if side < 1 or not _admits_hierarchy(side):
@@ -435,6 +441,7 @@ def _check_lattice(dim: int, side: int) -> None:
             f"side {side!r} must be a product of powers of 2 and 3 "
             "(transform plus ternary hierarchy)"
         )
+    _check_spacing(spacing)
 
 
 def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: float = 1.0) -> FieldSample:
@@ -448,7 +455,7 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     both below two blocks of _MIN_BLOCK_SIZE); the amplitudes and the mean
     are applied per block.
     """
-    _check_lattice(dim, side)
+    _check_lattice(dim, side, spacing)
     shape = (side,) * dim
     if spec.variance == 0.0:
         values = np.full(shape, spec.mean)
@@ -613,6 +620,17 @@ def _estimate(counts: PairCounts, offsets: np.ndarray) -> float:
     return pairs / (len(offsets) * counts.counts.size)
 
 
+def _pair_offsets(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
+    """The offsets :func:`two_point_prob` averages over; raises when the
+    r-bin holds none."""
+    offsets = _offsets_in_bin(dim, side, spacing, r)
+    if not len(offsets):
+        raise EmptySeparationError(
+            f"no lattice offset has length within half a spacing of r={r!r}"
+        )
+    return offsets
+
+
 def two_point_prob(counts: PairCounts, r: float) -> float:
     """Joint fractional volume of I_a(x) I_b(x + y) at separation |y| ~ r.
 
@@ -620,12 +638,7 @@ def two_point_prob(counts: PairCounts, r: float) -> float:
     offset y inside the half-spacing bin around r, mixing directions; use
     :func:`isotropy_report` to keep directions apart.
     """
-    offsets = _offsets_in_bin(counts.dim, counts.side, counts.spacing, r)
-    if not len(offsets):
-        raise EmptySeparationError(
-            f"no lattice offset has length within half a spacing of r={r!r}"
-        )
-    return _estimate(counts, offsets)
+    return _estimate(counts, _pair_offsets(counts.dim, counts.side, counts.spacing, r))
 
 
 def _canonical_direction(vec: tuple) -> tuple:
@@ -642,16 +655,11 @@ def _canonical_direction(vec: tuple) -> tuple:
 _CLASS_NAMES = {1: "axis", 2: "face-diagonal", 3: "body-diagonal"}
 
 
-def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
-    """Two-point estimates split by lattice direction at separation r.
-
-    Offsets in the r-bin are grouped by direction (y and -y together, since
-    the field's covariance is even); each direction is labeled axis,
-    face-diagonal, or body-diagonal by its number of nonzero components.
-    The spread is the largest pairwise difference between direction
-    estimates: an isotropic field keeps it at the Monte Carlo noise level.
-    """
-    offsets = _offsets_in_bin(counts.dim, counts.side, counts.spacing, r)
+def _direction_groups(dim: int, side: int, spacing: float, r: float) -> dict:
+    """The nonzero offsets of the r-bin by canonical direction, as
+    :func:`isotropy_report` compares them; raises unless there are offsets
+    in at least 2 directions."""
+    offsets = _offsets_in_bin(dim, side, spacing, r)
     offsets = offsets[offsets.any(axis=1)]
     if not len(offsets):
         raise EmptySeparationError(
@@ -664,6 +672,19 @@ def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
         raise ValidationError(
             f"only {len(groups)} distinct direction(s) at r={r!r}; need at least 2"
         )
+    return groups
+
+
+def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
+    """Two-point estimates split by lattice direction at separation r.
+
+    Offsets in the r-bin are grouped by direction (y and -y together, since
+    the field's covariance is even); each direction is labeled axis,
+    face-diagonal, or body-diagonal by its number of nonzero components.
+    The spread is the largest pairwise difference between direction
+    estimates: an isotropic field keeps it at the Monte Carlo noise level.
+    """
+    groups = _direction_groups(counts.dim, counts.side, counts.spacing, r)
     entries = []
     for direction in sorted(groups):
         vecs = np.array(groups[direction])

@@ -20,7 +20,7 @@ def force_cpus(monkeypatch, n):
 def public_calls_off_the_main_thread(monkeypatch) -> list:
     """A list that records the name of every public function (any ``__all__``
     function, wherever a module holds it, DiscreteDistribution's
-    constructors, and the CLI's file writers) called from a thread other
+    constructors, and the CLI's file encoders) called from a thread other
     than the main one. These are the names a profiler wraps with
     unsynchronized state."""
     calls = []
@@ -47,7 +47,7 @@ def public_calls_off_the_main_thread(monkeypatch) -> list:
     for name in ("from_weights", "uniform"):
         fn = inspect.getattr_static(dist, name).__func__
         monkeypatch.setattr(dist, name, classmethod(spy(fn, f"DiscreteDistribution.{name}")))
-    for name in ("write_csv", "write_json"):
+    for name in ("encode_csv", "encode_json"):
         monkeypatch.setattr(cli, name, spy(getattr(cli, name), f"enslab.cli.{name}"))
     monkeypatch.setattr(pathlib.Path, "write_bytes", spy(pathlib.Path.write_bytes, "pathlib.Path.write_bytes"))
     return calls

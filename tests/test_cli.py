@@ -1,6 +1,9 @@
+import builtins
 import hashlib
 import json
 import math
+import os
+import pathlib
 import platform
 import resource
 import subprocess
@@ -184,7 +187,7 @@ class TestSchema:
         assert "'seed'" in capsys.readouterr().err
 
     def test_numerics_error_exits_three(self, tmp_path, monkeypatch):
-        def boom(params, seed, out_dir):
+        def boom(params, seed):
             raise NumericsError("synthetic runtime failure")
 
         monkeypatch.setitem(cli.RUNNERS, "entropy", boom)
@@ -241,13 +244,13 @@ class TestSchema:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "subcommand, key, value, message",
+        "subcommand, config, message",
         [
-            pytest.param("measure", "n_microstates", 2**50, "Unable to allocate ", id="measure-n_microstates"),
-            pytest.param("spinecho", "n", 2**50, "Unable to allocate ", id="spinecho-n"),
-            pytest.param("cone", "n_members", 2**50, "Unable to allocate ", id="cone-n_members"),
+            pytest.param("measure", {"n_microstates": 2**50}, "Unable to allocate ", id="measure-n_microstates"),
+            pytest.param("spinecho", {"n": 2**50}, "Unable to allocate ", id="spinecho-n"),
+            pytest.param("cone", {"n_members": 2**50}, "Unable to allocate ", id="cone-n_members"),
             *[
-                pytest.param(subcommand, key, 2**62, "array is too big", id=f"{subcommand}-{key}-2^62")
+                pytest.param(subcommand, {key: 2**62}, "array is too big", id=f"{subcommand}-{key}-2^62")
                 for subcommand, key in [
                     ("measure", "n_microstates"),
                     ("measure", "suppression_seeds"),
@@ -258,17 +261,18 @@ class TestSchema:
                     ("cone", "n_sectors"),
                 ]
             ],
-            pytest.param("field", "side", 2**40, "array is too big", id="field-side-2^40"),
+            # max_level 0: 3^3 does not divide 2^40, and a config error comes first
+            pytest.param("field", {"side": 2**40, "max_level": 0}, "array is too big", id="field-side-2^40"),
         ],
     )
-    def test_unallocatable_size_exits_three(self, subcommand, key, value, message, tmp_path):
+    def test_unallocatable_size_exits_three(self, subcommand, config, message, tmp_path):
         # 2^50 members: numpy refuses the first table of 8 PiB or more before
         # it touches any memory. The address-space cap keeps that so on a host
         # that overcommits every allocation. At 2^62 elements (2^80 points of
         # a side-2^40 field) the byte count overflows, and numpy raises its
         # "array is too big" ValueError instead of MemoryError.
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({key: value}))
+        cfg.write_text(json.dumps(config))
         out = tmp_path / "x"
         proc = subprocess.run(
             [sys.executable, "-m", "enslab", subcommand, "--config", str(cfg), "--out", str(out)],
@@ -281,7 +285,7 @@ class TestSchema:
         assert not out.exists()
 
     def test_other_value_errors_are_not_out_of_memory(self, tmp_path, monkeypatch):
-        def boom(params, seed, out_dir):
+        def boom(params, seed):
             raise ValueError("not a size")
 
         monkeypatch.setitem(cli.RUNNERS, "entropy", boom)
@@ -323,8 +327,13 @@ class TestSchema:
         [
             ({"max_level": 5}, "side 162 is not divisible by 3^5; hierarchy does not fit"),
             ({"interval": [1, 0]}, "interval must satisfy a < b, got [1.0, 0.0)"),
+            ({"spacing": -1.0}, "spacing must be positive, got -1.0"),
+            ({"two_point_r": [500.0]}, "separation bin reaches 500.5, beyond half the torus (81.0)"),
+            ({"isotropy_r": 500.0}, "separation bin reaches 500.5, beyond half the torus (81.0)"),
+            ({"isotropy_r": 0.2}, "no nonzero lattice offset has length within half a spacing of r=0.2"),
+            ({"dim": 2, "side": 2**40}, f"side {2**40} is not divisible by 3^3; hierarchy does not fit"),
         ],
-        ids=["max_level", "interval"],
+        ids=["max_level", "interval", "spacing", "two_point_r", "isotropy_r", "isotropy_r-empty", "side-2^40"],
     )
     def test_field_config_rules_run_before_the_field_is_built(self, extra, message, tmp_path, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
@@ -367,9 +376,9 @@ class TestSchema:
         assert err == "numerics error: summary entry 'sample_variance' is not finite\n"
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
-    def test_written_json_is_standard(self, tmp_path):
+    def test_written_json_is_standard(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli.write_json(tmp_path / "x.json", {"a": [1.0, math.inf]})
+            cli.encode_json({"a": [1.0, math.inf]})
 
     def test_overflowing_coefficients_exit_two_without_a_warning(self, tmp_path, capsys):
         # the squared norm overflows to inf and is rejected; the RuntimeWarning
@@ -613,6 +622,81 @@ class TestFieldOnEveryCpuCount:
             cli.run(field_config(POWER_LAW_27, tmp_path / "f"))
         assert threading.active_count() == before
         assert not (tmp_path / "f").exists()
+
+
+# every way the CLI could create, write or delete a file or a directory
+FILE_CHANGES = [
+    (pathlib.Path, "write_bytes"),
+    (pathlib.Path, "write_text"),
+    (pathlib.Path, "mkdir"),
+    (pathlib.Path, "touch"),
+    (pathlib.Path, "unlink"),
+    (os, "mkdir"),
+    (os, "makedirs"),
+]
+
+
+def is_write_mode(args, kwargs) -> bool:
+    mode = kwargs.get("mode", args[1] if len(args) > 1 else "r")
+    return any(flag in mode for flag in "wax+")
+
+
+class TestRunnersOnlyCompute:
+    @pytest.mark.parametrize("name", sorted(cli.RUNNERS))
+    def test_runner_returns_its_outputs_and_touches_no_file(self, name, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a runner touched the file system")
+
+        params = cli.resolve_parameters(name, {})
+        for owner, attr in [*FILE_CHANGES, (pathlib.Path, "open"), (builtins, "open")]:
+            monkeypatch.setattr(owner, attr, refused)
+        summary, outputs = cli.RUNNERS[name](params, 0)
+        monkeypatch.undo()
+        assert isinstance(summary, dict) and outputs
+        for data, digest in outputs.values():
+            assert hashlib.sha256(data).hexdigest() == digest
+
+    @staticmethod
+    def file_changes(monkeypatch) -> list:
+        """A list that records every file or directory the process creates,
+        writes or deletes through pathlib, os or open."""
+        changes = []
+
+        def spy(fn, name, only_writes=False):
+            def wrapped(*args, **kwargs):
+                if not only_writes or is_write_mode(args, kwargs):
+                    changes.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for owner, attr in FILE_CHANGES:
+            monkeypatch.setattr(owner, attr, spy(getattr(owner, attr), attr))
+        monkeypatch.setattr(pathlib.Path, "open", spy(pathlib.Path.open, "open", only_writes=True))
+        monkeypatch.setattr(builtins, "open", spy(builtins.open, "open", only_writes=True))
+        return changes
+
+    @pytest.mark.parametrize(
+        "subcommand, params, status",
+        [
+            pytest.param("field", {**SMALL_CONFIGS["field"], "mean": 1e300}, 3, id="non-finite-summary"),
+            pytest.param("entropy", {}, 3, id="numerics-error"),
+            pytest.param("field", {"dim": 3, "side": 162, "max_level": 5}, 2, id="config-error"),
+        ],
+    )
+    def test_failed_run_creates_and_writes_nothing(self, subcommand, params, status, tmp_path, monkeypatch):
+        def boom(params, seed):
+            raise NumericsError("synthetic runtime failure")
+
+        monkeypatch.setitem(cli.RUNNERS, "entropy", boom)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(params))
+        changes = self.file_changes(monkeypatch)
+        code = cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "a" / "x")])
+        monkeypatch.undo()
+        assert code == status
+        assert changes == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 class TestEntryPoint:
