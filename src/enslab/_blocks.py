@@ -16,14 +16,14 @@ a block writes per-index results only to its own slots, so what the tasks
 compute does not depend on how many threads run them. :func:`_both` runs
 two jobs as the two indices of one ``_split``.
 
-The callers: the field transforms and per-block stages of ``randomfield``,
-``generate``'s noise draw beside the amplitude table, the CLI's hash of
-``field.bin`` beside its write and moments, the suppression curve's phasor
-sums and the spin echo's samples.
+The callers: the field transforms and the rounding of pair counts in
+``randomfield``, ``generate``'s noise draw beside the amplitude table, the
+CLI's hash of ``field.bin`` beside the field's moments, the suppression
+curve's phasor sums and the spin echo's samples.
 
 Tasks must call only private kernels, never a public ``__all__`` function,
-a ``DiscreteDistribution`` constructor or the CLI's file writers: those are
-the names a profiler wraps, and its wrappers keep unsynchronized state.
+a ``DiscreteDistribution`` constructor or the CLI's encoders: those are the
+names a profiler wraps, and its wrappers keep unsynchronized state.
 """
 
 from __future__ import annotations

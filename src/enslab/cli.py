@@ -329,14 +329,16 @@ def _run_field(params: dict, seed: int):
     ind = randomfield.indicator(field, interval)
     report = randomfield.hierarchical_average(ind, params["max_level"])
     n_points = field.values.size
+
+    def mc_sigma(p):  # the binomial sd, as if the points were independent
+        return math.sqrt(max(p * (1 - p), 0.0) / n_points)
+
     p1 = report.global_mean()  # ones / points: also the one-point estimate
-    rows = [("one_point", p1, math.sqrt(max(p1 * (1 - p1), 0.0) / n_points), n_points)]
+    rows = [("one_point", p1, mc_sigma(p1), n_points)]
     counts = randomfield.pair_counts(ind, ind)
     for r in params["two_point_r"]:
         p2 = randomfield.two_point_prob(counts, float(r))
-        rows.append(
-            (f"two_point_r={_fmt(float(r))}", p2, math.sqrt(max(p2 * (1 - p2), 0.0) / n_points), n_points)
-        )
+        rows.append((f"two_point_r={_fmt(float(r))}", p2, mc_sigma(p2), n_points))
     iso = None
     if dim > 1:
         iso = randomfield.isotropy_report(counts, params["isotropy_r"])
@@ -345,7 +347,7 @@ def _run_field(params: dict, seed: int):
                 (
                     f"isotropy_r={_fmt(float(params['isotropy_r']))}_dir={'_'.join(map(str, e.direction))}",
                     e.estimate,
-                    math.sqrt(max(e.estimate * (1 - e.estimate), 0.0) / n_points),
+                    mc_sigma(e.estimate),
                     n_points,
                 )
             )
@@ -492,7 +494,10 @@ def _run_cone(params: dict, seed: int):
     summary = {
         "sector_counts": [int(v) for v in result.sector_counts],
         "n_unresolved": result.n_unresolved,
-        "chi_square_uniform": conefall.chi_square_uniform(result.sector_counts),
+        # no member fell: no count to test against the uniform law
+        "chi_square_uniform": conefall.chi_square_uniform(result.sector_counts)
+        if result.sector_counts.any()
+        else None,
         "fall_time_stats": result.fall_time_stats(),
         "n_sectors": result.n_sectors,
         "diagnostics": {"max_norm_drift": result.max_norm_drift},

@@ -24,16 +24,18 @@ is transformed exactly as ``np.fft.rfftn``/``irfftn`` would transform it, so
 fields and pair counts are bit-identical to theirs on any number of CPUs.
 The passes write through ``out=``, which needs NumPy 2.0.
 
-The elementwise stages run per block of axis 0 as well: the indicator, the
-conversion of bits to float64, adding the mean, and the rounding of pair
-counts (the worst residual is the largest of the blocks'). In
-:func:`generate` the calling thread builds the amplitude table while a
-worker draws the noise. Every block writes only its own slots, so no result
-depends on the CPU count. Blocks hold at least 2^16 elements, so small
-fields stay on one thread. Every table is allocated on the calling thread,
-the noise and the float copy of bits included: memory a worker thread
-allocates and frees stays in that thread's C-allocator arena and would
-raise the process's peak RSS.
+Of the elementwise stages only the rounding of pair counts runs per block
+of axis 0 (the worst residual is the largest of the blocks'): it is the one
+that measurably gains from the split. The indicator, the conversion of bits
+to float64 and adding the mean are plain numpy calls on the calling thread;
+they are memory-bound, and split they ran no faster. In :func:`generate`
+the calling thread builds the amplitude table while a worker draws the
+noise. Every block writes only its own slots, so no result depends on the
+CPU count. Blocks hold at least 2^16 elements, so small fields stay on one
+thread. Every table is allocated on the calling thread, the noise and the
+float copy of bits included: memory a worker thread allocates and frees
+stays in that thread's C-allocator arena and would raise the process's peak
+RSS.
 
 On top of the fields sit the fractional-volume estimators: indicator
 bitmasks for half-open value intervals [a, b), spatial one-point and
@@ -316,15 +318,6 @@ def _half_grid(shape: tuple) -> np.ndarray:
     return np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
 
 
-def _as_float(x: np.ndarray) -> np.ndarray:
-    """``x`` as float64, converted per row block into one table."""
-    if x.dtype == float:
-        return x
-    out = np.empty(x.shape)
-    _split(lambda start, stop: np.copyto(out[start:stop], x[start:stop]), len(x), x.size)
-    return out
-
-
 def _forward_rows(x: np.ndarray, modes: np.ndarray, start: int, stop: int) -> None:
     """``rfft`` on the last axis of rows start:stop of ``x`` into ``modes``,
     then ``fft`` in place on axes dim-2 ... 1."""
@@ -351,7 +344,7 @@ def _rfftn(x) -> np.ndarray:
     is one row: its ``fft`` on axis 0 has length 1 and changes no bit.
     """
     shape = np.shape(x)
-    rows = _as_float(np.atleast_2d(x))
+    rows = np.asarray(np.atleast_2d(x), dtype=float)
     modes = _half_grid(rows.shape)
     _split(partial(_forward_rows, rows, modes), len(rows), rows.size)
 
@@ -375,7 +368,7 @@ def _filtered(x: np.ndarray, scale) -> np.ndarray:
     after their pass, so neither outlives its use.
     """
     shape = np.shape(x)
-    x = _as_float(np.atleast_2d(x))
+    x = np.asarray(np.atleast_2d(x), dtype=float)
     modes = _half_grid(x.shape)
     _split(partial(_forward_rows, x, modes), len(x), x.size)
     rows = x.shape
@@ -396,11 +389,6 @@ def _filtered(x: np.ndarray, scale) -> np.ndarray:
 
 def _times(amps: np.ndarray, block: np.ndarray, start: int, stop: int) -> None:
     np.multiply(block, np.atleast_2d(amps)[:, start:stop], out=block)
-
-
-def _add(values: np.ndarray, shift: float, start: int, stop: int) -> None:
-    block = values[start:stop]
-    np.add(block, shift, out=block)
 
 
 def _square(block: np.ndarray, start: int, stop: int) -> None:
@@ -452,8 +440,8 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     Every point is exactly N(mean, variance) marginally; zero variance gives
     the constant field. The calling thread builds the amplitude table while
     a worker draws the noise, the two jobs of one ``_both`` (one thread does
-    both below two blocks of _MIN_BLOCK_SIZE); the amplitudes and the mean
-    are applied per block.
+    both below two blocks of _MIN_BLOCK_SIZE); the amplitudes are applied
+    per column block, and the mean in one call on the calling thread.
     """
     _check_lattice(dim, side, spacing)
     shape = (side,) * dim
@@ -465,7 +453,7 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
         tables = list(_both(amplitudes, partial(draw, out=np.empty(shape)), side**dim))
         # popped, so _filtered holds the only reference to the noise
         values = _filtered(tables.pop(), partial(_times, tables.pop()))
-        _split(partial(_add, values, spec.mean), len(values), values.size)
+        values += spec.mean
     return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec)
 
 
@@ -491,18 +479,9 @@ def _check_hierarchy(side: int, max_level: int) -> None:
 def indicator(field: FieldSample, interval) -> IndicatorField:
     """Bitmask that is 1 exactly where a <= value < b."""
     a, b = _checked_interval(interval)
-    values = field.values
-    bits = np.empty(values.shape, dtype=np.uint8)
-    below = np.empty(values.shape, dtype=np.bool_)
-
-    def run(start, stop):
-        block, inside = values[start:stop], bits[start:stop].view(np.bool_)
-        np.greater_equal(block, a, out=inside)
-        np.logical_and(inside, np.less(block, b, out=below[start:stop]), out=inside)
-
-    _split(run, len(bits), bits.size)
-    del below  # its memory goes to the frozen copy of bits
-    return IndicatorField(bits=bits, interval=(a, b), spacing=field.spacing)
+    inside = field.values >= a
+    inside &= field.values < b
+    return IndicatorField(bits=inside.view(np.uint8), interval=(a, b), spacing=field.spacing)
 
 
 def _coarsen(counts: np.ndarray, dtype) -> np.ndarray:
@@ -600,7 +579,11 @@ def pair_counts(ind_a: IndicatorField, ind_b: IndicatorField) -> PairCounts:
 
 def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
     """Integer lattice offsets, one per row, whose length falls in
-    [r - s/2, r + s/2); rows in lexicographic order."""
+    [r - s/2, r + s/2); rows in lexicographic order.
+
+    Squared norms of the cube of offsets within ``reach`` on every axis are
+    one broadcast sum of an axis's squares; ``np.argwhere`` of the bin's
+    mask lists the cube's indices in C order, which is lexicographic."""
     if r < 0.0 or not np.isfinite(r):
         raise ValidationError(f"separation must be finite and >= 0, got {r!r}")
     lo, hi = r - 0.5 * spacing, r + 0.5 * spacing
@@ -609,9 +592,11 @@ def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> np.ndarray
             f"separation bin reaches {hi!r}, beyond half the torus ({0.5 * side * spacing!r})"
         )
     reach = int(math.floor(hi / spacing)) + 1
-    grid = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
-    length = spacing * np.sqrt((grid * grid).sum(axis=1))
-    return grid[(length >= lo) & (length < hi)]
+    squares = np.square(np.arange(-reach, reach + 1), dtype=float)  # exact integers
+    length = sum(np.ix_(*[squares] * dim))
+    np.sqrt(length, out=length)
+    length *= spacing
+    return np.argwhere((length >= lo) & (length < hi)) - reach
 
 
 def _estimate(counts: PairCounts, offsets: np.ndarray) -> float:

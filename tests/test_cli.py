@@ -555,6 +555,25 @@ class TestSummaries:
         queries = [row.split(",")[0] for row in (out / "estimates.csv").read_text().split()[1:]]
         assert queries == ["one_point", "two_point_r=1", "two_point_r=2"]
 
+    @pytest.mark.parametrize("max_steps", [0, 10])
+    def test_cone_where_no_member_falls_exits_zero(self, max_steps, tmp_path):
+        # every member unresolved is a result, not a bad config: there is no
+        # sector count to test, so the chi-square statistic is null
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"max_steps": max_steps}))
+        out = tmp_path / "cone"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", "cone", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["chi_square_uniform"] is None
+        assert summary["n_unresolved"] == cli.SCHEMAS["cone"]["n_members"][1]
+        assert summary["sector_counts"] == [0] * summary["n_sectors"]
+        assert summary["fall_time_stats"] == {"count": 0}
+
 
 POWER_LAW_27 = {
     "dim": 3,

@@ -453,6 +453,20 @@ class TestPairCounts:
         offsets = _offsets_in_bin(dim, side, spacing, r)
         assert [tuple(v) for v in offsets.tolist()] == listed_offsets(dim, spacing, r)
 
+    def test_offsets_in_bin_peak_memory(self):
+        # the 163^3 cube of offsets within reach of r = 80 holds 4.3M points:
+        # one float64 table of their lengths (35 MB) and the bin's masks, never
+        # a cube of integer coordinates (4.3M x 3 int64, 104 MB) beside them
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            offsets = _offsets_in_bin(3, 162, 1.0, 80.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert offsets.shape == (80030, 3)
+        assert peak <= 120 * 2**20
+
 
 class TestSplitTransforms:
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
@@ -657,6 +671,30 @@ class TestSplitStages:
             tracemalloc.stop()
         assert field.values.shape == (54, 54, 54)
         assert peak <= n * 8 + half * 16 + half * 8 + 2**17
+
+    def test_only_transforms_and_rounding_are_split(self, monkeypatch):
+        # the indicator, the conversion of bits to float and the mean run on
+        # the calling thread; every pass handed to _split is a transform pass
+        # or the rounding of pair counts
+        force_cpus(monkeypatch, 3)
+        passes, split = [], randomfield._split
+
+        def spy(run, length, size):
+            passes.append(getattr(run, "func", run).__qualname__)
+            return split(run, length, size)
+
+        monkeypatch.setattr(randomfield, "_split", spy)
+        field = generate(CovarianceSpec(mean=1.0, spectrum="power_law", index=-2.0), 3, 18, 4)
+        ind = indicator(field, (0.0, 1.5))
+        pair_counts(ind, ind)
+        pair_counts(ind, indicator(field, (1.0, 9.0)))
+        assert set(passes) == {
+            "_forward_rows",
+            "_rfftn.<locals>.columns",
+            "_filtered.<locals>.columns",
+            "_inverse_rows",
+            "_round_counts.<locals>.run",
+        }
 
     def test_workers_call_no_public_function(self, monkeypatch):
         force_cpus(monkeypatch, 3)
