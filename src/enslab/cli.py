@@ -130,7 +130,7 @@ SCHEMAS = {
         "index": ("float", -2.0),
         "center": ("float", 8.0),
         "width": ("float", 2.0),
-        "cutoff": ("float", 0.0),  # 0 means no cutoff
+        "cutoff": ("float", 0.0),  # 0 means no cutoff; a negative one is refused
         "spacing": ("float", 1.0),
         "interval": ("interval", [-1.0, 1.0]),
         "max_level": ("int", 3),
@@ -312,7 +312,7 @@ def _run_field(params: dict, seed: int):
         index=params["index"],
         center=params["center"],
         width=params["width"],
-        cutoff=params["cutoff"] if params["cutoff"] > 0 else None,
+        cutoff=params["cutoff"] if params["cutoff"] != 0 else None,
     )
     # every rule that needs only the config runs before the field is built,
     # in the order the library applies them: the lattice and its spacing, the

@@ -453,6 +453,8 @@ def run_ensemble(
         raise ValidationError(f"fall threshold must lie in (0, pi/2), got {fall_threshold!r}")
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValidationError(f"dt must be positive, got {dt!r}")
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be >= 0, got {max_steps!r}")
 
     n = int(n_members)
     counts = np.zeros(n_sectors, dtype=int)  # before the work: a table too big fails at once

@@ -54,14 +54,16 @@ at once, is the inverse transform of conj(A) B; :func:`pair_counts` rounds
 it to integers and raises NumericsError if any entry sits 0.25 or more from
 an integer. Each query then sums the integer counts of its offsets and
 divides once, so the estimate is the exact rational pairs / (offsets * N),
-correctly rounded.
+correctly rounded. A bin's offsets, and their grouping by direction (array
+operations: gcd, sign, ``np.unique``), are read-only tables built once and
+cached, so the CLI's config check and the query after it share them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -605,14 +607,17 @@ def _estimate(counts: PairCounts, offsets: np.ndarray) -> float:
     return pairs / (len(offsets) * counts.counts.size)
 
 
+# bounded: an LRU scan of more bins than it holds gets no hits; unbounded, it would keep them all
+@lru_cache(maxsize=32)
 def _pair_offsets(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
-    """The offsets :func:`two_point_prob` averages over; raises when the
-    r-bin holds none."""
+    """The offsets :func:`two_point_prob` averages over, read-only and
+    cached; raises when the r-bin holds none."""
     offsets = _offsets_in_bin(dim, side, spacing, r)
     if not len(offsets):
         raise EmptySeparationError(
             f"no lattice offset has length within half a spacing of r={r!r}"
         )
+    offsets.flags.writeable = False
     return offsets
 
 
@@ -626,38 +631,33 @@ def two_point_prob(counts: PairCounts, r: float) -> float:
     return _estimate(counts, _pair_offsets(counts.dim, counts.side, counts.spacing, r))
 
 
-def _canonical_direction(vec: tuple) -> tuple:
-    g = math.gcd(*(abs(c) for c in vec))
-    reduced = tuple(c // g for c in vec)
-    for c in reduced:
-        if c > 0:
-            return reduced
-        if c < 0:
-            return tuple(-x for x in reduced)
-    return reduced
-
-
 _CLASS_NAMES = {1: "axis", 2: "face-diagonal", 3: "body-diagonal"}
 
 
-def _direction_groups(dim: int, side: int, spacing: float, r: float) -> dict:
-    """The nonzero offsets of the r-bin by canonical direction, as
-    :func:`isotropy_report` compares them; raises unless there are offsets
-    in at least 2 directions."""
+@lru_cache(maxsize=32)
+def _direction_groups(dim: int, side: int, spacing: float, r: float) -> tuple:
+    """The r-bin's nonzero offsets, their distinct directions in lexicographic
+    order and each offset's index into those, as read-only arrays; raises
+    unless there are offsets in at least 2 directions. A direction is an
+    offset over the gcd of its components, its first nonzero one positive."""
     offsets = _offsets_in_bin(dim, side, spacing, r)
     offsets = offsets[offsets.any(axis=1)]
     if not len(offsets):
         raise EmptySeparationError(
             f"no nonzero lattice offset has length within half a spacing of r={r!r}"
         )
-    groups: dict = {}
-    for vec in map(tuple, offsets.tolist()):
-        groups.setdefault(_canonical_direction(vec), []).append(vec)
-    if len(groups) < 2:
+    reduced = offsets // np.gcd.reduce(offsets, axis=1)[:, None]
+    first = reduced[np.arange(len(reduced)), np.argmax(reduced != 0, axis=1)]
+    reduced *= np.sign(first)[:, None]
+    directions, inverse = np.unique(reduced, axis=0, return_inverse=True)
+    if len(directions) < 2:
         raise ValidationError(
-            f"only {len(groups)} distinct direction(s) at r={r!r}; need at least 2"
+            f"only {len(directions)} distinct direction(s) at r={r!r}; need at least 2"
         )
-    return groups
+    tables = offsets, directions, inverse.ravel()  # NumPy 2.0.0 returned it 2-d
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
@@ -666,21 +666,20 @@ def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
     Offsets in the r-bin are grouped by direction (y and -y together, since
     the field's covariance is even); each direction is labeled axis,
     face-diagonal, or body-diagonal by its number of nonzero components.
-    The spread is the largest pairwise difference between direction
-    estimates: an isotropic field keeps it at the Monte Carlo noise level.
+    One gather of the pair counts is summed per direction in int64, and
+    each estimate divides its integer once. The spread is the largest
+    pairwise difference between direction estimates: an isotropic field
+    keeps it at the Monte Carlo noise level.
     """
-    groups = _direction_groups(counts.dim, counts.side, counts.spacing, r)
-    entries = []
-    for direction in sorted(groups):
-        vecs = np.array(groups[direction])
-        n_nonzero = sum(1 for c in direction if c != 0)
-        entries.append(
-            DirectionEstimate(
-                direction=direction,
-                klass=_CLASS_NAMES[n_nonzero],
-                estimate=_estimate(counts, vecs),
-                n_offsets=len(vecs),
-            )
+    offsets, directions, inverse = _direction_groups(counts.dim, counts.side, counts.spacing, r)
+    pairs = np.zeros(len(directions), dtype=np.int64)
+    np.add.at(pairs, inverse, counts.counts[tuple((offsets % counts.side).T)])
+    n = counts.counts.size
+    entries = tuple(
+        DirectionEstimate(
+            direction=tuple(d), klass=_CLASS_NAMES[len(d) - d.count(0)], estimate=p / (k * n), n_offsets=k
         )
+        for d, p, k in zip(directions.tolist(), pairs.tolist(), np.bincount(inverse).tolist())
+    )
     values = [e.estimate for e in entries]
-    return IsotropyReport(estimates=tuple(entries), spread=float(max(values) - min(values)))
+    return IsotropyReport(estimates=entries, spread=float(max(values) - min(values)))

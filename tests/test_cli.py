@@ -308,6 +308,30 @@ class TestSchema:
         assert "3^1000000000" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "subcommand, config, message",
+        [
+            ("field", {"cutoff": -3.0}, "cutoff must be > 0, got -3.0"),
+            ("cone", {"max_steps": -1}, "max_steps must be >= 0, got -1"),
+        ],
+        ids=["field-cutoff", "cone-max_steps"],
+    )
+    def test_negative_bound_exits_two_before_any_work(
+        self, subcommand, config, message, tmp_path, monkeypatch, capsys
+    ):
+        # cutoff 0 means none and max_steps 0 runs no step; below 0 neither
+        # is a value, so neither may fall back to a run
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work began for a config that fails")
+
+        monkeypatch.setattr(randomfield, "generate", unreachable)
+        monkeypatch.setattr(conefall, "sample_initial", unreachable)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_oversized_sector_table_fails_before_any_step(self, tmp_path, monkeypatch, capsys):
         # the sector-count table is allocated before the members are drawn
         def unreachable(*args):
@@ -641,6 +665,30 @@ class TestFieldOnEveryCpuCount:
             cli.run(field_config(POWER_LAW_27, tmp_path / "f"))
         assert threading.active_count() == before
         assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize(
+    "params, n_bins",
+    [({}, 3), ({"dim": 3, "side": 27, "two_point_r": [1.5], "isotropy_r": 1.8}, 2)],
+    ids=["default", "3d-27"],
+)
+def test_field_run_enumerates_each_bin_once(params, n_bins, tmp_path, monkeypatch):
+    # the config check before the field is built and the queries after it
+    # read the same cached tables: one enumeration per bin and helper
+    randomfield._pair_offsets.cache_clear()
+    randomfield._direction_groups.cache_clear()
+    calls = []
+    offsets_in_bin = randomfield._offsets_in_bin
+    monkeypatch.setattr(randomfield, "_offsets_in_bin", lambda *args: calls.append(args) or offsets_in_bin(*args))
+    config = field_config(params, tmp_path / "f")
+    assert cli.run(config) == 0
+    assert len(calls) == n_bins
+    p = config.parameters
+    tables = randomfield._direction_groups(p["dim"], p["side"], p["spacing"], p["isotropy_r"])
+    assert len(calls) == n_bins  # the run's own table, not a new one
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 # every way the CLI could create, write or delete a file or a directory

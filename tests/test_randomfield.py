@@ -422,6 +422,26 @@ class TestPairCounts:
             assert e.n_offsets == len(vecs)
             assert e.estimate == float(Fraction(dir_pairs, len(vecs) * n))
 
+    @pytest.mark.parametrize(
+        "dim, side, spacing, r, n_directions", [(2, 243, 1.0, 100.0, 320), (3, 54, 1.0, 26.0, 4303)]
+    )
+    def test_isotropy_exact_at_far_bins(self, dim, side, spacing, r, n_directions):
+        # bins with thousands of directions, beyond the sides drawn above
+        counts = auto_counts(generate(WHITE, dim, side, 8, spacing=spacing), (-0.5, 1.0))
+        groups = {}
+        for v in listed_offsets(dim, spacing, r):
+            if any(v):
+                groups.setdefault(direction_of(v), []).append(v)
+        report = isotropy_report(counts, r)
+        assert [e.direction for e in report.estimates] == sorted(groups)
+        assert len(groups) == n_directions
+        n = side**dim
+        for e in report.estimates:
+            vecs = groups[e.direction]
+            pairs = sum(int(counts.counts[tuple(np.mod(v, side))]) for v in vecs)
+            assert e.n_offsets == len(vecs)
+            assert e.estimate == float(Fraction(pairs, len(vecs) * n))
+
     def test_rounding_guard_rejects_a_corrupted_table(self):
         f = generate(WHITE, 2, 27, 4)
         ind = indicator(f, (-1.0, 1.0))
