@@ -6,9 +6,8 @@ Modules:
                      canonical distribution and temperature solving.
 * ``randomfield``  - homogeneous Gaussian fields, fractional-volume
                      estimators, hierarchical cell averages.
-* ``quantum``      - density operators, expectations, macrostate projectors.
 * ``measurement``  - random-phase apparatus ensembles, Born-rule fractions,
-                     off-diagonal suppression, entropy ledger.
+                     off-diagonal suppression curve, entropy ledger.
 * ``conefall``     - unstable-equilibrium ensemble (inverted pendulum).
 * ``spinecho``     - dephasing/refocusing phase-oscillator protocol.
 * ``cli``          - seeded, manifest-writing experiment driver.
@@ -16,4 +15,4 @@ Modules:
 
 __version__ = "0.1.0"
 
-from . import conefall, measurement, probcore, quantum, randomfield, spinecho  # noqa: E402,F401
+from . import conefall, measurement, probcore, randomfield, spinecho  # noqa: E402,F401

@@ -56,8 +56,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _blocks, conefall, measurement, probcore, quantum, randomfield, spinecho
-from .errors import EnslabError, NumericsError
+from . import __version__, _blocks, conefall, measurement, probcore, randomfield, spinecho
+from .errors import EnslabError, NumericsError, ValidationError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -68,6 +68,9 @@ EXIT_NUMERICS = 3
 _NUMPY_TOO_BIG = "array is too big"
 
 LOG_BASE_NOTE = "e (entropies in nats)"
+
+# classical RK4 is stable on dL/dt = -damping L only while damping*dt <= 2.785
+_RK4_DAMPING_LIMIT = 2.785
 
 
 class SchemaError(Exception):
@@ -415,9 +418,10 @@ def _run_canonical(params: dict, seed: int):
 
 
 def _coefficients_from_param(raw) -> np.ndarray:
-    """Real numbers, or [re, im] pairs in the JSON wire format."""
+    """Real numbers, or [re, im] pairs: the JSON wire format for complex
+    numbers, which the summary's ``c`` uses too."""
     arr = np.asarray(raw, dtype=float)
-    return quantum._from_pairs(arr, 1, "coefficients") if arr.ndim == 2 else arr.astype(complex)
+    return arr[:, 0] + 1j * arr[:, 1] if arr.ndim == 2 else arr.astype(complex)
 
 
 def _run_measure(params: dict, seed: int):
@@ -440,7 +444,7 @@ def _run_measure(params: dict, seed: int):
         "seed": seed,
         "M": params["n_microstates"],
         "K": k,
-        "c": quantum._to_pairs(c),
+        "c": np.stack((c.real, c.imag), axis=-1).tolist(),
         "fractions": [float(p) for p in fractions.probs],
         "counts": [int(v) for v in counts],
         "suppression_curve": [[m, med, p95] for m, med, p95 in curve],
@@ -472,6 +476,16 @@ def _run_cone(params: dict, seed: int):
         ),
     )
     cone_params = conefall.ConeParams(damping=params["damping"])
+    # a flow that overflows on its first steps fails here, naming its key,
+    # and not at the first fall as a dt too coarse
+    for key in ("tilt_momentum_radius", "azimuth_momentum_radius"):
+        if not math.isfinite(params[key] * params[key]):
+            raise ValidationError(f"{key}={params[key]!r} overflows the kinetic energy p^2/(2 m l^2)")
+    if params["damping"] * params["dt"] > _RK4_DAMPING_LIMIT:
+        raise ValidationError(
+            f"damping={params['damping']!r} at dt={params['dt']!r} is beyond RK4's stability "
+            f"limit damping*dt <= {_RK4_DAMPING_LIMIT}"
+        )
     result = conefall.run_ensemble(
         macro,
         params["n_members"],

@@ -2,24 +2,25 @@
 
 The apparatus starts in a definite macrostate: a probability distribution
 {p_i} over M microstates whose relative phases carry no information, so they
-are drawn uniformly from [0, 2pi). Premeasurement entangles a K-outcome
-system with the apparatus, attaching one phase per (outcome, microstate).
-Averaging over the microstate distribution suppresses every off-diagonal
-(k, k') block by a random-phasor resultant of magnitude O(M^-1/2), leaving
-the diagonal weights |c_k|^2: outcome fractions follow the Born rule, and the
-coarse/residual entropy ledger balances against the unchanged total.
+are drawn uniformly from [0, 2pi). Measuring a K-outcome system attaches one
+such phase theta[k, i] to each (outcome, microstate) pair. Averaging over
+the microstate distribution damps every off-diagonal (k, k') term by the
+random-phasor resultant |sum_i p_i exp(i(theta[k,i] - theta[k',i]))|, of
+magnitude O(M^-1/2), leaving the diagonal weights |c_k|^2: outcome fractions
+follow the Born rule, and the coarse/residual entropy ledger balances
+against the unchanged total.
 
-The combined K*M-dimensional density operator is never materialized; all
-ensemble averages are evaluated analytically through the K x M phase table.
+The combined K*M-dimensional state is never materialized: the fractions
+have a closed form, and every resultant is read from the K x M phase table
+by the one private kernel ``_phasor_sum``.
 
 The suppression curve builds its ensembles through :func:`build_apparatus`
 on the calling thread, a batch of seeds at a time. Each batch's phasor sums,
 the elementwise complex exponentials that are most of its work, are a task
 on a bounded queue (:class:`._blocks._Tasks`): worker threads sum while the
 calling thread builds the next batches, and it sums too once the queue is
-full. Every magnitude is computed exactly as :func:`offdiag_suppression`
-computes it and lands in its own slot, so the curve is bit-identical on any
-number of CPUs. The tasks call only the private kernel ``_phasor_sum``.
+full. Every magnitude lands in its own slot, so the curve is bit-identical
+on any number of CPUs. The tasks call only ``_phasor_sum``.
 """
 
 from __future__ import annotations
@@ -33,17 +34,12 @@ import numpy as np
 from ._blocks import _Tasks
 from .errors import NumericsError, ValidationError
 from .probcore import SUM_TOL, DiscreteDistribution, _frozen_array, _shannon
-from .quantum import IMAG_TOL, Observable
 
 __all__ = [
     "SystemState",
     "ApparatusEnsemble",
-    "CombinedState",
     "EntropyLedger",
     "build_apparatus",
-    "premeasure",
-    "offdiag_suppression",
-    "ensemble_expectation",
     "outcome_fractions",
     "sample_outcomes",
     "entropy_ledger",
@@ -109,31 +105,6 @@ class ApparatusEnsemble:
 
 
 @dataclass(frozen=True, eq=False)
-class CombinedState:
-    """Entangled system+apparatus state for one apparatus microstate i.
-
-    The only basis vectors with support are (k, j(k,i)) for k = 0..K-1, where
-    j(k,i) labels the apparatus pointer state correlated with outcome k. The
-    pointer labels (k, i) are pairwise distinct, so the basis is orthonormal
-    by construction and only K amplitudes are stored.
-    """
-
-    amplitudes: np.ndarray
-    microstate: int
-
-    def __post_init__(self):
-        arr = _frozen_array(self.amplitudes, dtype=complex, what="amplitudes", ndim=1)
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError(f"combined-state norm {norm!r} differs from 1 beyond 1e-12")
-        object.__setattr__(self, "amplitudes", arr)
-
-    def pointer_label(self, k: int) -> tuple:
-        """The basis label (outcome, apparatus pointer index) carrying amplitude k."""
-        return (int(k), (int(k), int(self.microstate)))
-
-
-@dataclass(frozen=True, eq=False)
 class EntropyLedger:
     """Entropy bookkeeping for one ideal measurement at microstate budget n.
 
@@ -181,81 +152,6 @@ def build_apparatus(
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, TWO_PI, size=(n_outcomes, n_microstates))
     return ApparatusEnsemble(micro_probs=micro_probs, phases=phases, seed=int(seed))
-
-
-def premeasure(system: SystemState, apparatus: ApparatusEnsemble, microstate: int) -> CombinedState:
-    """Entangle the system with the apparatus prepared in microstate i.
-
-    Each outcome amplitude picks up the phase theta[k][i]; the map is unitary
-    on its image, so the norm is preserved. A system already in an eigenstate
-    comes out as a product state on (k, j(k,i)).
-    """
-    if system.n_outcomes != apparatus.n_outcomes:
-        raise ValidationError(
-            f"system has {system.n_outcomes} outcomes, apparatus table has {apparatus.n_outcomes}"
-        )
-    if not (0 <= int(microstate) < apparatus.n_microstates):
-        raise ValidationError(
-            f"microstate index {microstate!r} out of range [0, {apparatus.n_microstates})"
-        )
-    amps = system.coefficients * np.exp(1j * apparatus.phases[:, int(microstate)])
-    return CombinedState(amplitudes=amps, microstate=int(microstate))
-
-
-def offdiag_suppression(apparatus: ApparatusEnsemble, k: int, k_prime: int) -> float:
-    """|sum_i p_i exp(i(theta[k,i] - theta[k',i]))| for one off-diagonal pair.
-
-    For uniform p over M microstates this is the mean resultant length of M
-    random unit phasors, with expected magnitude (sqrt(pi)/2)/sqrt(M).
-    """
-    k, k_prime = int(k), int(k_prime)
-    n = apparatus.n_outcomes
-    if not (0 <= k < n and 0 <= k_prime < n):
-        raise ValidationError(f"outcome pair ({k}, {k_prime}) out of range [0, {n})")
-    if k == k_prime:
-        raise ValidationError("diagonal term requested: it is 1 by definition")
-    delta = apparatus.phases[k] - apparatus.phases[k_prime]
-    return float(abs(_phasor_sum(apparatus.micro_probs.probs, delta)))
-
-
-def _phasor_sum(probs: np.ndarray, delta: np.ndarray, work: np.ndarray | None = None):
-    """sum_i p_i exp(i delta[..., i]) along the last axis, through the complex
-    buffer ``work`` if given. Each row's sum is the same as on its own."""
-    phasors = np.exp(np.multiply(1j, delta, out=work), out=work)
-    return np.sum(np.multiply(probs, phasors, out=work), axis=-1)
-
-
-def _dephasing_matrix(apparatus: ApparatusEnsemble) -> np.ndarray:
-    """D[k, k'] = sum_i p_i exp(i(theta[k,i] - theta[k',i])); D[k, k] = sum p = 1."""
-    e = np.exp(1j * apparatus.phases)
-    return (e * apparatus.micro_probs.probs) @ e.conj().T
-
-
-def ensemble_expectation(system: SystemState, apparatus: ApparatusEnsemble, obs: Observable) -> float:
-    """Ensemble average of an ideal-measurement observable over the final state.
-
-    ``obs`` holds the block-constant matrix elements O[k', k] of the combined
-    observable: <k', j(k',i)|O|k, j(k,i)> is assumed independent of i within
-    each (k', k) block. The microstate sum then factorizes exactly into the
-    dephasing matrix, giving
-
-        sum_k |c_k|^2 O[k,k]  +  cross terms damped by the phase resultants,
-
-    with no statistical error: the phase table is used exactly as drawn.
-    """
-    if obs.dim != system.n_outcomes:
-        raise ValidationError(
-            f"observable dimension {obs.dim} does not match {system.n_outcomes} outcomes"
-        )
-    if system.n_outcomes != apparatus.n_outcomes:
-        raise ValidationError("system and apparatus disagree on the number of outcomes")
-    c = system.coefficients
-    d = _dephasing_matrix(apparatus)
-    # term(k', k) = conj(c_k') c_k O[k', k] D[k, k']
-    val = complex(np.sum(c.conj()[:, None] * c[None, :] * obs.matrix * d.T))
-    if abs(val.imag) > IMAG_TOL:
-        raise NumericsError(f"ensemble expectation has imaginary residue {val.imag!r}")
-    return float(val.real)
 
 
 def outcome_fractions(system: SystemState, apparatus: ApparatusEnsemble) -> DiscreteDistribution:
@@ -378,6 +274,13 @@ def suppression_curve(
 
 
 def _resultants(probs: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
-    """out[s] = |sum_i p_i exp(i delta[s, i])|, as offdiag_suppression computes it."""
+    """out[s] = |sum_i p_i exp(i delta[s, i])|: one resultant magnitude per row."""
     sums = _phasor_sum(probs, delta, np.empty(delta.shape, dtype=complex))
     out[:] = [abs(z) for z in sums.tolist()]
+
+
+def _phasor_sum(probs: np.ndarray, delta: np.ndarray, work: np.ndarray | None = None):
+    """sum_i p_i exp(i delta[..., i]) along the last axis, through the complex
+    buffer ``work`` if given. Each row's sum is the same as on its own."""
+    phasors = np.exp(np.multiply(1j, delta, out=work), out=work)
+    return np.sum(np.multiply(probs, phasors, out=work), axis=-1)

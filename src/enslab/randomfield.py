@@ -299,8 +299,8 @@ def _spectrum_table(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
     power[k == 0.0] = 0.0
     if spec.cutoff is not None:
         power[k > spec.cutoff] = 0.0
-    if not np.all(np.isfinite(power)) or power.min() < 0.0:
-        raise ValidationError("spectrum is not finite and nonnegative at all lattice modes")
+    if not np.all(np.isfinite(power)):  # only a power law's k**index can overflow
+        raise ValidationError(f"index={spec.index!r} makes the power_law spectrum overflow at a lattice mode")
     return power
 
 

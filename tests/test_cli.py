@@ -97,10 +97,10 @@ class TestManifest:
     def test_measure_coefficients_in_the_pair_wire_format(self, tmp_path):
         # [re, im] pairs in, the same pairs out in summary.json; plain reals
         # come out with zero imaginary parts
-        pairs = [[0.6, 0.0], [0.0, -0.8]]
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli("measure", a, extra={"coefficients": pairs}, tmp_path=tmp_path) == 0
-        assert json.loads((a / "summary.json").read_text())["c"] == pairs
+        for pairs in ([[0.6, 0.0], [0.0, -0.8]], [[0.6, 0.0], [-0.48, 0.64]]):
+            assert run_cli("measure", a, extra={"coefficients": pairs}, tmp_path=tmp_path) == 0
+            assert json.loads((a / "summary.json").read_text())["c"] == pairs
         assert run_cli("measure", b, extra={"coefficients": [0.6, 0.8]}, tmp_path=tmp_path) == 0
         assert json.loads((b / "summary.json").read_text())["c"] == [[0.6, 0.0], [0.8, 0.0]]
 
@@ -226,11 +226,15 @@ class TestSchema:
             pytest.param("field", "config file", '{"side": 1%s}' % ("0" * 5000), id="int-digits"),
             pytest.param("measure", "n_microstates", '{"n_microstates": 1%s}' % ("0" * 400), id="int"),
             pytest.param("measure", "suppression_m", '{"suppression_m": [100, 1%s]}' % ("0" * 400), id="integers"),
+            pytest.param(
+                "field", "index=1e+300", '{"spectrum": "power_law", "index": 1e300}', id="power_law-index"
+            ),
         ],
     )
     def test_oversized_integer_exits_two_naming_key(self, subcommand, key, text, tmp_path):
         # no float holds 10**400, and no int64; json refuses to parse an int
-        # over 4300 digits
+        # over 4300 digits. A power law's k**1e300 overflows at every mode
+        # past k = 1, and the message names the index with its value.
         cfg = tmp_path / "c.json"
         cfg.write_text(text)
         out = tmp_path / "x"
@@ -313,14 +317,30 @@ class TestSchema:
         [
             ("field", {"cutoff": -3.0}, "cutoff must be > 0, got -3.0"),
             ("cone", {"max_steps": -1}, "max_steps must be >= 0, got -1"),
+            (
+                "cone",
+                {"damping": 1e300},
+                "damping=1e+300 at dt=0.001 is beyond RK4's stability limit damping*dt <= 2.785",
+            ),
+            *[
+                ("cone", {key: 1e300}, f"{key}=1e+300 overflows the kinetic energy p^2/(2 m l^2)")
+                for key in ("tilt_momentum_radius", "azimuth_momentum_radius")
+            ],
         ],
-        ids=["field-cutoff", "cone-max_steps"],
+        ids=[
+            "field-cutoff",
+            "cone-max_steps",
+            "cone-damping",
+            "cone-tilt_momentum_radius",
+            "cone-azimuth_momentum_radius",
+        ],
     )
     def test_negative_bound_exits_two_before_any_work(
         self, subcommand, config, message, tmp_path, monkeypatch, capsys
     ):
         # cutoff 0 means none and max_steps 0 runs no step; below 0 neither
-        # is a value, so neither may fall back to a run
+        # is a value, so neither may fall back to a run. A cone flow that
+        # overflows on its first steps names its key, not a coarse dt.
         def unreachable(*args, **kwargs):
             raise AssertionError("work began for a config that fails")
 

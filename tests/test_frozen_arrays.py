@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from enslab.measurement import ApparatusEnsemble, CombinedState, EntropyLedger, SystemState
+from enslab.measurement import ApparatusEnsemble, EntropyLedger, SystemState
 from enslab.probcore import (
     DiscreteDistribution,
     EnergyLevels,
     EntropyDecomposition,
     PartitionedDistribution,
 )
-from enslab.quantum import DensityOperator, Observable, StateVector
 from enslab.randomfield import CovarianceSpec, FieldSample, IndicatorField
 from enslab.spinecho import EchoReport, SpinEnsemble
 
@@ -42,18 +41,6 @@ CASES = {
         np.array([0.0, 1.0]),
         lambda a: EnergyLevels(a, 1.0).energies,
     ),
-    "Observable": (
-        np.eye(2, dtype=complex),
-        lambda a: Observable(a).matrix,
-    ),
-    "DensityOperator": (
-        np.diag([0.5, 0.5]).astype(complex),
-        lambda a: DensityOperator(a).matrix,
-    ),
-    "StateVector": (
-        np.array([1.0, 0.0], dtype=complex),
-        lambda a: StateVector(a).amplitudes,
-    ),
     "SystemState": (
         np.array([0.6, 0.8], dtype=complex),
         lambda a: SystemState(a).coefficients,
@@ -61,10 +48,6 @@ CASES = {
     "ApparatusEnsemble": (
         np.array([[0.1, 0.2], [0.3, 0.4]]),
         lambda a: ApparatusEnsemble(DiscreteDistribution.uniform(2), a, 0).phases,
-    ),
-    "CombinedState": (
-        np.array([0.6, 0.8], dtype=complex),
-        lambda a: CombinedState(a, 0).amplitudes,
     ),
     "EntropyLedger": (
         np.array([3, 5]),

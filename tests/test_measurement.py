@@ -11,22 +11,22 @@ from enslab import measurement
 from enslab.errors import ValidationError
 from enslab.measurement import (
     ApparatusEnsemble,
-    CombinedState,
     SystemState,
     build_apparatus,
     entropy_ledger,
-    ensemble_expectation,
     largest_remainder_counts,
-    offdiag_suppression,
     outcome_fractions,
-    premeasure,
     sample_outcomes,
     suppression_curve,
 )
-from enslab.probcore import DiscreteDistribution, entropy
-from enslab.quantum import Observable
+from enslab.probcore import DiscreteDistribution
 
 EQUAL_PAIR = SystemState([math.sqrt(0.5), math.sqrt(0.5)])
+
+
+def resultant(app) -> float:
+    """|sum_i p_i exp(i(theta_0i - theta_1i))|: the (0, 1) off-diagonal damping."""
+    return float(abs(np.sum(app.micro_probs.probs * np.exp(1j * (app.phases[0] - app.phases[1])))))
 
 
 class TestBuildApparatus:
@@ -54,53 +54,10 @@ class TestBuildApparatus:
         with pytest.raises(ValidationError):
             build_apparatus(5, 1, 0)
 
-    def test_gibbs_microstate_distribution_untouched_by_premeasurement(self):
-        # the microstate law {p_i} is the same before and after the
-        # entangling step, so its entropy is exactly conserved
-        probs = DiscreteDistribution.from_weights(np.arange(1.0, 9.0))
-        app = build_apparatus(8, 2, 3, micro_probs=probs)
-        before = entropy(app.micro_probs)
-        premeasure(EQUAL_PAIR, app, 5)
-        assert entropy(app.micro_probs) == before
-        assert np.array_equal(app.micro_probs.probs, probs.probs)
-
-
-class TestPremeasure:
-    def test_eigenstate_yields_product_state(self):
-        app = build_apparatus(50, 2, 11)
-        combined = premeasure(SystemState([1.0, 0.0]), app, 4)
-        assert abs(combined.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
-        assert combined.amplitudes[1] == 0.0
-        assert combined.pointer_label(0) == (0, (0, 4))
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        system = SystemState(z / np.linalg.norm(z))
-        app = build_apparatus(20, 5, 1)
-        combined = premeasure(system, app, 13)
-        assert np.linalg.norm(combined.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-    def test_equal_superposition_magnitudes(self):
-        app = build_apparatus(10, 2, 5)
-        combined = premeasure(EQUAL_PAIR, app, 0)
-        np.testing.assert_allclose(np.abs(combined.amplitudes), math.sqrt(0.5), atol=1e-12)
-
-    def test_index_out_of_range(self):
-        app = build_apparatus(10, 2, 5)
-        with pytest.raises(ValidationError):
-            premeasure(EQUAL_PAIR, app, 10)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
-    def test_combined_state_rejects_non_finite_amplitudes(self, bad):
-        # a NaN norm fails no |norm - 1| > tol comparison, so finiteness is checked first
-        with pytest.raises(ValidationError, match="amplitudes must be finite"):
-            CombinedState(np.array([bad, 0.0]), 0)
-
 
 class TestOffdiagSuppression:
     def test_single_microstate_has_no_suppression(self):
-        assert offdiag_suppression(build_apparatus(1, 2, 9), 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert resultant(build_apparatus(1, 2, 9)) == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_rows_have_no_suppression(self):
         row = np.random.default_rng(2).uniform(0, 2 * math.pi, 100)
@@ -109,66 +66,18 @@ class TestOffdiagSuppression:
             phases=np.vstack([row, row]),
             seed=0,
         )
-        assert offdiag_suppression(app, 0, 1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal_pair_rejected(self):
-        with pytest.raises(ValidationError):
-            offdiag_suppression(build_apparatus(10, 2, 0), 1, 1)
+        assert resultant(app) == pytest.approx(1.0, abs=1e-12)
 
     def test_large_m_suppression(self):
         # resultant of 1e4 random phasors: below 5/sqrt(M) in >= 99% of seeds
         m = 10_000
         bound = 5.0 / math.sqrt(m)
-        hits = sum(
-            offdiag_suppression(build_apparatus(m, 2, seed), 0, 1) < bound for seed in range(100)
-        )
+        hits = sum(resultant(build_apparatus(m, 2, seed)) < bound for seed in range(100))
         assert hits >= 99
 
     def test_median_shrinks_with_m(self):
         curve = suppression_curve([100, 10_000], 50, seed=3)
         assert curve[1][1] < curve[0][1] / 5.0
-
-
-class TestEnsembleExpectation:
-    def test_diagonal_projector_gives_born_weight(self):
-        app = build_apparatus(500, 2, 21)
-        system = SystemState([0.6, 0.8])
-        obs = Observable(np.diag([1.0, 0.0]))
-        assert ensemble_expectation(system, app, obs) == pytest.approx(0.36, abs=1e-12)
-
-    def test_eigenstate_reads_diagonal_element(self):
-        for m in (1, 7, 300):
-            app = build_apparatus(m, 2, 4)
-            obs = Observable(np.array([[0.3, 1.0], [1.0, -0.2]]))
-            val = ensemble_expectation(SystemState([0.0, 1.0]), app, obs)
-            assert val == pytest.approx(-0.2, abs=1e-12)
-
-    def test_unit_offdiagonal_block_bounded_by_suppression(self):
-        m = 10_000
-        app = build_apparatus(m, 2, 17)
-        obs = Observable(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        val = ensemble_expectation(EQUAL_PAIR, app, obs)
-        diagonal_part = 0.5  # |c_0|^2 * 1 + |c_1|^2 * 0
-        assert abs(val - diagonal_part) < 5.0 / math.sqrt(m)
-
-    def test_cross_term_reconstruction(self):
-        # closed-form evaluation matches the explicit microstate-by-microstate sum
-        app = build_apparatus(64, 2, 12)
-        system = SystemState([0.6, 0.8j])
-        obs = Observable(np.array([[0.5, 2.0 - 1.0j], [2.0 + 1.0j, -0.7]]))
-        c = system.coefficients
-        p = app.micro_probs.probs
-        manual = 0.0
-        for i in range(64):
-            ph = np.exp(1j * app.phases[:, i])
-            vec = c * ph
-            manual += p[i] * float(np.real(vec.conj() @ obs.matrix @ vec))
-        assert ensemble_expectation(system, app, obs) == pytest.approx(manual, abs=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        app = build_apparatus(10, 2, 0)
-        with pytest.raises(ValidationError):
-            ensemble_expectation(EQUAL_PAIR, app, Observable(np.eye(3)))
 
 
 class TestOutcomeFractions:
@@ -281,8 +190,7 @@ def reference_magnitudes(m_values, n_seeds, seed, n_outcomes=2) -> list:
         for s in range(n_seeds):
             child = np.random.SeedSequence(entropy=int(seed), spawn_key=(j, s))
             app = build_apparatus(int(m), n_outcomes, int(child.generate_state(1, np.uint64)[0]))
-            delta = app.phases[0] - app.phases[1]
-            mags[s] = float(abs(np.sum(app.micro_probs.probs * np.exp(1j * delta))))
+            mags[s] = resultant(app)
         out.append(mags)
     return out
 
@@ -321,11 +229,11 @@ class TestSplitCurve:
         suppression_curve([10, 200], 9, 5, n_outcomes=3)
         assert calls == []
         # the spy sees a public call made off the main thread
-        worker = threading.Thread(target=measurement.offdiag_suppression, args=(build_apparatus(4, 2, 0), 0, 1))
+        worker = threading.Thread(target=measurement.largest_remainder_counts, args=(np.array([0.25, 0.75]), 8))
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive()
-        assert calls == ["enslab.measurement.offdiag_suppression"]
+        assert calls == ["enslab.measurement.largest_remainder_counts"]
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         force_cpus(monkeypatch, 2)
