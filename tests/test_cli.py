@@ -97,12 +97,18 @@ class TestManifest:
     def test_measure_coefficients_in_the_pair_wire_format(self, tmp_path):
         # [re, im] pairs in, the same pairs out in summary.json; plain reals
         # come out with zero imaginary parts
+        pairs = [[0.6, 0.0], [0.0, -0.8]]
         a, b = tmp_path / "a", tmp_path / "b"
-        for pairs in ([[0.6, 0.0], [0.0, -0.8]], [[0.6, 0.0], [-0.48, 0.64]]):
-            assert run_cli("measure", a, extra={"coefficients": pairs}, tmp_path=tmp_path) == 0
-            assert json.loads((a / "summary.json").read_text())["c"] == pairs
+        assert run_cli("measure", a, extra={"coefficients": pairs}, tmp_path=tmp_path) == 0
+        assert json.loads((a / "summary.json").read_text())["c"] == pairs
         assert run_cli("measure", b, extra={"coefficients": [0.6, 0.8]}, tmp_path=tmp_path) == 0
         assert json.loads((b / "summary.json").read_text())["c"] == [[0.6, 0.0], [0.8, 0.0]]
+
+    def test_complex_coefficients_round_trip_exactly(self, tmp_path):
+        # a coefficient with both parts nonzero comes back bit for bit
+        pairs = [[0.6, 0.0], [-0.48, 0.64]]
+        assert run_cli("measure", tmp_path / "a", extra={"coefficients": pairs}, tmp_path=tmp_path) == 0
+        assert json.loads((tmp_path / "a" / "summary.json").read_text())["c"] == pairs
 
     def test_every_run_writes_a_manifest(self, tmp_path):
         for name in SMALL_CONFIGS:
