@@ -51,8 +51,12 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, *, dtype, what: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
-    """A read-only copy of ``values`` as a ``dtype`` array.
+def _frozen_array(
+    values, *, dtype, what: str, ndim: int | None = None, finite: bool = True, copy: bool = True
+) -> np.ndarray:
+    """A read-only copy of ``values`` as a ``dtype`` array; with ``copy``
+    false, ``values`` itself where it already is one, for arrays no caller
+    holds.
 
     With ``ndim`` set, the array must have that many axes and at least one
     entry; with ``finite``, every entry must be finite. Either failure raises
@@ -64,7 +68,7 @@ def _frozen_array(values, *, dtype, what: str, ndim: int | None = None, finite: 
         raise ValidationError(f"{what} must be a non-empty {ndim}-d array")
     if finite and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} must be finite")
-    out = arr.copy()
+    out = arr.copy() if copy else arr
     out.flags.writeable = False
     return out
 

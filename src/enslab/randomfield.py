@@ -14,28 +14,29 @@ multiplicity, so the variance is the same as on the full grid.
 
 Every n-d transform runs numpy's own 1-D transforms in numpy's order, in
 passes of blocks split across the CPUs by :mod:`._blocks` (numpy's FFT and
-ufuncs release the GIL). A 1-d input is viewed as one row, so every pass
-slices axis 0 or 1 alike. Row blocks (consecutive indices on axis 0)
-transform the last axis and then axes dim-2 ... 1; column blocks (on axis
-1) transform axis 0, apply the step between the forward and the inverse
-transform (the amplitudes of a synthesis, |A|^2 or conj(A) B of a pair
-count), and transform axis 0 back; row blocks finish the inverse. Each line
-is transformed exactly as ``np.fft.rfftn``/``irfftn`` would transform it, so
-fields and pair counts are bit-identical to theirs on any number of CPUs.
+ufuncs release the GIL), in place in one half-grid complex table whose
+rows' bytes hold the real rows, as in FFTW's in-place real transforms. A
+1-d input is viewed as one row, so every pass slices axis 0 or 1 alike.
+Row blocks (consecutive indices on axis 0) transform the last axis and then
+axes dim-2 ... 1; column blocks (on axis 1) transform axis 0, apply the
+step between the forward and the inverse transform (the amplitudes of a
+synthesis, |A|^2 or conj(A) B of a pair count), and transform axis 0 back;
+row blocks finish the inverse. Each line is transformed exactly as
+``np.fft.rfftn``/``irfftn`` would transform it, so fields and pair counts
+are bit-identical to theirs on any number of CPUs.
 The passes write through ``out=``, which needs NumPy 2.0.
 
 Of the elementwise stages only the rounding of pair counts runs per block
 of axis 0 (the worst residual is the largest of the blocks'): it is the one
-that measurably gains from the split. The indicator, the conversion of bits
-to float64 and adding the mean are plain numpy calls on the calling thread;
+that measurably gains from the split. The indicator, casting the bits into
+the table and adding the mean are plain numpy calls on the calling thread;
 they are memory-bound, and split they ran no faster. In :func:`generate`
 the calling thread builds the amplitude table while a worker draws the
 noise. Every block writes only its own slots, so no result depends on the
 CPU count. Blocks hold at least 2^16 elements, so small fields stay on one
-thread. Every table is allocated on the calling thread, the noise and the
-float copy of bits included: memory a worker thread allocates and frees
-stays in that thread's C-allocator arena and would raise the process's peak
-RSS.
+thread. Every table is allocated on the calling thread, the noise draw's
+slab buffer included: memory a worker thread allocates and frees stays in
+that thread's C-allocator arena and would raise the process's peak RSS.
 
 On top of the fields sit the fractional-volume estimators: indicator
 bitmasks for half-open value intervals [a, b), spatial one-point and
@@ -51,9 +52,9 @@ reported on levels with at least 9 cells.
 Two-point queries read one exact pair-count table. By the Wiener-Khinchin
 theorem the count of points x with a[x] = b[x + y] = 1, for every offset y
 at once, is the inverse transform of conj(A) B; :func:`pair_counts` rounds
-it to integers and raises NumericsError if any entry sits 0.25 or more from
-an integer. Each query then sums the integer counts of its offsets and
-divides once, so the estimate is the exact rational pairs / (offsets * N),
+it to integers in that table's bytes and raises NumericsError if any entry
+sits 0.25 or more from an integer. Each query then sums the integer counts
+of its offsets and divides once, so the estimate is the exact rational pairs / (offsets * N),
 correctly rounded. A bin's offsets, and their grouping by direction (array
 operations: gcd, sign, ``np.unique``), are read-only tables built once and
 cached, so the CLI's config check and the query after it share them.
@@ -62,7 +63,7 @@ cached, so the CLI's config check and the query after it share them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -149,14 +150,16 @@ class FieldSample:
     spacing: float
     seed: int
     spec: CovarianceSpec
+    # generate's own values, which no caller holds: checked and frozen, not copied
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh):
         if self.dim not in (1, 2, 3):
             raise ValidationError(f"dim must be 1, 2 or 3, got {self.dim!r}")
         if self.side < 1:
             raise ValidationError(f"side must be >= 1, got {self.side!r}")
         _check_spacing(self.spacing)
-        arr = _frozen_array(self.values, dtype=float, what="field values")
+        arr = _frozen_array(self.values, dtype=float, what="field values", copy=not _fresh)
         if arr.shape != (self.side,) * self.dim:
             raise ValidationError(
                 f"values shape {arr.shape} does not match (side,)*dim = {(self.side,) * self.dim}"
@@ -195,7 +198,8 @@ class PairCounts:
     ``counts[y]`` is the number of points x with a[x] = b[x + y] = 1 under
     periodic wraparound, for every offset y taken mod side; ``counts[0]`` of
     an autocorrelation is the number of ones. The table is stored without a
-    copy (it is as large as the field) and handed out read-only.
+    copy (it is as large as the field; from :func:`pair_counts`, a strided
+    view of the transform's table) and handed out read-only.
     ``residual`` is the largest distance of the transform estimate of a
     count from its integer (0 for counts that were never transformed).
     """
@@ -295,7 +299,8 @@ def _spectrum_table(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
         with np.errstate(over="ignore"):  # an overflow is caught as non-finite below
             power **= float(spec.index)
     else:  # gaussian_bump
-        power = np.exp(-0.5 * ((k - spec.center) / spec.width) ** 2)
+        with np.errstate(over="ignore"):  # a square past the float range weighs exp(-inf) = 0
+            power = np.exp(-0.5 * ((k - spec.center) / spec.width) ** 2)
     power[k == 0.0] = 0.0
     if spec.cutoff is not None:
         power[k > spec.cutoff] = 0.0
@@ -316,39 +321,58 @@ def _mode_amplitudes(spec: CovarianceSpec, dim: int, side: int) -> np.ndarray:
     return np.sqrt(power, out=power)
 
 
-def _half_grid(shape: tuple) -> np.ndarray:
-    return np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+def _half_grid(shape: tuple) -> tuple:
+    """``(modes, rows)``: an empty half-grid complex table for a real field
+    of ``shape`` (a 1-d field is one row) and its padded real rows
+    ``modes.view(float)[..., :n]``. A row's n//2 + 1 modes hold n reals for
+    any n, so the transforms run in place."""
+    n = shape[-1]
+    modes = np.empty((1,) * (2 - len(shape)) + shape[:-1] + (n // 2 + 1,), dtype=complex)
+    return modes, modes.view(float)[..., :n]
 
 
-def _forward_rows(x: np.ndarray, modes: np.ndarray, start: int, stop: int) -> None:
-    """``rfft`` on the last axis of rows start:stop of ``x`` into ``modes``,
-    then ``fft`` in place on axes dim-2 ... 1."""
+def _slabs(rows: np.ndarray, start: int, stop: int) -> list:
+    """Slices covering start:stop of axis 0, each one slab or as many as fit
+    in ``np.getbufsize()`` elements. numpy copies an in-place transform's
+    input first: a call per slice keeps that copy small, where a call per
+    block would copy the block."""
+    step = max(1, np.getbufsize() // rows[0].size)
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
+def _forward_rows(modes: np.ndarray, rows: np.ndarray, start: int, stop: int) -> None:
+    """``rfft`` in place on the last axis of rows start:stop, a call per
+    :func:`_slabs` slice, then ``fft`` in place on axes dim-2 ... 1."""
+    for slabs in _slabs(rows, start, stop):
+        np.fft.rfft(rows[slabs], axis=-1, out=modes[slabs])
     block = modes[start:stop]
-    np.fft.rfft(x[start:stop], axis=-1, out=block)
-    for axis in range(x.ndim - 2, 0, -1):
+    for axis in range(modes.ndim - 2, 0, -1):
         np.fft.fft(block, axis=axis, out=block)
 
 
-def _inverse_rows(modes: np.ndarray, values: np.ndarray, start: int, stop: int) -> None:
+def _inverse_rows(modes: np.ndarray, rows: np.ndarray, start: int, stop: int) -> None:
     """``ifft`` in place on axes 1 ... dim-2 of rows start:stop of ``modes``,
-    then ``irfft`` on the last axis into ``values``."""
+    then ``irfft`` in place on the last axis, a call per :func:`_slabs`
+    slice."""
     block = modes[start:stop]
     for axis in range(1, modes.ndim - 1):
         np.fft.ifft(block, axis=axis, out=block)
-    np.fft.irfft(block, n=values.shape[-1], axis=-1, out=values[start:stop])
+    for slabs in _slabs(rows, start, stop):
+        np.fft.irfft(modes[slabs], n=rows.shape[-1], axis=-1, out=rows[slabs])
 
 
 def _rfftn(x) -> np.ndarray:
     """``np.fft.rfftn(x)`` over every axis, bit for bit, split across the CPUs.
 
-    One pass of row blocks (``rfft`` on the last axis, ``fft`` on axes
-    dim-2 ... 1), then one of column blocks (``fft`` on axis 0). A 1-d ``x``
-    is one row: its ``fft`` on axis 0 has length 1 and changes no bit.
+    ``x`` is cast into a new half-grid table's padded rows; one pass of row
+    blocks (``rfft`` on the last axis, ``fft`` on axes dim-2 ... 1), then
+    one of column blocks (``fft`` on axis 0). A 1-d ``x`` is one row: its
+    ``fft`` on axis 0 has length 1 and changes no bit.
     """
     shape = np.shape(x)
-    rows = np.asarray(np.atleast_2d(x), dtype=float)
-    modes = _half_grid(rows.shape)
-    _split(partial(_forward_rows, rows, modes), len(rows), rows.size)
+    modes, rows = _half_grid(shape)
+    rows[...] = x
+    _split(partial(_forward_rows, modes, rows), len(rows), rows.size)
 
     def columns(start, stop):
         block = modes[:, start:stop]
@@ -358,54 +382,52 @@ def _rfftn(x) -> np.ndarray:
     return modes.reshape(shape[:-1] + modes.shape[-1:])
 
 
-def _filtered(x: np.ndarray, scale) -> np.ndarray:
-    """``np.fft.irfftn(scale(np.fft.rfftn(x)), s=x.shape)`` bit for bit, split
-    across the CPUs in three passes.
+def _filter(modes: np.ndarray, rows: np.ndarray, scale) -> None:
+    """``np.fft.irfftn(scale(np.fft.rfftn(rows)), s=rows.shape)`` bit for
+    bit, in place in a :func:`_half_grid` table, split across the CPUs in
+    three passes.
 
-    A 1-d ``x`` is viewed as one row. Row blocks transform the axes after the
-    first; each column block then finishes its modes on axis 0, calls
-    ``scale(block, start, stop)``, which changes ``modes[:, start:stop]`` in
-    place, and transforms axis 0 back; row blocks finish the inverse. Pass
-    ``x`` and ``scale`` with no other reference to them: they are dropped
-    after their pass, so neither outlives its use.
+    Row blocks transform the axes after the first; each column block then
+    finishes its modes on axis 0, calls ``scale(slab, index)`` on each of
+    its slabs of axis 0 (contiguous, where numpy would buffer a strided
+    block's operands), which changes ``slab = modes[index]`` in place, and
+    transforms axis 0 back; row blocks finish the inverse. Pass ``scale``
+    with no other reference to it: it is dropped after its pass, so what it
+    holds does not outlive its use.
     """
-    shape = np.shape(x)
-    x = np.asarray(np.atleast_2d(x), dtype=float)
-    modes = _half_grid(x.shape)
-    _split(partial(_forward_rows, x, modes), len(x), x.size)
-    rows = x.shape
-    del x
+    _split(partial(_forward_rows, modes, rows), len(rows), rows.size)
 
     def columns(start, stop):
         block = modes[:, start:stop]
         np.fft.fft(block, axis=0, out=block)
-        scale(block, start, stop)
+        for i, slab in enumerate(block):
+            scale(slab, (i, slice(start, stop)))
         np.fft.ifft(block, axis=0, out=block)
 
     _split(columns, modes.shape[1], modes.size)
     del columns, scale
-    values = np.empty(rows)
-    _split(partial(_inverse_rows, modes, values), len(values), values.size)
-    return values.reshape(shape)
+    _split(partial(_inverse_rows, modes, rows), len(rows), rows.size)
 
 
-def _times(amps: np.ndarray, block: np.ndarray, start: int, stop: int) -> None:
-    np.multiply(block, np.atleast_2d(amps)[:, start:stop], out=block)
+def _times(amps: np.ndarray, slab: np.ndarray, index: tuple) -> None:
+    np.multiply(slab, np.atleast_2d(amps)[index], out=slab)
 
 
-def _square(block: np.ndarray, start: int, stop: int) -> None:
-    """|block|^2 in place, as re**2 + im**2, bit for bit."""
-    np.square(block.real, out=block.real)
-    np.add(block.real, np.square(block.imag, out=block.imag), out=block.real)
-    block.imag = 0.0
+def _square(slab: np.ndarray, index: tuple) -> None:
+    """|slab|^2 in place, as re**2 + im**2, bit for bit; ``slab`` is
+    contiguous, so both squares are one call."""
+    floats = slab.view(float)
+    np.square(floats, out=floats)
+    np.add(slab.real, slab.imag, out=slab.real)
+    slab.imag = 0.0
 
 
-def _times_conjugate(first: np.ndarray, block: np.ndarray, start: int, stop: int) -> None:
-    """conj(first) * block into block, in that operand order; ``first`` is
+def _times_conjugate(first: np.ndarray, slab: np.ndarray, index: tuple) -> None:
+    """conj(first) * slab into slab, in that operand order; ``first`` is
     conjugated in place."""
-    other = np.atleast_2d(first)[:, start:stop]
+    other = np.atleast_2d(first)[index]
     np.conjugate(other, out=other)
-    np.multiply(other, block, out=block)
+    np.multiply(other, slab, out=slab)
 
 
 def _admits_hierarchy(side: int) -> bool:
@@ -434,6 +456,13 @@ def _check_lattice(dim: int, side: int, spacing: float) -> None:
     _check_spacing(spacing)
 
 
+def _draw(normal, slab: np.ndarray, rows: np.ndarray) -> None:
+    """``normal(out=slab)`` into ``rows``, slab by slab of axis 0: ``out=``
+    needs a contiguous array, and in order the slabs' draws are one draw."""
+    for row in rows:
+        row[...] = normal(out=slab)
+
+
 def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: float = 1.0) -> FieldSample:
     """Synthesize one Gaussian field realization.
 
@@ -441,22 +470,27 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     (spec, dim, side, seed) always reproduces the same array bit for bit.
     Every point is exactly N(mean, variance) marginally; zero variance gives
     the constant field. The calling thread builds the amplitude table while
-    a worker draws the noise, the two jobs of one ``_both`` (one thread does
-    both below two blocks of _MIN_BLOCK_SIZE); the amplitudes are applied
-    per column block, and the mean in one call on the calling thread.
+    a worker draws the noise into the half-grid table, the two jobs of one
+    ``_both`` (one thread does both below two blocks of _MIN_BLOCK_SIZE);
+    the amplitudes are applied per column slab, and the mean in the one
+    call that copies the field out of the table, which the sample keeps.
     """
     _check_lattice(dim, side, spacing)
     shape = (side,) * dim
     if spec.variance == 0.0:
         values = np.full(shape, spec.mean)
     else:
-        draw = np.random.default_rng(seed).standard_normal
+        modes, rows = _half_grid(shape)
+        normal = np.random.default_rng(seed).standard_normal
+        noise = partial(_draw, normal, np.empty(rows.shape[1:]), rows)
         amplitudes = partial(_mode_amplitudes, spec, dim, side)
-        tables = list(_both(amplitudes, partial(draw, out=np.empty(shape)), side**dim))
-        # popped, so _filtered holds the only reference to the noise
-        values = _filtered(tables.pop(), partial(_times, tables.pop()))
-        values += spec.mean
-    return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec)
+        # indexed, so _filter holds the only reference to the amplitude table
+        _filter(modes, rows, partial(_times, _both(amplitudes, noise, side**dim)[0]))
+        values = rows.reshape(shape) + spec.mean
+        del modes, rows, noise  # the table is freed before the sample checks the values
+    return FieldSample(
+        dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec, _fresh=True
+    )
 
 
 def _checked_interval(interval) -> tuple:
@@ -529,31 +563,37 @@ def one_point_prob(field: FieldSample, interval) -> float:
     return np.count_nonzero(bits) / bits.size
 
 
-def _round_counts(corr: np.ndarray) -> tuple:
-    """Nearest integers of a transform estimate of pair counts, as int64,
-    and the largest distance of an entry from its integer.
+def _round_counts(padded: np.ndarray, n: int) -> tuple:
+    """Round a transform estimate of pair counts, the first ``n`` floats of
+    each row of the contiguous ``padded``, to integers in place. Returns
+    them, those floats' bytes viewed as int64, and the largest distance of
+    an estimate from its integer, the largest of the :func:`_slabs` slices'.
 
-    ``corr`` is overwritten with the rounding error, so no second table of
-    its size is ever allocated; the work runs per row block, and the
-    largest distance is the largest of the blocks'. Raises NumericsError
-    when it is MAX_ROUNDING_RESIDUAL or more: a count is then not pinned
-    down by the transform.
+    Per slice, the padding is zeroed so every step runs on contiguous rows,
+    the rounding error goes into ``padded``, and the integers over it.
+    Raises NumericsError when the distance is MAX_ROUNDING_RESIDUAL or
+    more: a count is then not pinned down by the transform.
     """
-    counts = np.empty(corr.shape, dtype=np.int64)
+    counts = padded.view(np.int64)
 
     def run(start, stop):
-        error, rounded = corr[start:stop], counts[start:stop]
-        np.rint(error, out=rounded, casting="unsafe")
-        error -= rounded
-        return np.abs(error, out=error).max()
+        worst = []
+        for slabs in _slabs(padded, start, stop):
+            error = padded[slabs]
+            error[..., n:] = 0.0  # no error, and a count that is never read
+            nearest = np.rint(error)
+            error -= nearest
+            worst.append(np.abs(error, out=error).max())
+            np.copyto(counts[slabs], nearest, casting="unsafe")
+        return np.max(worst)
 
-    residual = float(np.max(_split(run, len(corr), corr.size)))  # a NaN in any block propagates
+    residual = float(np.max(_split(run, len(padded), padded.size)))  # a NaN in any block propagates
     if not residual < MAX_ROUNDING_RESIDUAL:
         raise NumericsError(
             f"pair-count transform is {residual!r} from the nearest integer "
             f"(limit {MAX_ROUNDING_RESIDUAL})"
         )
-    return counts, residual
+    return counts[..., :n], residual
 
 
 def pair_counts(ind_a: IndicatorField, ind_b: IndicatorField) -> PairCounts:
@@ -563,20 +603,21 @@ def pair_counts(ind_a: IndicatorField, ind_b: IndicatorField) -> PairCounts:
     rounded to integers (Wiener-Khinchin). Passing the same indicator twice
     takes one forward transform instead of two, and forms |A|^2 per block.
 
-    Peak memory is one float64 table of the field's size plus one half-grid
-    complex table (two for distinct indicators): |A|^2 is formed in that
-    table, and each table is dropped once the next pass has read it.
+    Peak memory is one half-grid complex table (two for distinct
+    indicators): the bits are cast into its padded rows, |A|^2 is formed in
+    it, the counts are rounded in its bytes and kept there, strided, and
+    the second table is dropped once the column pass has read it.
     """
     if ind_a.bits.shape != ind_b.bits.shape or ind_a.spacing != ind_b.spacing:
         raise ValidationError(
             f"indicators differ in lattice: shapes {ind_a.bits.shape} and {ind_b.bits.shape}, "
             f"spacings {ind_a.spacing!r} and {ind_b.spacing!r}"
         )
-    corr = _filtered(
-        ind_b.bits, _square if ind_b is ind_a else partial(_times_conjugate, _rfftn(ind_a.bits))
-    )
-    counts, residual = _round_counts(corr)
-    return PairCounts(counts=counts, spacing=ind_a.spacing, residual=residual)
+    modes, rows = _half_grid(ind_b.bits.shape)
+    rows[...] = ind_b.bits
+    _filter(modes, rows, _square if ind_b is ind_a else partial(_times_conjugate, _rfftn(ind_a.bits)))
+    counts, residual = _round_counts(modes.view(float), rows.shape[-1])
+    return PairCounts(counts=counts.reshape(ind_b.bits.shape), spacing=ind_a.spacing, residual=residual)
 
 
 def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> np.ndarray:

@@ -485,6 +485,21 @@ class TestSchema:
         rows = (out / "distribution.csv").read_text().split()[1:]
         assert [float(row.split(",")[2]) for row in rows] == [0.0, 0.0, 1.0]
 
+    def test_narrow_gaussian_bump_is_silent(self, tmp_path):
+        # (k - center) / width squares past the float range off the bump's
+        # centre, whose weight exp(-inf) = 0 is exact; the mode at k = 8 keeps
+        # the spectrum normalizable
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"spectrum": "gaussian_bump", "center": 8.0, "width": 1e-300}))
+        out = tmp_path / "f"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", "field", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
 
 class TestSummaries:
     def test_measure_summary_values(self, tmp_path):

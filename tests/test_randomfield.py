@@ -19,7 +19,8 @@ from enslab.randomfield import (
     CovarianceSpec,
     FieldSample,
     IndicatorField,
-    _filtered,
+    _filter,
+    _half_grid,
     _mode_amplitudes,
     _offsets_in_bin,
     _rfftn,
@@ -448,13 +449,15 @@ class TestPairCounts:
         exact = brute_pair_counts(ind.bits, ind.bits)
         nudged = exact.astype(float)
         nudged[3, 5] += 0.2
-        counts, residual = _round_counts(nudged)
+        counts, residual = _round_counts(nudged, 27)
+        # the integers are written over the estimate, in its bytes
+        assert np.shares_memory(counts, nudged) and counts.dtype == np.int64
         assert np.array_equal(counts, exact)
         assert residual == pytest.approx(0.2, abs=1e-12)
         corrupted = exact.astype(float)
         corrupted[3, 5] += 0.3
         with pytest.raises(NumericsError):
-            _round_counts(corrupted)
+            _round_counts(corrupted, 27)
 
     def test_lattice_mismatch_rejected(self):
         a = indicator(generate(WHITE, 2, 27, 1), (-1.0, 1.0))
@@ -488,6 +491,15 @@ class TestPairCounts:
         assert peak <= 120 * 2**20
 
 
+def filtered(x, scale):
+    """``np.fft.irfftn(scale(np.fft.rfftn(x)), s=x.shape)`` through the
+    in-place passes: ``x`` cast into a half-grid table's padded rows."""
+    modes, rows = _half_grid(x.shape)
+    rows[...] = x
+    _filter(modes, rows, scale)
+    return rows.reshape(x.shape)
+
+
 class TestSplitTransforms:
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
     @pytest.mark.parametrize("side", [1, 2, 6, 9, 27, 54])
@@ -503,7 +515,7 @@ class TestSplitTransforms:
         expected = np.fft.rfftn(x)
         assert modes.dtype == expected.dtype and np.array_equal(modes, expected)
         amps = rng.random(modes.shape)
-        values = _filtered(x, partial(_times, amps))
+        values = filtered(x, partial(_times, amps))
         expected = np.fft.irfftn(expected * amps, s=shape, axes=tuple(range(dim)))
         assert values.dtype == expected.dtype and np.array_equal(values, expected)
 
@@ -526,7 +538,7 @@ class TestSplitTransforms:
         x = np.random.default_rng(5).standard_normal((9, 6, 9))
         assert np.array_equal(_rfftn(x), np.fft.rfftn(x))
         expected = np.fft.irfftn(np.fft.rfftn(x), s=x.shape, axes=(0, 1, 2))
-        assert np.array_equal(_filtered(x, lambda block, start, stop: None), expected)
+        assert np.array_equal(filtered(x, lambda slab, index: None), expected)
         monkeypatch.setattr(_blocks.os, "cpu_count", lambda: None)
         assert _blocks._cpu_count() == 1
 
@@ -547,23 +559,27 @@ class TestSplitTransforms:
         assert threading.active_count() == before
 
     def test_pair_counts_peak_memory(self, monkeypatch):
-        # the bits as float64 plus one half-grid complex table, nothing else
-        # of the field's size: |A|^2 and both complex passes work in place.
-        # The 256 KiB slack holds the threads' bookkeeping (about 22 KB for
-        # 3 blocks, so the CPU count is fixed); one more 54^3 table would be
-        # 1.2 MB.
+        # one half-grid complex table per distinct indicator, nothing else of
+        # the field's size: the bits are cast into its padded rows, and every
+        # pass and the rounding work in place, a few slabs of axis 0 at a
+        # time. The 512 KiB slack holds, for 3 blocks (so the CPU count is
+        # fixed), each block's temporaries for those slabs (numpy's copy of
+        # an in-place transform's input, the rounding's nearest integers; up
+        # to 8192 elements each) and the threads' bookkeeping (about 22 KB);
+        # up to 0.3 MB was measured. A float64 copy of the 54^3 bits would
+        # be 1.26 MB.
         force_cpus(monkeypatch, 3)
         ind = indicator(generate(WHITE, 3, 54, 9), (-1.0, 1.0))
-        budget = ind.bits.size * 8 + 54 * 54 * 28 * 16 + 2**18
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            counts = pair_counts(ind, ind)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert counts.counts[0, 0, 0] == ind.bits.sum()
-        assert peak <= budget
+        for other, tables in ((ind, 1), (indicator(generate(WHITE, 3, 54, 9), (0.0, 2.0)), 2)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                counts = pair_counts(ind, other)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert counts.counts[0, 0, 0] == np.count_nonzero(ind.bits & other.bits)
+            assert peak <= tables * 54 * 54 * 28 * 16 + 2**19
 
 
 def serial_generate(spec, dim, side, seed):
@@ -675,10 +691,12 @@ class TestSplitStages:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_generate_peak_memory(self, cpus, monkeypatch):
-        # the noise, the half-grid modes and the amplitude table while the
-        # rows are transformed; the noise is dropped before the inverse, so
-        # the 1.26 MB 54^3 field never coexists with it and the modes. The
-        # 128 KiB slack holds the threads' bookkeeping.
+        # the half-grid modes, which the noise is drawn into, beside the
+        # spectrum table as it is built (two half-grid float tables and a
+        # mask, as test_spectrum_table_peak_memory pins); no noise table of
+        # the field's size. The field is copied out of the modes with the
+        # mean added, and the modes are freed before its finiteness check.
+        # The 128 KiB slack holds a slab and the threads' bookkeeping.
         force_cpus(monkeypatch, cpus)
         spec = CovarianceSpec(spectrum="power_law", index=-3.0)
         n, half = 54**3, 54 * 54 * 28
@@ -689,11 +707,11 @@ class TestSplitStages:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert field.values.shape == (54, 54, 54)
-        assert peak <= n * 8 + half * 16 + half * 8 + 2**17
+        assert field.values.shape == (54, 54, 54) and field.values.flags.c_contiguous
+        assert peak <= max(half * 16 + 2 * half * 8 + half, half * 16 + n * 8) + 2**17
 
     def test_only_transforms_and_rounding_are_split(self, monkeypatch):
-        # the indicator, the conversion of bits to float and the mean run on
+        # the indicator, the cast of bits into the table and the mean run on
         # the calling thread; every pass handed to _split is a transform pass
         # or the rounding of pair counts
         force_cpus(monkeypatch, 3)
@@ -711,7 +729,7 @@ class TestSplitStages:
         assert set(passes) == {
             "_forward_rows",
             "_rfftn.<locals>.columns",
-            "_filtered.<locals>.columns",
+            "_filter.<locals>.columns",
             "_inverse_rows",
             "_round_counts.<locals>.run",
         }
@@ -727,7 +745,8 @@ class TestSplitStages:
         assert calls == []
 
     def test_noise_worker_exception_reaches_the_caller(self, monkeypatch):
-        # the worker draws the noise; the calling thread builds the amplitudes
+        # the worker draws the noise, one slab of axis 0 at a time; the
+        # calling thread builds the amplitudes
         force_cpus(monkeypatch, 2)
         before = threading.active_count()
         default_rng = np.random.default_rng
@@ -742,7 +761,7 @@ class TestSplitStages:
                 return self.rng.standard_normal(out=out)
 
         monkeypatch.setattr(randomfield.np.random, "default_rng", FailingOffTheMainThread)
-        with pytest.raises(FloatingPointError, match=r"noise of shape \(6, 6\)"):
+        with pytest.raises(FloatingPointError, match=r"noise of shape \(6,\)"):
             generate(WHITE, 2, 6, 1)
         assert threading.active_count() == before
 
