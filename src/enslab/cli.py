@@ -338,7 +338,7 @@ def _run_field(params: dict, seed: int):
 
     p1 = report.global_mean()  # ones / points: also the one-point estimate
     rows = [("one_point", p1, mc_sigma(p1), n_points)]
-    counts = randomfield.pair_counts(ind, ind)
+    counts = randomfield.pair_counts(ind)
     for r in params["two_point_r"]:
         p2 = randomfield.two_point_prob(counts, float(r))
         rows.append((f"two_point_r={_fmt(float(r))}", p2, mc_sigma(p2), n_points))
@@ -403,7 +403,7 @@ def _run_canonical(params: dict, seed: int):
     s = probcore.entropy(dist)
     mean_e = float(dist.probs @ energies)
     live = dist.probs > probcore.ZERO_CUTOFF
-    kkt = np.log(dist.probs[live]) + energies[live] / temperature
+    kkt = np.log(dist.probs[live]) + (energies[live] - energies.min()) / temperature
     rows = [(k, energies[k], dist.probs[k]) for k in range(len(dist))]
     outputs = {"distribution.csv": encode_csv(["level", "energy", "prob"], rows)}
     summary = {
@@ -428,6 +428,8 @@ def _run_measure(params: dict, seed: int):
     c = _coefficients_from_param(params["coefficients"])
     system = measurement.SystemState(coefficients=c)
     k = system.n_outcomes
+    # the ledger checks its microstate budget, so a bad one fails before the curve
+    ledger = measurement.entropy_ledger(system, params["ledger_n_micro"])
     apparatus = measurement.build_apparatus(params["n_microstates"], k, _role_seed(seed, 0))
     fractions = measurement.outcome_fractions(system, apparatus)
     counts = measurement.sample_outcomes(system, apparatus, params["n_members"], _role_seed(seed, 1))
@@ -436,7 +438,6 @@ def _run_measure(params: dict, seed: int):
         params["suppression_seeds"],
         _role_seed(seed, 2),
     )
-    ledger = measurement.entropy_ledger(system, params["ledger_n_micro"])
     rows = [(i, fractions.probs[i], int(counts[i])) for i in range(k)]
     outputs = {"outcomes.csv": encode_csv(["outcome", "born_fraction", "sampled_count"], rows)}
     summary = {

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .probcore import DiscreteDistribution
 
 __all__ = [
     "ConeParams",
@@ -143,12 +142,6 @@ class EnsembleResult:
     member_seeds: np.ndarray
     n_sectors: int
     max_norm_drift: float
-
-    def sector_distribution(self) -> DiscreteDistribution:
-        total = int(self.sector_counts.sum())
-        if total == 0:
-            raise ValidationError("no member resolved; sector distribution undefined")
-        return DiscreteDistribution(self.sector_counts / total)
 
     def fall_time_stats(self) -> dict:
         resolved = self.fall_times[np.isfinite(self.fall_times)]

@@ -25,9 +25,5 @@ class EmptySeparationError(EnslabError, ValueError):
     """No lattice offset falls inside the requested separation bin."""
 
 
-class BasisError(EnslabError, ValueError):
-    """Operator is not diagonal (within tolerance) in the working basis."""
-
-
 class NumericsError(EnslabError, ArithmeticError):
     """A computation left its numerical tolerance (overflow, residue, drift)."""

@@ -96,10 +96,6 @@ class ApparatusEnsemble:
         object.__setattr__(self, "phases", arr)
 
     @property
-    def n_microstates(self) -> int:
-        return int(self.phases.shape[1])
-
-    @property
     def n_outcomes(self) -> int:
         return int(self.phases.shape[0])
 
@@ -251,12 +247,13 @@ def suppression_curve(
     """
     if n_seeds < 1:
         raise ValidationError("need at least one seed per curve point")
+    m_values = [int(m) for m in m_values]
+    for m in m_values:
+        if m < 1:
+            raise ValidationError(f"suppression curve M={m}: apparatus needs at least one microstate")
     curve = []
     with _Tasks(_BACKLOG) as tasks:
         for j, m in enumerate(m_values):
-            m = int(m)
-            if m < 1:
-                raise ValidationError("apparatus needs at least one microstate")
             batch = min(n_seeds, -(-_PHASOR_BATCH // m))
             mags, micro_probs = np.empty(n_seeds), None
             for lo in range(0, n_seeds, batch):

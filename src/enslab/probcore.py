@@ -45,7 +45,6 @@ __all__ = [
     "information",
     "info_decompose",
     "canonical",
-    "mean_energy",
     "temperature_for_mean_energy",
     "refine",
 ]
@@ -151,10 +150,6 @@ class PartitionedDistribution:
             )
         object.__setattr__(self, "blocks", tuple(cooked))
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.blocks)
-
     def block_masses(self) -> np.ndarray:
         """The coarse-grained masses p^(alpha), one per block."""
         return np.array([float(vec.sum()) for _, vec in self.blocks])
@@ -162,9 +157,6 @@ class PartitionedDistribution:
     def flattened(self) -> np.ndarray:
         """All joint probabilities concatenated in block order."""
         return np.concatenate([vec for _, vec in self.blocks])
-
-    def n_microstates(self) -> int:
-        return int(sum(vec.size for _, vec in self.blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,21 +287,16 @@ def info_decompose(
 def canonical(levels: EnergyLevels) -> DiscreteDistribution:
     """Canonical distribution p_k = exp(-E_k/T) / Z.
 
-    Evaluated with the max-energy shift so arbitrarily large |E/T| cannot
-    overflow. This is the entropy maximizer at fixed mean energy.
+    Evaluated as exp(-(E_k - E_min)/T) / Z, so the ground state weighs 1 and
+    no |E/T| can overflow a weight. This is the entropy maximizer at fixed
+    mean energy.
     """
-    x = -levels.energies / levels.temperature
-    # a spread of levels past the float range overflows the shift to -inf,
-    # and exp(-inf) = 0 is then the exact weight
+    energies = levels.energies
+    # a gap past the float range, or a temperature so small that a gap over
+    # it is, overflows to inf, and exp(-inf) = 0 is then the exact weight
     with np.errstate(over="ignore"):
-        w = np.exp(x - x.max())
+        w = np.exp(-(energies - energies.min()) / levels.temperature)
     return DiscreteDistribution(w / w.sum())
-
-
-def mean_energy(levels: EnergyLevels) -> float:
-    """Mean energy of the canonical distribution at the stored temperature."""
-    p = canonical(levels).probs
-    return float(p @ levels.energies)
 
 
 def temperature_for_mean_energy(energies, target_mean: float) -> float:

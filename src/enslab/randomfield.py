@@ -20,10 +20,11 @@ rows' bytes hold the real rows, as in FFTW's in-place real transforms. A
 Row blocks (consecutive indices on axis 0) transform the last axis and then
 axes dim-2 ... 1; column blocks (on axis 1) transform axis 0, apply the
 step between the forward and the inverse transform (the amplitudes of a
-synthesis, |A|^2 or conj(A) B of a pair count), and transform axis 0 back;
-row blocks finish the inverse. Each line is transformed exactly as
-``np.fft.rfftn``/``irfftn`` would transform it, so fields and pair counts
-are bit-identical to theirs on any number of CPUs.
+synthesis, |A|^2 of a pair count), and transform axis 0 back; row blocks
+finish the inverse. :func:`_filter` is that one transform path for both.
+Each line is transformed exactly as ``np.fft.rfftn``/``irfftn`` would
+transform it, so fields and pair counts are bit-identical to theirs on any
+number of CPUs.
 The passes write through ``out=``, which needs NumPy 2.0.
 
 Of the elementwise stages only the rounding of pair counts runs per block
@@ -39,25 +40,26 @@ slab buffer included: memory a worker thread allocates and frees stays in
 that thread's C-allocator arena and would raise the process's peak RSS.
 
 On top of the fields sit the fractional-volume estimators: indicator
-bitmasks for half-open value intervals [a, b), spatial one-point and
-two-point probabilities with periodic wraparound, hierarchical 3^dim cell
-counts with the per-level spread epsilon_n, and a per-direction isotropy
-report. Every probability estimate and every epsilon_n is an exact ratio
-of integers, divided once. The
-hierarchy sums the bitmask in small unsigned integers on the calling
-thread: it is a few milliseconds at 162^3, and needs no float copy of the
-bitmask. The torus stands in for infinite volume, so epsilon_n is only
-reported on levels with at least 9 cells.
+bitmasks for half-open value intervals [a, b), hierarchical 3^dim cell
+counts with the per-level spread epsilon_n (their global mean is the
+one-point probability), two-point probabilities with periodic wraparound,
+and a per-direction isotropy report. Every probability estimate and every
+epsilon_n is an exact ratio of integers, divided once. The hierarchy sums
+the bitmask in small unsigned integers on the calling thread: it is a few
+milliseconds at 162^3, and needs no float copy of the bitmask. The torus
+stands in for infinite volume, so epsilon_n is only reported on levels
+with at least 9 cells.
 
-Two-point queries read one exact pair-count table. By the Wiener-Khinchin
-theorem the count of points x with a[x] = b[x + y] = 1, for every offset y
-at once, is the inverse transform of conj(A) B; :func:`pair_counts` rounds
-it to integers in that table's bytes and raises NumericsError if any entry
-sits 0.25 or more from an integer. Each query then sums the integer counts
-of its offsets and divides once, so the estimate is the exact rational pairs / (offsets * N),
-correctly rounded. A bin's offsets, and their grouping by direction (array
-operations: gcd, sign, ``np.unique``), are read-only tables built once and
-cached, so the CLI's config check and the query after it share them.
+Two-point queries read one exact pair-count table, the indicator's
+autocorrelation. By the Wiener-Khinchin theorem the count of points x with
+a[x] = a[x + y] = 1, for every offset y at once, is the inverse transform of
+|A|^2; :func:`pair_counts` rounds it to integers in that table's bytes and
+raises NumericsError if any entry sits 0.25 or more from an integer. Each
+query then sums the integer counts of its offsets and divides once, so the
+estimate is the exact rational pairs / (offsets * N), correctly rounded. A
+bin's offsets, and their grouping by direction (array operations: gcd,
+sign, ``np.unique``), are read-only tables built once and cached, so the
+CLI's config check and the query after it share them.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ __all__ = [
     "generate",
     "indicator",
     "hierarchical_average",
-    "one_point_prob",
     "pair_counts",
     "two_point_prob",
     "isotropy_report",
@@ -193,13 +194,13 @@ class IndicatorField:
 
 @dataclass(frozen=True, eq=False)
 class PairCounts:
-    """Pair counts of two indicators at every lattice offset.
+    """Pair counts of one indicator with itself at every lattice offset.
 
-    ``counts[y]`` is the number of points x with a[x] = b[x + y] = 1 under
-    periodic wraparound, for every offset y taken mod side; ``counts[0]`` of
-    an autocorrelation is the number of ones. The table is stored without a
-    copy (it is as large as the field; from :func:`pair_counts`, a strided
-    view of the transform's table) and handed out read-only.
+    ``counts[y]`` is the number of points x with a[x] = a[x + y] = 1 under
+    periodic wraparound, for every offset y taken mod side; ``counts[0]`` is
+    the number of ones. The table is stored without a copy (it is as large
+    as the field; from :func:`pair_counts`, a strided view of the
+    transform's table) and handed out read-only.
     ``residual`` is the largest distance of the transform estimate of a
     count from its integer (0 for counts that were never transformed).
     """
@@ -242,13 +243,9 @@ class HierarchyReport:
     cell_counts: tuple
     epsilons: tuple
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.cell_counts)
-
-    def global_mean(self, level: int = 0) -> float:
-        """Ones over points, exact and the same at every level."""
-        ones = int(self.cell_counts[level].sum(dtype=np.uint64))
+    def global_mean(self) -> float:
+        """Ones over points, divided once: the one-point estimate."""
+        ones = int(self.cell_counts[0].sum(dtype=np.uint64))
         return ones / self.cell_counts[0].size
 
 
@@ -361,27 +358,6 @@ def _inverse_rows(modes: np.ndarray, rows: np.ndarray, start: int, stop: int) ->
         np.fft.irfft(modes[slabs], n=rows.shape[-1], axis=-1, out=rows[slabs])
 
 
-def _rfftn(x) -> np.ndarray:
-    """``np.fft.rfftn(x)`` over every axis, bit for bit, split across the CPUs.
-
-    ``x`` is cast into a new half-grid table's padded rows; one pass of row
-    blocks (``rfft`` on the last axis, ``fft`` on axes dim-2 ... 1), then
-    one of column blocks (``fft`` on axis 0). A 1-d ``x`` is one row: its
-    ``fft`` on axis 0 has length 1 and changes no bit.
-    """
-    shape = np.shape(x)
-    modes, rows = _half_grid(shape)
-    rows[...] = x
-    _split(partial(_forward_rows, modes, rows), len(rows), rows.size)
-
-    def columns(start, stop):
-        block = modes[:, start:stop]
-        np.fft.fft(block, axis=0, out=block)
-
-    _split(columns, modes.shape[1], modes.size)
-    return modes.reshape(shape[:-1] + modes.shape[-1:])
-
-
 def _filter(modes: np.ndarray, rows: np.ndarray, scale) -> None:
     """``np.fft.irfftn(scale(np.fft.rfftn(rows)), s=rows.shape)`` bit for
     bit, in place in a :func:`_half_grid` table, split across the CPUs in
@@ -420,14 +396,6 @@ def _square(slab: np.ndarray, index: tuple) -> None:
     np.square(floats, out=floats)
     np.add(slab.real, slab.imag, out=slab.real)
     slab.imag = 0.0
-
-
-def _times_conjugate(first: np.ndarray, slab: np.ndarray, index: tuple) -> None:
-    """conj(first) * slab into slab, in that operand order; ``first`` is
-    conjugated in place."""
-    other = np.atleast_2d(first)[index]
-    np.conjugate(other, out=other)
-    np.multiply(other, slab, out=slab)
 
 
 def _admits_hierarchy(side: int) -> bool:
@@ -556,13 +524,6 @@ def hierarchical_average(ind: IndicatorField, max_level: int) -> HierarchyReport
     return HierarchyReport(cell_counts=tuple(cell_counts), epsilons=tuple(epsilons))
 
 
-def one_point_prob(field: FieldSample, interval) -> float:
-    """Fractional volume where the field value lies in [a, b): the number of
-    ones over the number of points, divided once."""
-    bits = indicator(field, interval).bits
-    return np.count_nonzero(bits) / bits.size
-
-
 def _round_counts(padded: np.ndarray, n: int) -> tuple:
     """Round a transform estimate of pair counts, the first ``n`` floats of
     each row of the contiguous ``padded``, to integers in place. Returns
@@ -596,28 +557,21 @@ def _round_counts(padded: np.ndarray, n: int) -> tuple:
     return counts[..., :n], residual
 
 
-def pair_counts(ind_a: IndicatorField, ind_b: IndicatorField) -> PairCounts:
-    """Exact pair counts of ``ind_a`` and ``ind_b`` at every lattice offset.
+def pair_counts(ind: IndicatorField) -> PairCounts:
+    """Exact pair counts of ``ind`` with itself at every lattice offset.
 
-    counts[y] = sum_x a[x] b[x + y] is the inverse transform of conj(A) B,
-    rounded to integers (Wiener-Khinchin). Passing the same indicator twice
-    takes one forward transform instead of two, and forms |A|^2 per block.
+    counts[y] = sum_x a[x] a[x + y] is the inverse transform of |A|^2,
+    rounded to integers (Wiener-Khinchin).
 
-    Peak memory is one half-grid complex table (two for distinct
-    indicators): the bits are cast into its padded rows, |A|^2 is formed in
-    it, the counts are rounded in its bytes and kept there, strided, and
-    the second table is dropped once the column pass has read it.
+    Peak memory is one half-grid complex table: the bits are cast into its
+    padded rows, |A|^2 is formed in it per block, and the counts are
+    rounded in its bytes and kept there, strided.
     """
-    if ind_a.bits.shape != ind_b.bits.shape or ind_a.spacing != ind_b.spacing:
-        raise ValidationError(
-            f"indicators differ in lattice: shapes {ind_a.bits.shape} and {ind_b.bits.shape}, "
-            f"spacings {ind_a.spacing!r} and {ind_b.spacing!r}"
-        )
-    modes, rows = _half_grid(ind_b.bits.shape)
-    rows[...] = ind_b.bits
-    _filter(modes, rows, _square if ind_b is ind_a else partial(_times_conjugate, _rfftn(ind_a.bits)))
+    modes, rows = _half_grid(ind.bits.shape)
+    rows[...] = ind.bits
+    _filter(modes, rows, _square)
     counts, residual = _round_counts(modes.view(float), rows.shape[-1])
-    return PairCounts(counts=counts.reshape(ind_b.bits.shape), spacing=ind_a.spacing, residual=residual)
+    return PairCounts(counts=counts.reshape(ind.bits.shape), spacing=ind.spacing, residual=residual)
 
 
 def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
@@ -663,7 +617,7 @@ def _pair_offsets(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
 
 
 def two_point_prob(counts: PairCounts, r: float) -> float:
-    """Joint fractional volume of I_a(x) I_b(x + y) at separation |y| ~ r.
+    """Joint fractional volume of I(x) I(x + y) at separation |y| ~ r.
 
     Averages over every point x (periodic wraparound) and every lattice
     offset y inside the half-spacing bin around r, mixing directions; use

@@ -62,6 +62,9 @@ class FrequencySpread:
             raise ValidationError(f"spread scale must be >= 0, got {self.scale!r}")
         if not np.isfinite(self.center):
             raise ValidationError("spread center must be finite")
+        width = (self.center + self.scale) - (self.center - self.scale)
+        if self.kind == "uniform" and not math.isfinite(width):
+            raise ValidationError(f"uniform spread scale {self.scale!r} spans past the float range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +86,6 @@ class SpinEnsemble:
     @property
     def n_spins(self) -> int:
         return int(self.frequencies.size)
-
-    def wrapped_phases(self) -> np.ndarray:
-        return np.mod(self.phases, TWO_PI)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +192,18 @@ def run_protocol(
     At t = 2 tau the accumulated phase cancels exactly (x - x = 0 in floating
     point), so the echo magnetization is 1 to machine precision.
     """
-    if not (np.isfinite(tau) and tau > 0.0):
-        raise ValidationError(f"tau must be > 0, got {tau!r}")
+    if not (math.isfinite(2.0 * tau) and tau > 0.0):
+        raise ValidationError(f"tau must be > 0 with a finite echo time 2*tau, got {tau!r}")
     if samples_per_leg < 1:
         raise ValidationError("need at least one sample per leg")
-    base = init_ensemble(n, spread, seed)
-    pulsed = apply_pulse(evolve(base, tau))  # every later phase is finite if this is
     _check_bins(n_bins)
+    base = init_ensemble(n, spread, seed)
+    # every phase of the protocol is at most max|omega| * tau in magnitude
+    if not math.isfinite(float(np.abs(base.frequencies).max()) * tau):
+        raise ValidationError(
+            f"tau={tau!r} at spread scale {spread.scale!r} overflows a spin's phase omega*tau"
+        )
+    pulsed = apply_pulse(evolve(base, tau))
     first_leg = np.linspace(0.0, tau, samples_per_leg + 1)
     second_leg = np.linspace(tau, 2.0 * tau, samples_per_leg + 1)[1:]
     # (phases evolved from, time, evolution time) of each sample, as

@@ -111,7 +111,7 @@ class TestSplit:
             field = generate(CovarianceSpec(spectrum="power_law", index=-2.0), 2, 54, 3)
             ind = indicator(field, (-1.0, 1.0))
             levels = hierarchical_average(ind, 2)
-            counts = pair_counts(ind, ind)
+            counts = pair_counts(ind)
             stages = [field.values, ind.bits, *levels.cell_counts, counts.counts]
             stages = [a.tobytes() for a in stages] + [levels.epsilons, counts.residual]
             return slots, queued, report.magnetization, report.binned_entropy, curve, stages

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from block_helpers import force_cpus, public_calls_off_the_main_thread
-from enslab import _blocks, cli, conefall, randomfield
+from enslab import _blocks, cli, conefall, measurement, randomfield, spinecho
 from enslab.errors import NumericsError
 
 SMALL_CONFIGS = {
@@ -332,6 +332,8 @@ class TestSchema:
                 ("cone", {key: 1e300}, f"{key}=1e+300 overflows the kinetic energy p^2/(2 m l^2)")
                 for key in ("tilt_momentum_radius", "azimuth_momentum_radius")
             ],
+            ("measure", {"ledger_n_micro": 1}, "n_micro=1 microstates cannot cover 2 outcomes"),
+            ("spinecho", {"n_bins": 1}, "need at least 2 bins, got 1"),
         ],
         ids=[
             "field-cutoff",
@@ -339,6 +341,8 @@ class TestSchema:
             "cone-damping",
             "cone-tilt_momentum_radius",
             "cone-azimuth_momentum_radius",
+            "measure-ledger_n_micro",
+            "spinecho-n_bins",
         ],
     )
     def test_negative_bound_exits_two_before_any_work(
@@ -346,12 +350,16 @@ class TestSchema:
     ):
         # cutoff 0 means none and max_steps 0 runs no step; below 0 neither
         # is a value, so neither may fall back to a run. A cone flow that
-        # overflows on its first steps names its key, not a coarse dt.
+        # overflows on its first steps names its key, not a coarse dt. A
+        # ledger or bin count that cannot be met fails before the curve's
+        # ensembles or the spins are drawn.
         def unreachable(*args, **kwargs):
             raise AssertionError("work began for a config that fails")
 
         monkeypatch.setattr(randomfield, "generate", unreachable)
         monkeypatch.setattr(conefall, "sample_initial", unreachable)
+        monkeypatch.setattr(measurement, "suppression_curve", unreachable)
+        monkeypatch.setattr(spinecho, "init_ensemble", unreachable)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -471,19 +479,76 @@ class TestSchema:
         assert sorted(p.name for p in out.iterdir()) == ["keep"]
 
     def test_canonical_overflowing_shift_is_silent(self, tmp_path):
-        # the max-energy shift overflows to -inf, whose weight exp(-inf) = 0 is exact
+        # a gap over the ground state, (E - E_min) / T, that overflows to
+        # inf weighs exp(-inf) = 0, which is exact: a spread of levels past
+        # the float range, or a temperature far below every gap
+        cases = [
+            ({"energies": [0.0, 1e308, -1e308]}, [0.0, 0.0, 1.0]),
+            ({"energies": [0.0, 1.0], "temperature": 1e-320}, [1.0, 0.0]),
+            ({"energies": [-1.0, 0.0], "temperature": 1e-320}, [1.0, 0.0]),
+        ]
+        for i, (config, probs) in enumerate(cases):
+            cfg = tmp_path / f"c{i}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"c{i}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "enslab", "canonical", "--config", str(cfg), "--out", str(out)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, config
+            assert proc.stderr == ""
+            rows = (out / "distribution.csv").read_text().split()[1:]
+            assert [float(row.split(",")[2]) for row in rows] == probs
+            assert json.loads((out / "summary.json").read_text())["kkt_spread"] == 0.0
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            pytest.param(
+                {"spread_scale": 1e300, "tau": 1e10},
+                "tau=10000000000.0 at spread scale 1e+300 overflows a spin's phase omega*tau",
+                id="phase",
+            ),
+            pytest.param(
+                {"spread_scale": 0.0, "tau": 1e308},
+                "tau must be > 0 with a finite echo time 2*tau, got 1e+308",
+                id="echo-time",
+            ),
+            pytest.param(
+                {"spread_kind": "uniform", "spread_scale": 1e308},
+                "uniform spread scale 1e+308 spans past the float range",
+                id="uniform-span",
+            ),
+        ],
+    )
+    def test_spinecho_overflow_exits_two_silently(self, config, message, tmp_path):
+        # each overflowed in numpy first: a RuntimeWarning and "phases must
+        # be finite", a non-finite echo time, or numpy's OverflowError
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"energies": [0.0, 1e308, -1e308]}))
-        out = tmp_path / "c"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "s"
         proc = subprocess.run(
-            [sys.executable, "-m", "enslab", "canonical", "--config", str(cfg), "--out", str(out)],
+            [sys.executable, "-m", "enslab", "spinecho", "--config", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        rows = (out / "distribution.csv").read_text().split()[1:]
-        assert [float(row.split(",")[2]) for row in rows] == [0.0, 0.0, 1.0]
+        assert proc.returncode == 2
+        assert proc.stderr == f"invalid configuration: {message}\n"
+        assert not out.exists()
+
+    def test_bad_suppression_m_fails_before_any_curve_ensemble(self, tmp_path, monkeypatch, capsys):
+        # the run's own apparatus is built; not one of the curve's 200 at M = 100
+        builds, build = [], measurement.build_apparatus
+        monkeypatch.setattr(measurement, "build_apparatus", lambda *a: builds.append(a[0]) or build(*a))
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"n_microstates": 10, "suppression_m": [100, 0]}))
+        assert cli.main(["measure", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid configuration: suppression curve M=0: apparatus needs at least one microstate\n"
+        )
+        assert builds == [10]
+        assert not (tmp_path / "m").exists()
 
     def test_narrow_gaussian_bump_is_silent(self, tmp_path):
         # (k - center) / width squares past the float range off the bump's

@@ -40,7 +40,7 @@ class TestBuildApparatus:
 
     def test_single_microstate(self):
         app = build_apparatus(1, 2, 0)
-        assert app.n_microstates == 1
+        assert app.phases.shape == (2, 1)
         np.testing.assert_array_equal(app.micro_probs.probs, [1.0])
 
     def test_phases_uniform_by_ks(self):

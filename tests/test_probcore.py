@@ -15,7 +15,6 @@ from enslab.probcore import (
     entropy,
     info_decompose,
     information,
-    mean_energy,
     refine,
     temperature_for_mean_energy,
 )
@@ -186,8 +185,8 @@ class TestCanonical:
             h = 1e-3 * t
             s_plus = entropy(canonical(EnergyLevels(energies, t + h)))
             s_minus = entropy(canonical(EnergyLevels(energies, t - h)))
-            e_plus = mean_energy(EnergyLevels(energies, t + h))
-            e_minus = mean_energy(EnergyLevels(energies, t - h))
+            e_plus = canonical(EnergyLevels(energies, t + h)).probs @ energies
+            e_minus = canonical(EnergyLevels(energies, t - h)).probs @ energies
             ds_de = (s_plus - s_minus) / (e_plus - e_minus)
             assert ds_de == pytest.approx(1.0 / t, rel=1e-4)
 
@@ -204,7 +203,8 @@ class TestTemperatureSolving:
     def test_solved_temperature_reproduces_mean(self):
         energies = [0.0, 0.4, 1.1, 2.0]
         t = temperature_for_mean_energy(energies, 0.6)
-        assert mean_energy(EnergyLevels(np.array(energies), t)) == pytest.approx(0.6, abs=1e-10)
+        probs = canonical(EnergyLevels(np.array(energies), t)).probs
+        assert probs @ energies == pytest.approx(0.6, abs=1e-10)
 
     def test_monotone_toward_ground_state(self):
         targets = [0.3, 0.2, 0.1, 0.02, 1e-4]
