@@ -476,7 +476,7 @@ def _run_cone(params: dict, seed: int):
             params["azimuth_momentum_radius"],
         ),
     )
-    cone_params = conefall.ConeParams(damping=params["damping"])
+    conefall._check_damping(params["damping"])
     # a flow that overflows on its first steps fails here, naming its key,
     # and not at the first fall as a dt too coarse
     for key in ("tilt_momentum_radius", "azimuth_momentum_radius"):
@@ -495,7 +495,7 @@ def _run_cone(params: dict, seed: int):
         seed=_role_seed(seed, 0),
         dt=params["dt"],
         max_steps=params["max_steps"],
-        params=cone_params,
+        damping=params["damping"],
     )
     rows = zip(
         range(params["n_members"]),

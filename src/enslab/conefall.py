@@ -1,11 +1,13 @@
 """Unstable-equilibrium ensemble: a body balanced on its tip falls over.
 
-The surrogate dynamics is an inverted spherical pendulum (point mass m on a
-rigid massless rod of length l, gravity g). Its states are given and read
-out in canonical coordinates (tilt theta from vertical, azimuth phi,
-conjugate momenta):
+The surrogate dynamics is an inverted spherical pendulum (point mass on a
+rigid massless rod), in natural units: mass, rod length and gravity are 1,
+and time is in units of sqrt(l/g). Any such pendulum maps onto this one by
+a rescaling of time and momenta. Its states are given and read out in
+canonical coordinates (tilt theta from vertical, azimuth phi, conjugate
+momenta):
 
-    H = p_theta^2 / (2 m l^2) + p_phi^2 / (2 m l^2 sin^2 theta) + m g l cos(theta)
+    H = p_theta^2 / 2 + p_phi^2 / (2 sin^2 theta) + cos(theta)
 
 theta = 0 is the unstable equilibrium. Azimuth is cyclic, so p_phi is
 conserved and rotating an initial state about the vertical rotates the
@@ -48,7 +50,6 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 
 __all__ = [
-    "ConeParams",
     "PhaseState",
     "InitialMacrostate",
     "EnsembleResult",
@@ -66,24 +67,6 @@ MAX_TILT = 0.5 * math.pi
 # largest ||n| - 1| accepted at a fall; it reads 1.8e-14 at dt = 1e-3 and
 # 8.4e-7 at dt = 0.1 on the default box, and is non-finite at dt = 10
 MAX_NORM_DRIFT = 1e-6
-
-
-@dataclass(frozen=True)
-class ConeParams:
-    """Physical constants; ``damping`` > 0 makes the flow dissipative (test aid)."""
-
-    gravity: float = 1.0
-    rod_length: float = 1.0
-    mass: float = 1.0
-    damping: float = 0.0
-
-    def __post_init__(self):
-        for name in ("gravity", "rod_length", "mass"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be positive, got {v!r}")
-        if not (np.isfinite(self.damping) and self.damping >= 0.0):
-            raise ValidationError(f"damping must be >= 0, got {self.damping!r}")
 
 
 @dataclass(frozen=True)
@@ -156,21 +139,23 @@ class EnsembleResult:
         }
 
 
-def hamiltonian(state: PhaseState, params: ConeParams = ConeParams()) -> float:
+def _check_damping(damping: float) -> None:
+    """Raise unless ``damping`` is finite and >= 0; a positive one makes the
+    flow dissipative (the non-Hamiltonian control)."""
+    if not (np.isfinite(damping) and damping >= 0.0):
+        raise ValidationError(f"damping must be >= 0, got {damping!r}")
+
+
+def hamiltonian(state: PhaseState) -> float:
     """Total energy of a phase-space point."""
-    ml2 = params.mass * params.rod_length**2
     sin_t = math.sin(state.tilt)
     if state.azimuth_momentum == 0.0:
         rot = 0.0
     elif sin_t == 0.0:
         raise NumericsError("azimuthal momentum at the pole has no finite energy")
     else:
-        rot = state.azimuth_momentum**2 / (2.0 * ml2 * sin_t**2)
-    return (
-        state.tilt_momentum**2 / (2.0 * ml2)
-        + rot
-        + params.mass * params.gravity * params.rod_length * math.cos(state.tilt)
-    )
+        rot = state.azimuth_momentum**2 / (2.0 * sin_t**2)
+    return state.tilt_momentum**2 / 2.0 + rot + math.cos(state.tilt)
 
 
 class _Lockstep:
@@ -179,7 +164,7 @@ class _Lockstep:
     A member's state is the angular momentum L about the pivot and the rod
     direction n (a unit vector):
 
-        dL/dt = mgl (-n_y, n_x, 0) - damping L,    dn/dt = (L / ml2) x n
+        dL/dt = (-n_y, n_x, 0) - damping L,    dn/dt = L x n
 
     The right-hand side is polynomial: no trig, no 1/sin, no chart change at
     the pole, and one path for damped and undamped runs. Without damping
@@ -203,13 +188,11 @@ class _Lockstep:
     through the ufuncs of the update above in the same order.
     """
 
-    def __init__(self, y, dt: float, params: ConeParams):
+    def __init__(self, y, dt: float, damping: float):
         # constants as 0-d arrays: ufunc calls take them faster than floats
         const = lambda v: np.array(v, dtype=float)  # noqa: E731
-        mgl = params.mass * params.gravity * params.rod_length
-        self._ml2 = const(params.mass * params.rod_length**2)
-        self._torque_scale = np.array([[-mgl], [mgl]])
-        self._damping = const(params.damping)
+        self._torque_sign = np.array([[-1.0], [1.0]])
+        self._damping = const(damping)
         self._stage_steps = (const(0.5 * dt), const(0.5 * dt), const(dt))
         self._sixth = const(dt / 6.0)
         self._two = const(2.0)
@@ -248,14 +231,15 @@ class _Lockstep:
         values ``z`` into increments ``k``."""
         omega, torque, work = self._omega, self._torque, self._work
         return [
-            (np.divide, (z[:3], self._ml2, omega[:3])),
+            # omega = L, with L_x, L_y repeated after L_z
+            (np.copyto, (omega[:3], z[:3])),
             (np.copyto, (omega[3:], omega[:2])),
             # (omega x n)_i = omega_(i+1) n_(i+2) - omega_(i+2) n_(i+1), indices mod 3
             (np.multiply, (omega[1:4], z[5:8], k[3:])),
             (np.multiply, (omega[2:5], z[4:7], work)),
             (np.subtract, (k[3:], work, k[3:])),
-            # torque (-mgl n_y, mgl n_x, 0); its last row stays 0
-            (np.multiply, (self._torque_scale, z[4:2:-1], torque[:2])),
+            # torque (-n_y, n_x, 0); its last row stays 0
+            (np.multiply, (self._torque_sign, z[4:2:-1], torque[:2])),
             (np.multiply, (self._damping, z[:3], k[:3])),
             (np.subtract, (torque, k[:3], k[:3])),
         ]
@@ -373,7 +357,7 @@ def _to_canonical(y) -> tuple:
     return tilt, azimuth, p_theta, lz.copy()
 
 
-def integrate(state: PhaseState, dt: float, steps: int, params: ConeParams = ConeParams()) -> PhaseState:
+def integrate(state: PhaseState, dt: float, steps: int, damping: float = 0.0) -> PhaseState:
     """Advance one phase-space point by ``steps`` fixed RK4 steps of size dt.
 
     Energy drift stays below 1e-6 relative per 1e4 steps at dt = 1e-3, also
@@ -387,9 +371,10 @@ def integrate(state: PhaseState, dt: float, steps: int, params: ConeParams = Con
         raise ValidationError(f"dt must be positive, got {dt!r}")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps!r}")
+    _check_damping(damping)
     start = ([v] for v in (state.tilt, state.azimuth, state.tilt_momentum, state.azimuth_momentum))
     with np.errstate(all="ignore"):
-        kernel = _Lockstep(_to_vector(*start), dt, params)
+        kernel = _Lockstep(_to_vector(*start), dt, damping)
         kernel.advance(steps)
         vals = tuple(float(v[0]) for v in _to_canonical(kernel.y))
     if not all(np.isfinite(v) for v in vals):
@@ -425,7 +410,7 @@ def run_ensemble(
     seed: int = 0,
     dt: float = 1e-3,
     max_steps: int = 10**6,
-    params: ConeParams = ConeParams(),
+    damping: float = 0.0,
 ) -> EnsembleResult:
     """Integrate every member until its tilt reaches the fall threshold.
 
@@ -448,6 +433,7 @@ def run_ensemble(
         raise ValidationError(f"dt must be positive, got {dt!r}")
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps!r}")
+    _check_damping(damping)
 
     n = int(n_members)
     counts = np.zeros(n_sectors, dtype=int)  # before the work: a table too big fails at once
@@ -464,7 +450,7 @@ def run_ensemble(
     cos2, sin2 = math.cos(fall_threshold) ** 2, math.sin(fall_threshold) ** 2
     step = 0
     with np.errstate(all="ignore"):
-        kernel = _Lockstep(_to_vector(*start), dt, params)
+        kernel = _Lockstep(_to_vector(*start), dt, damping)
         upright = kernel.upright(cos2, sin2)
         while True:
             if not upright.all():
@@ -511,7 +497,7 @@ def liouville_check(
     dt: float,
     steps: int,
     n_probe: int = 8,
-    params: ConeParams = ConeParams(),
+    damping: float = 0.0,
     probe_scale: float = 1e-6,
 ) -> float:
     """Estimated phase-volume ratio along trajectories from the macrostate.
@@ -529,6 +515,7 @@ def liouville_check(
         raise ValidationError(f"need at least 8 probes (2 per coordinate), got {n_probe!r}")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps!r}")
+    _check_damping(damping)
     if steps == 0:
         return 1.0  # identity map: exact
     if not (np.isfinite(probe_scale) and probe_scale > 0.0):
@@ -550,7 +537,7 @@ def liouville_check(
             probes[:, 8 * j + 2 * axis] = plus
             probes[:, 8 * j + 2 * axis + 1] = minus
     with np.errstate(all="ignore"):
-        kernel = _Lockstep(_to_vector(*probes), dt, params)
+        kernel = _Lockstep(_to_vector(*probes), dt, damping)
         kernel.advance(steps)
         flowed = np.vstack(_to_canonical(kernel.y))
     dets = []

@@ -82,7 +82,6 @@ class ApparatusEnsemble:
 
     micro_probs: DiscreteDistribution
     phases: np.ndarray
-    seed: int
 
     def __post_init__(self):
         arr = _frozen_array(self.phases, dtype=float, what="phase table", ndim=2)
@@ -147,7 +146,7 @@ def build_apparatus(
         )
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, TWO_PI, size=(n_outcomes, n_microstates))
-    return ApparatusEnsemble(micro_probs=micro_probs, phases=phases, seed=int(seed))
+    return ApparatusEnsemble(micro_probs=micro_probs, phases=phases)
 
 
 def outcome_fractions(system: SystemState, apparatus: ApparatusEnsemble) -> DiscreteDistribution:
@@ -228,14 +227,14 @@ def entropy_ledger(system: SystemState, n_micro: int) -> EntropyLedger:
     )
 
 
-def suppression_curve(
-    m_values, n_seeds: int, seed: int, n_outcomes: int = 2
-) -> list:
+def suppression_curve(m_values, n_seeds: int, seed: int) -> list:
     """Median and 95th-percentile off-diagonal magnitude per microstate count.
 
-    For each M, builds ``n_seeds`` independent uniform apparatus ensembles
-    (seeds split off the root seed) and records the (0, 1) phase-resultant
-    magnitude. Returns [(M, median, p95), ...] for scaling fits.
+    For each M, builds ``n_seeds`` independent uniform two-outcome apparatus
+    ensembles (seeds split off the root seed) and records the (0, 1)
+    phase-resultant magnitude. Returns [(M, median, p95), ...] for scaling
+    fits. A draw of more outcomes fills rows 0 and 1 first, with the same
+    phases, so the curve is the same for every number of outcomes.
 
     The ensembles are built on the calling thread, a batch of seeds at a
     time, all of one M sharing the first one's microstate distribution. Each
@@ -260,9 +259,7 @@ def suppression_curve(
                 delta = np.empty((min(batch, n_seeds - lo), m))
                 for s, row in enumerate(delta, lo):
                     child = np.random.SeedSequence(entropy=int(seed), spawn_key=(j, s))
-                    app = build_apparatus(
-                        m, n_outcomes, int(child.generate_state(1, np.uint64)[0]), micro_probs
-                    )
+                    app = build_apparatus(m, 2, int(child.generate_state(1, np.uint64)[0]), micro_probs)
                     micro_probs = app.micro_probs
                     np.subtract(app.phases[0], app.phases[1], out=row)
                 tasks.submit(partial(_resultants, micro_probs.probs, delta, mags[lo : lo + len(delta)]))
@@ -276,8 +273,8 @@ def _resultants(probs: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
     out[:] = [abs(z) for z in sums.tolist()]
 
 
-def _phasor_sum(probs: np.ndarray, delta: np.ndarray, work: np.ndarray | None = None):
+def _phasor_sum(probs: np.ndarray, delta: np.ndarray, work: np.ndarray):
     """sum_i p_i exp(i delta[..., i]) along the last axis, through the complex
-    buffer ``work`` if given. Each row's sum is the same as on its own."""
+    buffer ``work``. Each row's sum is the same as on its own."""
     phasors = np.exp(np.multiply(1j, delta, out=work), out=work)
     return np.sum(np.multiply(probs, phasors, out=work), axis=-1)

@@ -142,7 +142,8 @@ class PartitionedDistribution:
         grand = 0.0
         for label, vec in raw:
             arr = _validated_prob_vector(vec, what=f"block {label!r}")
-            grand += float(arr.sum())
+            with np.errstate(over="ignore"):  # an infinite total is rejected below
+                grand += float(arr.sum())
             cooked.append((str(label), arr))
         if abs(grand - 1.0) > SUM_TOL:
             raise ValidationError(
@@ -312,6 +313,9 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("energies contain non-finite entries")
     e_min = float(arr.min())
+    span = float(arr.max()) - e_min
+    if not np.isfinite(span):  # the bracketing below scales with the span
+        raise ValidationError(f"energies span {span!r}, past the float range")
     e_flat = float(arr.mean())
     if not (e_min < target_mean < e_flat):
         raise ConstraintError(
@@ -324,7 +328,6 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
         w = np.exp(x - x.max())
         return float((w @ arr) / w.sum())
 
-    span = float(arr.max()) - e_min
     t_lo = 1e-12 * span
     while mean_at(t_lo) >= target_mean:
         t_lo *= 0.5

@@ -139,7 +139,7 @@ class CovarianceSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldSample:
-    """One realization of a periodic scalar field, with its provenance.
+    """One realization of a periodic scalar field, with its seed.
 
     ``values`` is shaped (side,)*dim. Fields produced by :func:`generate`
     regenerate bit-identically from (spec, dim, side, seed).
@@ -150,7 +150,6 @@ class FieldSample:
     values: np.ndarray
     spacing: float
     seed: int
-    spec: CovarianceSpec
     # generate's own values, which no caller holds: checked and frozen, not copied
     _fresh: InitVar[bool] = False
 
@@ -173,7 +172,6 @@ class IndicatorField:
     """Bitmask of a field against a half-open value interval [a, b)."""
 
     bits: np.ndarray
-    interval: tuple
     spacing: float
 
     def __post_init__(self):
@@ -181,7 +179,6 @@ class IndicatorField:
         if arr.max(initial=0) > 1:  # uint8: no entry above 1 means every bit is 0 or 1
             raise ValidationError("indicator bits must be 0 or 1")
         object.__setattr__(self, "bits", arr)
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
 
     @property
     def dim(self) -> int:
@@ -252,9 +249,7 @@ class HierarchyReport:
 @dataclass(frozen=True)
 class DirectionEstimate:
     direction: tuple
-    klass: str
     estimate: float
-    n_offsets: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,9 +451,7 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
         _filter(modes, rows, partial(_times, _both(amplitudes, noise, side**dim)[0]))
         values = rows.reshape(shape) + spec.mean
         del modes, rows, noise  # the table is freed before the sample checks the values
-    return FieldSample(
-        dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), spec=spec, _fresh=True
-    )
+    return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), _fresh=True)
 
 
 def _checked_interval(interval) -> tuple:
@@ -485,7 +478,7 @@ def indicator(field: FieldSample, interval) -> IndicatorField:
     a, b = _checked_interval(interval)
     inside = field.values >= a
     inside &= field.values < b
-    return IndicatorField(bits=inside.view(np.uint8), interval=(a, b), spacing=field.spacing)
+    return IndicatorField(bits=inside.view(np.uint8), spacing=field.spacing)
 
 
 def _coarsen(counts: np.ndarray, dtype) -> np.ndarray:
@@ -626,9 +619,6 @@ def two_point_prob(counts: PairCounts, r: float) -> float:
     return _estimate(counts, _pair_offsets(counts.dim, counts.side, counts.spacing, r))
 
 
-_CLASS_NAMES = {1: "axis", 2: "face-diagonal", 3: "body-diagonal"}
-
-
 @lru_cache(maxsize=32)
 def _direction_groups(dim: int, side: int, spacing: float, r: float) -> tuple:
     """The r-bin's nonzero offsets, their distinct directions in lexicographic
@@ -659,9 +649,7 @@ def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
     """Two-point estimates split by lattice direction at separation r.
 
     Offsets in the r-bin are grouped by direction (y and -y together, since
-    the field's covariance is even); each direction is labeled axis,
-    face-diagonal, or body-diagonal by its number of nonzero components.
-    One gather of the pair counts is summed per direction in int64, and
+    the field's covariance is even). One gather of the pair counts is summed per direction in int64, and
     each estimate divides its integer once. The spread is the largest
     pairwise difference between direction estimates: an isotropic field
     keeps it at the Monte Carlo noise level.
@@ -671,9 +659,7 @@ def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
     np.add.at(pairs, inverse, counts.counts[tuple((offsets % counts.side).T)])
     n = counts.counts.size
     entries = tuple(
-        DirectionEstimate(
-            direction=tuple(d), klass=_CLASS_NAMES[len(d) - d.count(0)], estimate=p / (k * n), n_offsets=k
-        )
+        DirectionEstimate(direction=tuple(d), estimate=p / (k * n))
         for d, p, k in zip(directions.tolist(), pairs.tolist(), np.bincount(inverse).tolist())
     )
     values = [e.estimate for e in entries]

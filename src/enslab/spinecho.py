@@ -47,23 +47,19 @@ TWO_PI = 2.0 * math.pi
 class FrequencySpread:
     """Distribution the precession frequencies are drawn from.
 
-    ``normal`` uses scale as the standard deviation; ``uniform`` draws from
-    [center - scale, center + scale).
+    Both are centred on 0: ``normal`` uses scale as the standard deviation;
+    ``uniform`` draws from [-scale, scale).
     """
 
     kind: str = "normal"
     scale: float = 1.0
-    center: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("normal", "uniform"):
             raise ValidationError(f"spread kind must be 'normal' or 'uniform', got {self.kind!r}")
         if not (np.isfinite(self.scale) and self.scale >= 0.0):
             raise ValidationError(f"spread scale must be >= 0, got {self.scale!r}")
-        if not np.isfinite(self.center):
-            raise ValidationError("spread center must be finite")
-        width = (self.center + self.scale) - (self.center - self.scale)
-        if self.kind == "uniform" and not math.isfinite(width):
+        if self.kind == "uniform" and not math.isfinite(2.0 * self.scale):
             raise ValidationError(f"uniform spread scale {self.scale!r} spans past the float range")
 
 
@@ -73,7 +69,6 @@ class SpinEnsemble:
 
     frequencies: np.ndarray
     phases: np.ndarray
-    seed: int
 
     def __post_init__(self):
         freq = _frozen_array(self.frequencies, dtype=float, what="frequencies", ndim=1)
@@ -96,7 +91,6 @@ class EchoReport:
     magnetization: np.ndarray
     binned_entropy: np.ndarray
     echo_time: float
-    n_bins: int
 
     def __post_init__(self):
         for name in ("times", "magnetization", "binned_entropy"):
@@ -115,28 +109,22 @@ def init_ensemble(n: int, spread: FrequencySpread, seed: int) -> SpinEnsemble:
         raise ValidationError(f"need at least one spin, got {n!r}")
     rng = np.random.default_rng(seed)
     if spread.kind == "normal":
-        freq = spread.center + spread.scale * rng.standard_normal(n)
+        freq = spread.scale * rng.standard_normal(n)
     else:
-        freq = rng.uniform(spread.center - spread.scale, spread.center + spread.scale, n)
-    return SpinEnsemble(frequencies=freq, phases=np.zeros(n), seed=int(seed))
+        freq = rng.uniform(-spread.scale, spread.scale, n)
+    return SpinEnsemble(frequencies=freq, phases=np.zeros(n))
 
 
 def evolve(ensemble: SpinEnsemble, t: float) -> SpinEnsemble:
     """Free precession for time t: phi_i += omega_i * t, exactly."""
     if not (np.isfinite(t) and t >= 0.0):
         raise ValidationError(f"evolution time must be >= 0, got {t!r}")
-    return SpinEnsemble(
-        frequencies=ensemble.frequencies,
-        phases=ensemble.phases + ensemble.frequencies * t,
-        seed=ensemble.seed,
-    )
+    return SpinEnsemble(frequencies=ensemble.frequencies, phases=ensemble.phases + ensemble.frequencies * t)
 
 
 def apply_pulse(ensemble: SpinEnsemble) -> SpinEnsemble:
     """Instantaneous reversal phi_i -> -phi_i; applying it twice is a no-op."""
-    return SpinEnsemble(
-        frequencies=ensemble.frequencies, phases=-ensemble.phases, seed=ensemble.seed
-    )
+    return SpinEnsemble(frequencies=ensemble.frequencies, phases=-ensemble.phases)
 
 
 def magnetization(ensemble: SpinEnsemble) -> float:
@@ -169,7 +157,7 @@ def _phase_counts(phases: np.ndarray, n_bins: int, out: np.ndarray | None = None
     return counts
 
 
-def _binned_entropy(phases: np.ndarray, n_bins: int, out: np.ndarray | None = None) -> float:
+def _binned_entropy(phases: np.ndarray, n_bins: int, out: np.ndarray) -> float:
     """:func:`binned_phase_entropy` without the validated distribution:
     ``_shannon(counts / counts.sum())`` is the value that
     ``entropy(DiscreteDistribution.from_weights(counts))`` computes."""
@@ -226,5 +214,4 @@ def run_protocol(
         magnetization=mags,
         binned_entropy=ents,
         echo_time=2.0 * tau,
-        n_bins=int(n_bins),
     )

@@ -183,7 +183,6 @@ def test_06_isotropy_null_band_and_control():
         values=np.broadcast_to(g.values[:, None], (243, 243)).copy(),
         spacing=1.0,
         seed=99,
-        spec=bump,
     )
     control_spread = isotropy_report(auto_counts(control, band), 1.5).spread
     band_limit = 1.5 * float(null.max())

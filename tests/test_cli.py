@@ -565,6 +565,40 @@ class TestSchema:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize(
+        "subcommand, config, message",
+        [
+            pytest.param(
+                # max - min overflowed to inf, and the temperature bracket,
+                # which scales with it, never closed
+                "canonical",
+                {"energies": [1e308, -1e308], "target_mean_energy": -1.0},
+                "energies span inf, past the float range",
+                id="canonical-span",
+            ),
+            pytest.param(
+                # the block sum overflowed with numpy's RuntimeWarning first
+                "entropy",
+                {"blocks": [[1e308, 1e308]]},
+                "joint probabilities sum to inf, expected 1 within 1e-12",
+                id="entropy-sum",
+            ),
+        ],
+    )
+    def test_sum_past_the_float_range_exits_two_silently(self, subcommand, config, message, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", subcommand, "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"invalid configuration: {message}\n"
+        assert not out.exists()
+
 
 class TestSummaries:
     def test_measure_summary_values(self, tmp_path):

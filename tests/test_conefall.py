@@ -10,7 +10,6 @@ from scipy.stats import chi2, kstest
 
 from enslab import conefall
 from enslab.conefall import (
-    ConeParams,
     InitialMacrostate,
     PhaseState,
     chi_square_uniform,
@@ -63,6 +62,17 @@ class TestTypes:
             InitialMacrostate(
                 center=PhaseState(0.005, 0.0, 0.0, 0.0), support_radii=(0.01, 1.0, 1.0, 1.0)
             )
+
+    @pytest.mark.parametrize("damping", [-0.1, math.nan, math.inf])
+    def test_damping_must_be_finite_and_nonnegative(self, damping):
+        calls = (
+            lambda: integrate(PhaseState(0.1, 0.0, 0.0, 0.0), 1e-3, 1, damping),
+            lambda: run_ensemble(SYMMETRIC_MACRO, 1, 8, damping=damping),
+            lambda: liouville_check(SYMMETRIC_MACRO, 1e-3, 0, damping=damping),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="damping must be >= 0"):
+                call()
 
 
 class TestIntegrate:
@@ -218,8 +228,7 @@ class TestLiouville:
         assert abs(ratio - 1.0) < 1e-4
 
     def test_dissipative_control_contracts(self):
-        damped = ConeParams(damping=0.1)
-        ratio = liouville_check(SYMMETRIC_MACRO, 1e-3, 1000, params=damped)
+        ratio = liouville_check(SYMMETRIC_MACRO, 1e-3, 1000, damping=0.1)
         assert ratio == pytest.approx(math.exp(-0.2), rel=1e-3)
         assert ratio < 0.99
 
@@ -341,7 +350,7 @@ class TestFallOracles:
         # |n| = 1, L . n = 0 and the energy, over 5000 steps of the default
         # box (measured: 1.4e-14, 4.3e-15 and 8.8e-15)
         y0 = conefall._to_vector(*starts(SYMMETRIC_MACRO, 3, 300))
-        kernel = conefall._Lockstep(y0, 1e-3, ConeParams())
+        kernel = conefall._Lockstep(y0, 1e-3, 0.0)
         kernel.advance(5000)
 
         def invariants(y):
@@ -377,43 +386,39 @@ class TestFallOracles:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_derivatives(y, params):
+def _oracle_derivatives(y, d):
     lx, ly, lz, nx, ny, nz = y
-    ml2 = params.mass * params.rod_length**2
-    mgl = params.mass * params.gravity * params.rod_length
-    d = params.damping
-    wx, wy, wz = lx / ml2, ly / ml2, lz / ml2
     return np.array(
         [
-            -mgl * ny - d * lx,
-            mgl * nx - d * ly,
+            -ny - d * lx,
+            nx - d * ly,
             0.0 - d * lz,
-            wy * nz - wz * ny,
-            wz * nx - wx * nz,
-            wx * ny - wy * nx,
+            ly * nz - lz * ny,
+            lz * nx - lx * nz,
+            lx * ny - ly * nx,
         ]
     )
 
 
-def _oracle_rk4_step(y, dt, params):
+def _oracle_rk4_step(y, dt, d):
     h = 0.5 * dt
-    k1 = _oracle_derivatives(y, params)
-    k2 = _oracle_derivatives(y + h * k1, params)
-    k3 = _oracle_derivatives(y + h * k2, params)
-    k4 = _oracle_derivatives(y + dt * k3, params)
+    k1 = _oracle_derivatives(y, d)
+    k2 = _oracle_derivatives(y + h * k1, d)
+    k3 = _oracle_derivatives(y + h * k2, d)
+    k4 = _oracle_derivatives(y + dt * k3, d)
     return y + dt / 6.0 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
 
 
-def oracle_integrate(state, dt, steps, params=ConeParams()):
+def oracle_integrate(state, dt, steps, damping=0.0):
     start = ([v] for v in (state.tilt, state.azimuth, state.tilt_momentum, state.azimuth_momentum))
     y = conefall._to_vector(*start)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            y = _oracle_rk4_step(y, dt, params)
+            y = _oracle_rk4_step(y, dt, damping)
     return PhaseState(*(float(v[0]) for v in conefall._to_canonical(y)))
 
 
-def oracle_ensemble(macro, n, n_sectors, fall_threshold, seed, dt, max_steps, params=ConeParams()):
+def oracle_ensemble(macro, n, n_sectors, fall_threshold, seed, dt, max_steps, damping=0.0):
     """``run_ensemble`` as a plain loop: gather, step and scatter every step."""
     y = conefall._to_vector(*starts(macro, seed, n))
     cos2, sin2 = math.cos(fall_threshold) ** 2, math.sin(fall_threshold) ** 2
@@ -432,7 +437,7 @@ def oracle_ensemble(macro, n, n_sectors, fall_threshold, seed, dt, max_steps, pa
             idx = idx[~down]
             if idx.size == 0 or step >= max_steps:
                 break
-            y[:, idx] = _oracle_rk4_step(y[:, idx], dt, params)
+            y[:, idx] = _oracle_rk4_step(y[:, idx], dt, damping)
             step += 1
     resolved = fall_steps >= 0
     sectors = np.full(n, -1, dtype=np.int64)
@@ -444,7 +449,7 @@ def oracle_ensemble(macro, n, n_sectors, fall_threshold, seed, dt, max_steps, pa
     return sectors, fall_times, final_azimuths
 
 
-def oracle_liouville(macro, dt, steps, n_probe=8, params=ConeParams(), probe_scale=1e-6):
+def oracle_liouville(macro, dt, steps, n_probe=8, damping=0.0, probe_scale=1e-6):
     """``liouville_check`` for ``steps`` >= 1, one plain RK4 loop per bundle."""
     n_bundles = n_probe // 8
     c = macro.center
@@ -465,7 +470,7 @@ def oracle_liouville(macro, dt, steps, n_probe=8, params=ConeParams(), probe_sca
             probes[:, 2 * axis + 1] = minus
         y = conefall._to_vector(*probes)
         for _ in range(int(steps)):
-            y = _oracle_rk4_step(y, dt, params)
+            y = _oracle_rk4_step(y, dt, damping)
         flowed = np.vstack(conefall._to_canonical(y))
         jac = np.empty((4, 4))
         for axis in range(4):
@@ -476,13 +481,13 @@ def oracle_liouville(macro, dt, steps, n_probe=8, params=ConeParams(), probe_sca
     return float(np.mean(dets))
 
 
-def run_both(macro, n, fall_threshold, seed, dt, max_steps, params=ConeParams()):
+def run_both(macro, n, fall_threshold, seed, dt, max_steps, damping=0.0):
     """``run_ensemble`` over 8 sectors, asserted equal to the plain loop."""
     result = run_ensemble(
-        macro, n, 8, fall_threshold=fall_threshold, seed=seed, dt=dt, max_steps=max_steps, params=params
+        macro, n, 8, fall_threshold=fall_threshold, seed=seed, dt=dt, max_steps=max_steps, damping=damping
     )
     sectors, fall_times, final_azimuths = oracle_ensemble(
-        macro, n, 8, fall_threshold, seed, dt, max_steps, params
+        macro, n, 8, fall_threshold, seed, dt, max_steps, damping
     )
     assert result.sectors.tobytes() == sectors.tobytes()
     assert result.fall_times.tobytes() == fall_times.tobytes()
@@ -507,14 +512,14 @@ SPINNING = box(0.3, 0.25, 0.3, 0.2)  # p_phi != 0 for every member
 # p_phi uniform on [-5e-324, 5e-324]: exact zeros, whose e_theta term at
 # entry is skipped, mixed with the smallest subnormals
 MIXED = box(0.3, 0.25, 0.3, 5e-324)
-DAMPED = ConeParams(damping=0.05)
+DAMPED = 0.05
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("macro", [SPINNING, MIXED], ids=["spinning", "mixed"])
-    @pytest.mark.parametrize("params", [ConeParams(), DAMPED], ids=["undamped", "damped"])
-    def test_ensemble_matches_original_loop(self, macro, params):
-        result = run_both(macro, 60, 1.0, 21, 1e-2, 3000, params)
+    @pytest.mark.parametrize("damping", [0.0, DAMPED], ids=["undamped", "damped"])
+    def test_ensemble_matches_original_loop(self, macro, damping):
+        result = run_both(macro, 60, 1.0, 21, 1e-2, 3000, damping)
         assert result.n_unresolved < 60
 
     def test_mixed_box_really_mixes(self):
@@ -544,9 +549,9 @@ class TestBitIdentity:
             PhaseState(0.01, 0.5, -0.02, 1e-9),  # heads over the pole
         ],
     )
-    @pytest.mark.parametrize("params", [ConeParams(), DAMPED], ids=["undamped", "damped"])
-    def test_integrate_matches_original_step(self, state, params):
-        assert bits(integrate(state, 1e-3, 700, params)) == bits(oracle_integrate(state, 1e-3, 700, params))
+    @pytest.mark.parametrize("damping", [0.0, DAMPED], ids=["undamped", "damped"])
+    def test_integrate_matches_original_step(self, state, damping):
+        assert bits(integrate(state, 1e-3, 700, damping)) == bits(oracle_integrate(state, 1e-3, 700, damping))
 
     @pytest.mark.parametrize("state", [PhaseState(0.2, 1.0, -0.3, -0.0), PhaseState(0.5, 6.0, 0.3, -0.3)])
     def test_integrate_zero_steps_is_the_readout(self, state):
@@ -558,12 +563,12 @@ class TestBitIdentity:
         )
         assert out.azimuth_momentum == state.azimuth_momentum
 
-    @pytest.mark.parametrize("params", [ConeParams(), DAMPED], ids=["undamped", "damped"])
+    @pytest.mark.parametrize("damping", [0.0, DAMPED], ids=["undamped", "damped"])
     @pytest.mark.parametrize("n_probe", [8, 24])
-    def test_liouville_matches_original_step(self, params, n_probe):
+    def test_liouville_matches_original_step(self, damping, n_probe):
         for macro in (SYMMETRIC_MACRO, SPINNING):
-            ratio = liouville_check(macro, 1e-3, 300, n_probe=n_probe, params=params)
-            assert ratio == oracle_liouville(macro, 1e-3, 300, n_probe=n_probe, params=params)
+            ratio = liouville_check(macro, 1e-3, 300, n_probe=n_probe, damping=damping)
+            assert ratio == oracle_liouville(macro, 1e-3, 300, n_probe=n_probe, damping=damping)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -578,7 +583,7 @@ class TestBitIdentity:
         # one; their outcomes must agree although the larger batch compacts
         # on a different schedule
         macro = box(0.3, 0.25, 0.3, p_phi_r)
-        kw = dict(fall_threshold=1.0, seed=seed, dt=1e-2, max_steps=3000, params=DAMPED if damped else ConeParams())
+        kw = dict(fall_threshold=1.0, seed=seed, dt=1e-2, max_steps=3000, damping=DAMPED if damped else 0.0)
         small = run_ensemble(macro, n_small, 8, **kw)
         large = run_ensemble(macro, n_small + extra, 8, **kw)
         for field in ("sectors", "fall_times", "final_azimuths"):
@@ -587,12 +592,12 @@ class TestBitIdentity:
 
 def assert_plans_bound(kernel):
     """Every operand of both call plans is a 0-d constant, the broadcast
-    torque scale, or a view of the kernel's buffers over its current batch."""
+    torque sign, or a view of the kernel's buffers over its current batch."""
     for plan in (kernel._step_plan, kernel._fall_plan):
         for _, operands in plan:
             for op in operands:
                 assert isinstance(op, np.ndarray)
-                if op.ndim == 0 or op is kernel._torque_scale:
+                if op.ndim == 0 or op is kernel._torque_sign:
                     continue
                 assert op.shape[-1] == kernel.n
                 assert any(op.base is buf for buf in kernel._buf.values())
@@ -620,7 +625,7 @@ class TestCallPlans:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_upright_reads_the_thresholds_of_each_call(self):
-        kernel = conefall._Lockstep(conefall._to_vector(*starts(SPINNING, 5, 30)), 1e-2, ConeParams())
+        kernel = conefall._Lockstep(conefall._to_vector(*starts(SPINNING, 5, 30)), 1e-2, 0.0)
         nx, ny, nz = kernel.y[3:]
         results = []
         for threshold in (0.2, 0.4, 0.2):

@@ -10,14 +10,14 @@ from enslab.probcore import (
     EntropyDecomposition,
     PartitionedDistribution,
 )
-from enslab.randomfield import CovarianceSpec, FieldSample, IndicatorField
+from enslab.randomfield import FieldSample, IndicatorField
 from enslab.spinecho import EchoReport, SpinEnsemble
 
 
 def _echo(name, source):
     arrays = {"times": [0.0, 1.0], "magnetization": [1.0, 0.5], "binned_entropy": [0.0, 0.7]}
     arrays[name] = source
-    report = EchoReport(**arrays, echo_time=1.0, n_bins=2)
+    report = EchoReport(**arrays, echo_time=1.0)
     return getattr(report, name)
 
 
@@ -47,7 +47,7 @@ CASES = {
     ),
     "ApparatusEnsemble": (
         np.array([[0.1, 0.2], [0.3, 0.4]]),
-        lambda a: ApparatusEnsemble(DiscreteDistribution.uniform(2), a, 0).phases,
+        lambda a: ApparatusEnsemble(DiscreteDistribution.uniform(2), a).phases,
     ),
     "EntropyLedger": (
         np.array([3, 5]),
@@ -55,19 +55,19 @@ CASES = {
     ),
     "FieldSample": (
         np.zeros((3, 3)),
-        lambda a: FieldSample(2, 3, a, 1.0, 0, CovarianceSpec()).values,
+        lambda a: FieldSample(2, 3, a, 1.0, 0).values,
     ),
     "IndicatorField": (
         np.array([[0, 1], [1, 0]], dtype=np.uint8),
-        lambda a: IndicatorField(a, (0.0, 1.0), 1.0).bits,
+        lambda a: IndicatorField(a, 1.0).bits,
     ),
     "SpinEnsemble.frequencies": (
         np.array([1.0, 2.0]),
-        lambda a: SpinEnsemble(a, [0.0, 0.0], 0).frequencies,
+        lambda a: SpinEnsemble(a, [0.0, 0.0]).frequencies,
     ),
     "SpinEnsemble.phases": (
         np.array([0.0, 0.0]),
-        lambda a: SpinEnsemble([1.0, 2.0], a, 0).phases,
+        lambda a: SpinEnsemble([1.0, 2.0], a).phases,
     ),
     **{
         f"EchoReport.{name}": (np.array([0.0, 1.0]), lambda a, name=name: _echo(name, a))

@@ -64,7 +64,6 @@ class TestOffdiagSuppression:
         app = ApparatusEnsemble(
             micro_probs=DiscreteDistribution.uniform(100),
             phases=np.vstack([row, row]),
-            seed=0,
         )
         assert resultant(app) == pytest.approx(1.0, abs=1e-12)
 
@@ -181,9 +180,10 @@ class TestLargestRemainder:
         np.testing.assert_array_equal(largest_remainder_counts(np.array([0.25, 0.75]), 8), [2, 6])
 
 
-def reference_magnitudes(m_values, n_seeds, seed, n_outcomes=2) -> list:
-    """The magnitudes behind each curve point, one full apparatus at a time
-    through the public API, as the curve was first written."""
+def reference_magnitudes(m_values, n_seeds, seed, n_outcomes) -> list:
+    """The magnitudes behind each curve point, one full apparatus of
+    ``n_outcomes`` rows at a time through the public API, as the curve was
+    first written."""
     out = []
     for j, m in enumerate(m_values):
         mags = np.empty(n_seeds)
@@ -210,12 +210,14 @@ class TestSplitCurve:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_bit_identical_to_a_serial_loop(self, cpus, n_outcomes, batch, monkeypatch):
         # 13 seeds on 1-3 threads; a batch of 300 phases holds 3 seeds at
-        # M = 100 and 1 at M = 1001, one of 2**17 (as the default) all 13
+        # M = 100 and 1 at M = 1001, one of 2**17 (as the default) all 13.
+        # The curve draws two outcomes; a reference of three draws rows 0
+        # and 1 first, so its magnitudes are the same
         force_cpus(monkeypatch, cpus)
         monkeypatch.setattr(measurement, "_PHASOR_BATCH", batch)
         m_values, n_seeds, seed = [1, 7, 100, 1001], 13, 40 + cpus
         before = threading.active_count()
-        curve, seen = curve_and_magnitudes(monkeypatch, m_values, n_seeds, seed, n_outcomes)
+        curve, seen = curve_and_magnitudes(monkeypatch, m_values, n_seeds, seed)
         assert threading.active_count() == before
         expected = reference_magnitudes(m_values, n_seeds, seed, n_outcomes)
         assert [m for m, _, _ in curve] == m_values
@@ -226,7 +228,7 @@ class TestSplitCurve:
     def test_workers_call_no_public_function(self, monkeypatch):
         force_cpus(monkeypatch, 3)
         calls = public_calls_off_the_main_thread(monkeypatch)
-        suppression_curve([10, 200], 9, 5, n_outcomes=3)
+        suppression_curve([10, 200], 9, 5)
         assert calls == []
         # the spy sees a public call made off the main thread
         worker = threading.Thread(target=measurement.largest_remainder_counts, args=(np.array([0.25, 0.75]), 8))
@@ -240,7 +242,7 @@ class TestSplitCurve:
         before = threading.active_count()
         phasor_sum = measurement._phasor_sum
 
-        def failing_off_the_main_thread(probs, delta, work=None):
+        def failing_off_the_main_thread(probs, delta, work):
             if threading.current_thread() is not threading.main_thread():
                 raise FloatingPointError(f"{delta.shape[0]} seeds of M = {delta.shape[1]}")
             return phasor_sum(probs, delta, work)
@@ -281,9 +283,7 @@ class TestSplitCurve:
             suppression_curve([10], 0, 1)
         with pytest.raises(ValidationError, match="apparatus needs at least one microstate"):
             suppression_curve([10, 0], 5, 1)
-        with pytest.raises(ValidationError, match="measurement needs at least two outcomes"):
-            suppression_curve([10], 5, 1, n_outcomes=1)
-        assert suppression_curve([], 5, 1, n_outcomes=1) == []
+        assert suppression_curve([], 5, 1) == []
 
 
 def _first_zero_of_j0() -> float:

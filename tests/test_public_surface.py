@@ -1,10 +1,11 @@
 """Every public function and class of the layer modules (those with an
 ``__all__``) is used by some module of the package, or it is listed here;
-and every public method and property of those classes is read by some
-module of the package."""
+and every public method, property and dataclass field of those classes is
+read by some module of the package."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import enslab
 
@@ -13,14 +14,16 @@ SOURCE = pathlib.Path(enslab.__file__).parent
 # public names that only tests reach. hamiltonian, liouville_check and
 # refine state a paper claim (energy conservation, phase volume, refinement
 # invariance) that no run reports yet; integrate is the single-trajectory
-# entry point the physics tests drive; binned_phase_entropy is the public
-# twin of the spin-echo workers' entropy kernel, and the benchmark traces it.
+# entry point the physics tests drive; binned_phase_entropy and magnetization
+# are the public twins of the spin-echo workers' kernels (the benchmark traces
+# both, and the tests take magnetization as the reference for _magnetization).
 UNREACHED = {
     "conefall.hamiltonian",
     "conefall.liouville_check",
     "probcore.refine",
     "conefall.integrate",
     "spinecho.binned_phase_entropy",
+    "spinecho.magnetization",
 }
 
 
@@ -51,12 +54,32 @@ def public_members(module: str, tree) -> set:
     }
 
 
+def public_fields(tree) -> list:
+    """``(class node, field name)`` for every annotated field, not starting
+    with an underscore, of the dataclasses a module lists in ``__all__``."""
+    names = exported(tree)
+    dataclasses = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and node.name in names
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    )
+    return [
+        (cls, node.target.id)
+        for cls in dataclasses
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and not node.target.id.startswith("_")
+    ]
+
+
 def references(module: str, tree) -> set:
-    """The ``module.name`` pairs a module's code uses: its own names, and the
-    names it reads as attributes of a sibling or imports from one."""
+    """The ``module.name`` pairs a module's code uses: its own names it loads
+    (a name that is only assigned, such as a dataclass field, is not used),
+    and the names it reads as attributes of a sibling or imports from one."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(f"{module}.{node.id}")
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             found.add(f"{node.value.id}.{node.attr}")
@@ -85,3 +108,26 @@ def test_every_public_member_is_read_by_the_package():
     read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert members  # the walk finds the classes' members at all
     assert {m for m in members if m.rsplit(".", 1)[1] not in read} == set()
+
+
+def loaded_attributes(root) -> Counter:
+    """How often each attribute name is read under ``root``."""
+    return Counter(
+        node.attr for node in ast.walk(root) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_public_field_is_read_by_the_package():
+    # a field counts as read when package code outside its own class's
+    # __post_init__ reads an attribute of its name, on whatever object
+    trees = parsed_sources()
+    reads = sum(map(loaded_attributes, trees.values()), Counter())
+    fields, unread = 0, set()
+    for module, tree in trees.items():
+        for cls, name in public_fields(tree):
+            fields += 1
+            inits = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+            if reads[name] == sum(map(loaded_attributes, inits), Counter())[name]:
+                unread.add(f"{module}.{cls.name}.{name}")
+    assert fields  # the walk finds the dataclasses' fields at all
+    assert unread == set()
