@@ -19,7 +19,10 @@ two jobs as the two indices of one ``_split``.
 The callers: the field transforms and the rounding of pair counts in
 ``randomfield``, ``generate``'s noise draw beside the amplitude table, the
 CLI's hash of ``field.bin`` beside the field's moments, the suppression
-curve's phasor sums and the spin echo's samples.
+curve's phasor sums and the spin echo's samples. ``conefall.run_ensemble``
+takes its member blocks from :func:`_cpu_count` and :func:`_bounds` too,
+but runs them in forked processes: its stepping loop makes many small
+numpy calls, which would hand the GIL back and forth between threads.
 
 Tasks must call only private kernels, never a public ``__all__`` function,
 a ``DiscreteDistribution`` constructor or the CLI's encoders: those are the
@@ -144,7 +147,7 @@ def _split(run, length: int, size: int) -> list:
     first, then the lowest block's), and no thread outlives the call.
     """
     n_blocks = max(1, min(_cpu_count(), length, size // _MIN_BLOCK_SIZE))
-    bounds = [(length * i // n_blocks, length * (i + 1) // n_blocks) for i in range(n_blocks)]
+    bounds = _bounds(length, n_blocks)
     values = [None] * n_blocks
 
     def block(i):
@@ -155,6 +158,12 @@ def _split(run, length: int, size: int) -> list:
             tasks.submit(partial(block, i))
         block(0)
     return values
+
+
+def _bounds(length: int, n_blocks: int) -> list:
+    """``(start, stop)`` of ``n_blocks`` consecutive blocks covering
+    ``range(length)``, their sizes differing by at most one."""
+    return [(length * i // n_blocks, length * (i + 1) // n_blocks) for i in range(n_blocks)]
 
 
 def _both(first, second, size: int) -> tuple:

@@ -30,7 +30,12 @@ are call plans, lists of ufunc calls on views of the buffers, bound when
 the kernel is built and bound again at each compaction; every other step
 replays them without slicing an array. Each element sees the same
 operations in the same order whatever the batch, so a member's fall time
-and azimuth do not depend on the ensemble around it.
+and azimuth do not depend on the ensemble around it. That holds for a
+block of the ensemble too: :func:`run_ensemble` splits its members into
+one block of consecutive indices per CPU, each block drawing its own
+members and stepping them in its own process (block 0 in the caller, the
+others in forked children, which write into one shared table). So every
+output is the same, bit for bit, whatever the number of CPUs.
 
 A finite-support macrostate (uniform on a box) that straddles the
 equilibrium contains trajectories toward every fall direction; the ensemble
@@ -42,11 +47,16 @@ non-Hamiltonian control for the phase-volume check.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import _blocks
 from .errors import NumericsError, ValidationError
 
 __all__ = [
@@ -67,6 +77,9 @@ MAX_TILT = 0.5 * math.pi
 # largest ||n| - 1| accepted at a fall; it reads 1.8e-14 at dt = 1e-3 and
 # 8.4e-7 at dt = 0.1 on the default box, and is non-finite at dt = 10
 MAX_NORM_DRIFT = 1e-6
+# fewest members a forked block takes: a fork and its reap cost about 2.5 ms,
+# and a block of 64 members spends about 4.5 ms on its draws alone
+_MIN_BLOCK_MEMBERS = 64
 
 
 @dataclass(frozen=True)
@@ -418,10 +431,14 @@ def run_ensemble(
     :func:`member_seed_sequence`) and integrated in lockstep with the same
     RK4 rule as :func:`integrate`; the update is elementwise, so each
     member's trajectory is independent of how many others are running.
-    Final azimuths are binned into ``n_sectors`` equal sectors. Members that
-    never cross within ``max_steps`` land in the unresolved bucket. Raises
-    NumericsError naming ``dt`` if ||n| - 1| at a fall exceeds
-    ``MAX_NORM_DRIFT`` (a step too coarse for the flow).
+    The members are split into one block of consecutive indices per CPU;
+    block 0 runs in this process and each other block in a forked child
+    (see :func:`_in_blocks`), so the result does not depend on the CPU
+    count. Final azimuths are binned into ``n_sectors`` equal sectors.
+    Members that never cross within ``max_steps`` land in the unresolved
+    bucket. Raises NumericsError naming ``dt`` if ||n| - 1| at a fall
+    exceeds ``MAX_NORM_DRIFT`` (a step too coarse for the flow), and naming
+    the members of a block whose process failed.
     """
     if n_members < 1:
         raise ValidationError(f"need at least one member, got {n_members!r}")
@@ -437,34 +454,28 @@ def run_ensemble(
 
     n = int(n_members)
     counts = np.zeros(n_sectors, dtype=int)  # before the work: a table too big fails at once
-    start = np.empty((4, n))
-    member_seeds = np.empty(n, dtype=np.uint64)
-    for m in range(n):
-        ss = member_seed_sequence(seed, m)
-        member_seeds[m] = ss.generate_state(1, np.uint64)[0]
-        state = sample_initial(macro, ss)
-        start[:, m] = state.tilt, state.azimuth, state.tilt_momentum, state.azimuth_momentum
-
-    fall_steps = np.full(n, -1, dtype=np.int64)
-    fallen = np.full((6, n), np.nan)
-    cos2, sin2 = math.cos(fall_threshold) ** 2, math.sin(fall_threshold) ** 2
-    step = 0
+    # numpy's tables before the shared one, so a size too big fails with numpy's message
+    sectors = np.full(n, -1, dtype=np.int64)
+    fall_times = np.full(n, np.nan)
+    final_azimuths = np.full(n, np.nan)
+    table = _shared_table(n)
+    _in_blocks(
+        partial(
+            _fall_block,
+            table,
+            macro=macro,
+            seed=seed,
+            fall_threshold=fall_threshold,
+            dt=dt,
+            max_steps=max_steps,
+            damping=damping,
+        ),
+        n,
+    )
+    member_seeds = table[0].view(np.uint64).copy()
+    fall_steps, fallen = table[1].view(np.int64), table[2:]
+    resolved = fall_steps >= 0
     with np.errstate(all="ignore"):
-        kernel = _Lockstep(_to_vector(*start), dt, damping)
-        upright = kernel.upright(cos2, sin2)
-        while True:
-            if not upright.all():
-                fell = ~upright
-                ids = kernel.ids[fell]
-                fall_steps[ids] = step
-                fallen[:, ids] = kernel.y[:, fell]
-                kernel.compact(upright)
-            if kernel.n == 0 or step >= max_steps:
-                break
-            kernel.step()
-            step += 1
-            upright = kernel.upright(cos2, sin2)
-        resolved = fall_steps >= 0
         drift = float(np.max(np.abs(np.linalg.norm(fallen[3:, resolved], axis=0) - 1.0), initial=0.0))
         if not drift <= MAX_NORM_DRIFT:
             raise NumericsError(
@@ -473,9 +484,6 @@ def run_ensemble(
             )
         _, azimuths, _, _ = _to_canonical(fallen[:, resolved])
 
-    sectors = np.full(n, -1, dtype=np.int64)
-    fall_times = np.full(n, np.nan)
-    final_azimuths = np.full(n, np.nan)
     final_azimuths[resolved] = azimuths
     sectors[resolved] = np.minimum(azimuths // (TWO_PI / n_sectors), n_sectors - 1)
     fall_times[resolved] = fall_steps[resolved] * dt
@@ -490,6 +498,118 @@ def run_ensemble(
         n_sectors=int(n_sectors),
         max_norm_drift=drift,
     )
+
+
+def _shared_table(n: int) -> np.ndarray:
+    """An (8, n) float64 table in an anonymous shared mapping, which forked
+    children write and this process reads: per member its seed (uint64
+    bits), its fall step (int64 bits) and its six-row state at the fall."""
+    import mmap  # here: importing the CLI does not load it
+
+    try:
+        shared = mmap.mmap(-1, 64 * n)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"Unable to map {64 * n} bytes for the member table") from exc
+    return np.frombuffer(shared, dtype=np.float64).reshape(8, n)
+
+
+def _in_blocks(run, n: int) -> None:
+    """Call ``run(start, stop, parent)`` on consecutive blocks covering
+    ``range(n)``, one per CPU, with ``_blocks._bounds``.
+
+    Block 0 runs in this process with ``parent`` None. Each other block runs
+    in a child made by ``os.fork``, with ``parent`` this process's id; the
+    child ends only by ``os._exit``, 0 if ``run`` returned and 1 if it
+    raised anything. A fork that the OS refuses runs its block here. There
+    is one block where ``os.fork`` is missing, where another thread is alive
+    (a fork copies no thread but the caller's, whatever locks the others
+    hold) or where a block would get fewer than ``_MIN_BLOCK_MEMBERS``
+    members. Every child is reaped before this returns or raises: if block
+    0 or a wait raises (a KeyboardInterrupt included), or a child fails,
+    the children still running are killed first. A failed child raises
+    NumericsError naming its members.
+    """
+    import signal
+
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    n_blocks = max(1, min(_blocks._cpu_count(), n // _MIN_BLOCK_MEMBERS)) if forkable else 1
+    bounds = _blocks._bounds(n, n_blocks)
+    parent = os.getpid()
+    children = {}  # pid -> (start, stop), until reaped
+    try:
+        for start, stop in bounds[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                run(start, stop, None)
+                continue
+            if pid == 0:
+                _child(run, start, stop, parent)
+            children[pid] = (start, stop)
+        run(*bounds[0], None)
+        for pid in list(children):
+            status = os.waitpid(pid, 0)[1]
+            start, stop = children.pop(pid)
+            if status != 0:
+                raise NumericsError(
+                    f"members {start}..{stop - 1} failed in a forked process "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(run, start: int, stop: int, parent: int):
+    """The body of a forked child: run its block, then end the process with
+    no cleanup (no flush, no atexit) and without returning to the caller."""
+    status = 1
+    try:
+        run(start, stop, parent)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, max_steps, damping):
+    """Draw members ``start``..``stop - 1`` and step them until they fall;
+    write each one's seed, fall step and state at the fall into its column
+    of :func:`_shared_table`'s ``table`` (an unresolved member's fall step
+    is -1 and its state NaN). With ``parent`` set (in a forked child), the
+    block stops once that process is no longer its parent: nobody is left
+    to read the table."""
+    seeds = table[0, start:stop].view(np.uint64)
+    fall_steps, fallen = table[1, start:stop].view(np.int64), table[2:, start:stop]
+    begin = np.empty((4, stop - start))
+    for j in range(stop - start):
+        ss = member_seed_sequence(seed, start + j)
+        seeds[j] = ss.generate_state(1, np.uint64)[0]
+        state = sample_initial(macro, ss)
+        begin[:, j] = state.tilt, state.azimuth, state.tilt_momentum, state.azimuth_momentum
+    fall_steps[...] = -1
+    fallen[...] = np.nan
+    cos2, sin2 = math.cos(fall_threshold) ** 2, math.sin(fall_threshold) ** 2
+    step = 0
+    with np.errstate(all="ignore"):
+        kernel = _Lockstep(_to_vector(*begin), dt, damping)
+        upright = kernel.upright(cos2, sin2)
+        while True:
+            if not upright.all():
+                fell = ~upright
+                ids = kernel.ids[fell]
+                fall_steps[ids] = step
+                fallen[:, ids] = kernel.y[:, fell]
+                kernel.compact(upright)
+            if kernel.n == 0 or step >= max_steps:
+                break
+            kernel.step()
+            step += 1
+            if parent is not None and step % 1024 == 0 and os.getppid() != parent:
+                raise SystemExit("the process that reads the member table is gone")
+            upright = kernel.upright(cos2, sin2)
 
 
 def liouville_check(

@@ -18,6 +18,7 @@ the explicit ``from_weights`` constructor, never silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -316,7 +317,11 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
     span = float(arr.max()) - e_min
     if not np.isfinite(span):  # the bracketing below scales with the span
         raise ValidationError(f"energies span {span!r}, past the float range")
-    e_flat = float(arr.mean())
+    # the sums below run in units of 2^shift, which is exact and keeps a sum
+    # of levels near the float maximum finite; shift is 0 in the ordinary range
+    shift = max(0, math.frexp(float(np.abs(arr).max()))[1] + math.frexp(arr.size)[1] - 1023)
+    scaled = np.ldexp(arr, -shift)
+    e_flat = math.ldexp(float(scaled.mean()), shift)
     if not (e_min < target_mean < e_flat):
         raise ConstraintError(
             f"target mean {target_mean!r} is unreachable: must lie strictly inside "
@@ -326,7 +331,7 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
     def mean_at(t: float) -> float:
         x = -arr / t
         w = np.exp(x - x.max())
-        return float((w @ arr) / w.sum())
+        return math.ldexp(float((w @ scaled) / w.sum()), shift)
 
     t_lo = 1e-12 * span
     while mean_at(t_lo) >= target_mean:

@@ -173,9 +173,11 @@ class IndicatorField:
 
     bits: np.ndarray
     spacing: float
+    # indicator's own mask, which no caller holds: checked and frozen, not copied
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        arr = _frozen_array(self.bits, dtype=np.uint8, what="indicator bits", finite=False)
+    def __post_init__(self, _fresh):
+        arr = _frozen_array(self.bits, dtype=np.uint8, what="indicator bits", finite=False, copy=not _fresh)
         if arr.max(initial=0) > 1:  # uint8: no entry above 1 means every bit is 0 or 1
             raise ValidationError("indicator bits must be 0 or 1")
         object.__setattr__(self, "bits", arr)
@@ -478,7 +480,7 @@ def indicator(field: FieldSample, interval) -> IndicatorField:
     a, b = _checked_interval(interval)
     inside = field.values >= a
     inside &= field.values < b
-    return IndicatorField(bits=inside.view(np.uint8), spacing=field.spacing)
+    return IndicatorField(bits=inside.view(np.uint8), spacing=field.spacing, _fresh=True)
 
 
 def _coarsen(counts: np.ndarray, dtype) -> np.ndarray:

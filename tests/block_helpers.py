@@ -1,10 +1,13 @@
-"""Shared test helpers: pretend the process may run on n CPUs, and watch
-which public functions run off the main thread."""
+"""Shared test helpers: pretend the process may run on n CPUs, watch which
+public functions run off the main thread, and count the cone's forks."""
 
 import functools
 import inspect
+import os
 import pathlib
 import threading
+
+import pytest
 
 from enslab import _blocks, cli, conefall, measurement, probcore, randomfield, spinecho
 
@@ -13,8 +16,24 @@ LAYERS = (probcore, randomfield, measurement, conefall, spinecho)
 
 def force_cpus(monkeypatch, n):
     # n CPUs, and no minimum block size, so small inputs take the split path
+    # (the cone's forked blocks included)
     monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: set(range(n)))
     monkeypatch.setattr(_blocks, "_MIN_BLOCK_SIZE", 1)
+    monkeypatch.setattr(conefall, "_MIN_BLOCK_MEMBERS", 1)
+
+
+def counted_forks(monkeypatch) -> list:
+    """A list that gains one entry per ``os.fork`` this process calls."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def public_calls_off_the_main_thread(monkeypatch) -> list:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from block_helpers import force_cpus, public_calls_off_the_main_thread
-from enslab import _blocks, cli, conefall, measurement, randomfield, spinecho
+from enslab import _blocks, cli, conefall, measurement, probcore, randomfield, spinecho
 from enslab.errors import NumericsError
 
 SMALL_CONFIGS = {
@@ -599,6 +599,36 @@ class TestSchema:
         assert proc.stderr == f"invalid configuration: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # the levels' sum overflows, and so did the weighted sum of the
+            # bisection: two warnings, then "bisection stalled" (exit 3)
+            pytest.param({"energies": [1.7e308, 1.7e308, 1.6e308], "target_mean_energy": 1.65e308}, id="stalled"),
+            # the levels' sum overflows: one warning, then exit 0
+            pytest.param({"energies": [1e308, 1e308, 0.0], "target_mean_energy": 1.0}, id="warned"),
+        ],
+    )
+    def test_canonical_near_the_float_maximum_is_silent(self, config, tmp_path):
+        # a target strictly inside (min, mean) is reachable, although the
+        # levels' sum is past the float range
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", "canonical", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        summary = json.loads((out / "summary.json").read_text())
+        energies, target = config["energies"], config["target_mean_energy"]
+        # the solver's final tolerance check, read from the written mean
+        span = max(energies) - min(energies)
+        assert abs(summary["mean_energy"] - target) <= max(probcore.MEAN_ENERGY_TOL, 1e-12 * span)
+        assert 0.0 < summary["temperature"] < math.inf
+
 
 class TestSummaries:
     def test_measure_summary_values(self, tmp_path):
@@ -908,8 +938,10 @@ class TestRunnersOnlyCompute:
 
 class TestEntryPoint:
     def test_import_loads_no_pool_or_logging(self):
-        # start-up cost paid by every run: numpy does not load these itself
-        code = "import sys, enslab.cli; print(*sorted({'concurrent.futures', 'queue', 'logging'} & set(sys.modules)))"
+        # start-up cost paid by every run: numpy does not load these itself;
+        # the cone loads mmap only when it runs, and forks without a pool
+        names = {"concurrent.futures", "queue", "logging", "multiprocessing", "mmap"}
+        code = f"import sys, enslab.cli; print(*sorted({names!r} & set(sys.modules)))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == ""
 

@@ -1,5 +1,12 @@
+import errno
+import json
 import math
+import mmap
+import os
+import threading
+import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +15,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.stats import chi2, kstest
 
-from enslab import conefall
+from block_helpers import assert_no_child_left, counted_forks, force_cpus
+from enslab import _blocks, cli, conefall
 from enslab.conefall import (
     InitialMacrostate,
     PhaseState,
@@ -22,6 +30,13 @@ from enslab.conefall import (
 )
 from enslab.errors import NumericsError, ValidationError
 from enslab.probcore import DiscreteDistribution, entropy
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    # ensembles of 128 members or more fork on a host with two CPUs or more
+    yield
+    assert_no_child_left()
+
 
 SYMMETRIC_MACRO = InitialMacrostate(
     center=PhaseState(tilt=0.01, azimuth=math.pi, tilt_momentum=0.0, azimuth_momentum=0.0),
@@ -646,3 +661,169 @@ class TestCallPlans:
         monkeypatch.setattr(conefall._Lockstep, "__init__", counted_init)
         liouville_check(SYMMETRIC_MACRO, 1e-3, 10, n_probe=24)
         assert sizes == [24]
+
+
+# ---------------------------------------------------------------------------
+# Forked blocks: run_ensemble splits its members into one block per CPU,
+# block 0 in this process and each other block in a child made by os.fork.
+# ---------------------------------------------------------------------------
+
+
+def result_bits(result):
+    """Every array of an EnsembleResult as bytes, and its scalars exactly."""
+    arrays = ("sector_counts", "sectors", "fall_times", "final_azimuths", "member_seeds")
+    return {
+        **{name: getattr(result, name).tobytes() for name in arrays},
+        "n_unresolved": result.n_unresolved,
+        "max_norm_drift": result.max_norm_drift.hex(),
+    }
+
+
+class TestForkedBlocks:
+    @pytest.mark.parametrize(
+        "macro, n, seed, max_steps, damping",
+        [
+            pytest.param(SPINNING, 7, 21, 3000, 0.0, id="uneven-undamped"),
+            pytest.param(MIXED, 7, 21, 3000, DAMPED, id="uneven-damped"),
+            pytest.param(SPINNING, 30, 9, 120, 0.0, id="unresolved"),
+        ],
+    )
+    def test_results_do_not_depend_on_the_cpu_count(self, macro, n, seed, max_steps, damping, monkeypatch):
+        forks = counted_forks(monkeypatch)
+        results = []
+        for cpus in (1, 2, 3):
+            force_cpus(monkeypatch, cpus)
+            forks.clear()
+            # run_both also holds each result to the textbook RK4 loop
+            results.append(result_bits(run_both(macro, n, 1.0, seed, 1e-2, max_steps, damping)))
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+        assert results[0] == results[1] == results[2]
+        unresolved = results[0]["n_unresolved"]
+        assert 0 < unresolved < n if max_steps == 120 else unresolved == 0
+
+    def test_coarse_dt_names_dt_on_every_cpu_count(self, monkeypatch):
+        messages = set()
+        for cpus in (1, 2, 3):
+            force_cpus(monkeypatch, cpus)
+            with pytest.raises(NumericsError, match=r"^dt=0\.3 is too coarse") as info:
+                run_ensemble(SYMMETRIC_MACRO, 50, 8, seed=3, dt=0.3, max_steps=1000)
+            messages.add(str(info.value))  # the drift, to the last printed digit
+            assert_no_child_left()
+        assert len(messages) == 1
+
+    def test_a_failed_child_raises_naming_its_members(self, monkeypatch, tmp_path, capsys):
+        force_cpus(monkeypatch, 3)
+        parent, step = os.getpid(), conefall._Lockstep.step
+
+        def failing_in_a_child(kernel):
+            if os.getpid() != parent:
+                raise FloatingPointError("a failing step")
+            step(kernel)
+
+        monkeypatch.setattr(conefall._Lockstep, "step", failing_in_a_child)
+        # 7 members on 3 CPUs: blocks 0..1, 2..3 and 4..6; the lowest failed one is named
+        message = "members 2..3 failed in a forked process (exit status 1)"
+        with pytest.raises(NumericsError) as info:
+            run_ensemble(SPINNING, 7, 8, seed=21, dt=1e-2, max_steps=3000)
+        assert str(info.value) == message
+        assert_no_child_left()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_members": 7, "dt": 1e-2}))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert cli.main(["cone", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerics error: {message}\n"
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [FloatingPointError, KeyboardInterrupt])
+    def test_a_failure_here_kills_and_reaps_the_children(self, error, monkeypatch):
+        # each child's one step takes 20 s; the error reaches the caller
+        # within 5 s, and every child is gone
+        force_cpus(monkeypatch, 3)
+        parent = os.getpid()
+
+        def failing_here(kernel):
+            if os.getpid() == parent:
+                raise error("a failing step")
+            time.sleep(20.0)
+
+        monkeypatch.setattr(conefall._Lockstep, "step", failing_here)
+        start = time.monotonic()
+        with pytest.raises(error, match="a failing step"):
+            run_ensemble(SPINNING, 7, 8, seed=21, dt=1e-2, max_steps=1)
+        assert time.monotonic() - start < 5.0
+        assert_no_child_left()
+
+    def test_no_fork_below_the_floor_beside_a_thread_or_without_fork(self, monkeypatch):
+        def refused():
+            raise AssertionError("os.fork was called")
+
+        def run():
+            return result_bits(run_ensemble(SPINNING, n, 8, seed=21, dt=1e-2, max_steps=200))
+
+        monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", refused)
+        n = 2 * conefall._MIN_BLOCK_MEMBERS - 1  # one block short of two full ones
+        below_the_floor = run()
+        monkeypatch.setattr(conefall, "_MIN_BLOCK_MEMBERS", 1)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            beside_a_thread = run()
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert below_the_floor == beside_a_thread == run()
+
+    def test_a_refused_fork_runs_its_block_here(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        expected = result_bits(run_ensemble(SPINNING, 7, 8, seed=21, dt=1e-2, max_steps=3000))
+        forks = []
+        fork = os.fork
+
+        def refuse_the_second():
+            forks.append(len(forks))
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", refuse_the_second)
+        assert result_bits(run_ensemble(SPINNING, 7, 8, seed=21, dt=1e-2, max_steps=3000)) == expected
+        assert forks == [0, 1]
+
+    def test_a_block_whose_parent_is_gone_stops(self):
+        # a child polls its parent's id every 1024 steps; these members fall
+        # after about 7000 steps, so the block stops with none fallen
+        table = np.zeros((8, 4))
+        block = partial(
+            conefall._fall_block,
+            table,
+            macro=SYMMETRIC_MACRO,
+            seed=3,
+            fall_threshold=1.0,
+            dt=1e-3,
+            max_steps=10**6,
+            damping=0.0,
+        )
+        with pytest.raises(SystemExit):
+            block(0, 4, -1)
+        assert np.all(table[1].view(np.int64) == -1)
+        block(0, 4, os.getppid())
+        assert np.all(table[1].view(np.int64) > 1024)
+
+    def test_a_refused_mapping_is_out_of_memory(self, monkeypatch):
+        # a size numpy refuses fails first, with numpy's own message (the
+        # CLI's test_unallocatable_size_exits_three); past numpy, a shared
+        # table the OS cannot map is out of memory too
+        class Refused:
+            def __init__(self, fileno, length):
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", Refused)
+        with pytest.raises(MemoryError, match=f"^Unable to map {64 * 5} bytes"):
+            run_ensemble(SYMMETRIC_MACRO, 5, 8)

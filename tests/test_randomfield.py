@@ -213,6 +213,26 @@ class TestIndicator:
         with pytest.raises(ValidationError):
             indicator(f, (1.0, 1.0))
 
+    def test_own_mask_is_frozen_not_copied(self):
+        # indicator's bitmask is the uint8 view of its own boolean mask, not
+        # a copy of it, and still read-only
+        f = generate(WHITE, 3, 54, 5)
+        ind = indicator(f, (-0.5, 0.5))
+        assert ind.bits.base is not None and ind.bits.base.dtype == np.bool_
+        assert not ind.bits.flags.writeable
+        assert np.array_equal(ind.bits, (f.values >= -0.5) & (f.values < 0.5))
+        with pytest.raises(ValueError):
+            ind.bits[0, 0, 0] = 1
+
+    def test_caller_mask_is_copied_and_checked(self):
+        bits = np.zeros((3, 3), dtype=np.uint8)
+        ind = IndicatorField(bits=bits, spacing=1.0)
+        assert ind.bits.base is None and not np.shares_memory(ind.bits, bits)
+        bits[0, 0] = 1
+        assert ind.bits.sum() == 0
+        with pytest.raises(ValidationError, match="0 or 1"):
+            IndicatorField(bits=bits + 1, spacing=1.0)
+
     def test_half_open_tiling(self):
         f = generate(WHITE, 2, 81, 7)
         cuts = (-1e9, -0.5, 0.3, 1e9)
