@@ -515,7 +515,10 @@ def _run_cone(params: dict, seed: int):
         else None,
         "fall_time_stats": result.fall_time_stats(),
         "n_sectors": result.n_sectors,
-        "diagnostics": {"max_norm_drift": result.max_norm_drift},
+        "diagnostics": {
+            "max_norm_drift": result.max_norm_drift,
+            "max_energy_drift": result.max_energy_drift,
+        },
     }
     return summary, outputs
 

@@ -25,7 +25,11 @@ One lockstep kernel (``_Lockstep``) steps every integration here: the
 single state of :func:`integrate`, the probe bundles of
 :func:`liouville_check` (all in one batch) and the whole ensemble of
 :func:`run_ensemble`. Its buffers are allocated once, and the batch is
-compacted only on steps where members fell. The RK4 step and the fall test
+compacted only on steps where members fell. Its state rows are
+``n_x' n_y' | n_z n_x n_y L_x L_y L_z | L_x'``, the primed rows copies of
+n_x, n_y and L_x: every operand of the cross product L x n is then a
+contiguous slice of rows, so a step copies no L, and an undamped step
+makes no damping call (37 ufunc calls a step, 45 with damping). The RK4 step and the fall test
 are call plans, lists of ufunc calls on views of the buffers, bound when
 the kernel is built and bound again at each compaction; every other step
 replays them without slicing an array. Each element sees the same
@@ -80,6 +84,8 @@ MAX_NORM_DRIFT = 1e-6
 # fewest members a forked block takes: a fork and its reap cost about 2.5 ms,
 # and a block of 64 members spends about 4.5 ms on its draws alone
 _MIN_BLOCK_MEMBERS = 64
+# the rows of ``_Lockstep``'s state that hold L_x, L_y, L_z, n_x, n_y, n_z
+_LN_ROWS = np.array([5, 6, 7, 3, 4, 2])
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,9 @@ class EnsembleResult:
     within the step budget); their ``fall_times`` entries are NaN. Unresolved
     members are reported, never dropped. ``max_norm_drift`` is the largest
     ||n| - 1| over the members' falls (0.0 if none fell): the integration
-    error of the run, bounded by ``MAX_NORM_DRIFT``.
+    error of the run, bounded by ``MAX_NORM_DRIFT``. ``max_energy_drift`` is
+    the largest change of the energy between a member's start and its fall
+    (0.0 if none fell), and None for a damped run, whose flow dissipates.
     """
 
     sector_counts: np.ndarray
@@ -138,6 +146,7 @@ class EnsembleResult:
     member_seeds: np.ndarray
     n_sectors: int
     max_norm_drift: float
+    max_energy_drift: float | None
 
     def fall_time_stats(self) -> dict:
         resolved = self.fall_times[np.isfinite(self.fall_times)]
@@ -171,6 +180,13 @@ def hamiltonian(state: PhaseState) -> float:
     return state.tilt_momentum**2 / 2.0 + rot + math.cos(state.tilt)
 
 
+def _energy(y) -> np.ndarray:
+    """The energy |L|^2 / 2 + n_z of (6, m) vector-chart states (L, n),
+    elementwise: :func:`hamiltonian` on the chart."""
+    lx, ly, lz, _, _, nz = y
+    return (lx * lx + ly * ly + lz * lz) / 2.0 + nz
+
+
 class _Lockstep:
     """Classical RK4 on the vector chart, stepping a batch of members.
 
@@ -180,17 +196,27 @@ class _Lockstep:
         dL/dt = (-n_y, n_x, 0) - damping L,    dn/dt = L x n
 
     The right-hand side is polynomial: no trig, no 1/sin, no chart change at
-    the pole, and one path for damped and undamped runs. Without damping
-    dL_z/dt is exactly 0 - 0*L_z, so L_z (= p_phi) comes back bit-exact.
+    the pole. Without damping the plan holds no damping term: the torque is
+    the increment itself, and dL_z/dt is a row of zeros written once per
+    batch size, so L_z (= p_phi) comes back bit-exact.
 
     Each element goes through the operations of the textbook update
     (``k = f(y)``, stage ``y + h*k``, then
     ``y + dt/6 * (((k1 + 2*k2) + 2*k3) + k4)``) in the same order, so a
     member's trajectory is the same to the last bit whatever batch it runs
-    in. Every ufunc writes into a buffer allocated once; ``compact`` drops
-    members and moves the survivors to the front. The state and stage
-    buffers repeat n_x, n_y after n_z, so the cyclic shifts the cross
-    product reads and the (n_y, n_x) pair of the torque are row slices.
+    in. The undamped torque leaves out the textbook's ``- 0*L``, which
+    changes no finite value but the sign of a zero: a -0 torque stays -0
+    where ``-0 - 0*L`` is +0 for an L with its sign bit set. Every ufunc writes into a buffer allocated once; ``compact`` drops
+    members and moves the survivors to the front.
+
+    The state and stage buffers have 9 rows, ``n_x' n_y' | n_z n_x n_y L_x
+    L_y L_z | L_x'``: the state proper is rows 2-7, and the primed rows
+    repeat n_x, n_y and L_x, copied after each stage and each step. An
+    increment has the 6 rows of the state proper. So the cross product
+    needs no copy of L: rows 5-7 times rows 1-3, less rows 6-8 times rows
+    0-2, is (L x n)_z, (L x n)_x, (L x n)_y, the increment's first three
+    rows, and the torque's (n_y, n_x) is the reversed slice of rows 4-3.
+    ``y`` reads the state back in the (L, n) order of :func:`_to_vector`.
 
     The step and the fall test are call plans: lists of (function,
     operands) on views of the buffers, built by ``_resize`` once per batch
@@ -211,62 +237,70 @@ class _Lockstep:
         self._two = const(2.0)
         self._cos2, self._sin2 = const(0.0), const(0.0)
         n = y.shape[1]
-        rows = {"y": 8, "stage": 8, "k": 24, "omega": 5, "torque": 3, "work": 3}
+        rows = {"state": 9, "stage": 9, "k": 24, "torque": 3, "work": 3}
         self._buf = {name: np.empty(r * n) for name, r in rows.items()}
         self._buf["keep"] = np.empty(n, dtype=bool)
         self.ids = np.arange(n)
         self._resize(n)
-        self.y[...] = y
-        _replay([self._repeat(self._state)])
+        self._state[_LN_ROWS] = y
+        _replay(self._repeat(self._state))
+
+    @property
+    def y(self) -> np.ndarray:
+        """A copy of the state, (L, n) by members."""
+        return self._state[_LN_ROWS]
 
     def _resize(self, n: int) -> None:
         """Point every view at the first ``n`` members, contiguously, and
         bind the step and fall-test plans to them."""
         view = lambda name, *shape: self._buf[name][: math.prod(shape)].reshape(shape)  # noqa: E731
         self.n = n
-        self._state, self._stage = view("y", 8, n), view("stage", 8, n)
-        self.y = self._state[:6]
+        self._state, self._stage = view("state", 9, n), view("stage", 9, n)
         self.k = view("k", 4, 6, n)
-        self._omega, self._work = view("omega", 5, n), view("work", 3, n)
-        self._torque = view("torque", 3, n)
+        self.k[:, 5] = 0.0  # dL_z/dt of an undamped plan, which never writes it
+        self._torque, self._work = view("torque", 3, n), view("work", 3, n)
         self._torque[2] = 0.0
         self._keep = view("keep", n)
         self._step_plan = self._rk4_calls()
         self._fall_plan = self._fall_calls()
 
     @staticmethod
-    def _repeat(z) -> tuple:
-        """The call that copies n_x, n_y into the two rows after n_z."""
-        return np.copyto, (z[6:], z[3:5])
+    def _repeat(z) -> list:
+        """The calls that copy n_x, n_y and L_x into their primed rows."""
+        return [(np.copyto, (z[:2], z[3:5])), (np.copyto, (z[8], z[5]))]
 
     def _derivatives(self, z, k) -> list:
-        """The calls that put the equations of motion at the 8-row stage
+        """The calls that put the equations of motion at the 9-row stage
         values ``z`` into increments ``k``."""
-        omega, torque, work = self._omega, self._torque, self._work
-        return [
-            # omega = L, with L_x, L_y repeated after L_z
-            (np.copyto, (omega[:3], z[:3])),
-            (np.copyto, (omega[3:], omega[:2])),
-            # (omega x n)_i = omega_(i+1) n_(i+2) - omega_(i+2) n_(i+1), indices mod 3
-            (np.multiply, (omega[1:4], z[5:8], k[3:])),
-            (np.multiply, (omega[2:5], z[4:7], work)),
-            (np.subtract, (k[3:], work, k[3:])),
+        work = self._work
+        calls = [
+            # (L x n)_(z, x, y) = L_(x, y, z) n_(y, z, x) - L_(y, z, x) n_(x, y, z)
+            (np.multiply, (z[5:8], z[1:4], k[:3])),
+            (np.multiply, (z[6:9], z[:3], work)),
+            (np.subtract, (k[:3], work, k[:3])),
+        ]
+        if self._damping == 0.0:
+            # torque (-n_y, n_x); k[5] stays 0
+            return calls + [(np.multiply, (self._torque_sign, z[4:2:-1], k[3:5]))]
+        torque = self._torque
+        return calls + [
             # torque (-n_y, n_x, 0); its last row stays 0
             (np.multiply, (self._torque_sign, z[4:2:-1], torque[:2])),
-            (np.multiply, (self._damping, z[:3], k[:3])),
-            (np.subtract, (torque, k[:3], k[:3])),
+            (np.multiply, (self._damping, z[5:8], k[3:])),
+            (np.subtract, (torque, k[3:], k[3:])),
         ]
 
     def _rk4_calls(self) -> list:
         """The calls of one RK4 step of size dt on every member."""
-        y, stage, k = self.y, self._stage, self.k
+        state, stage, k = self._state, self._stage, self.k
+        y = state[2:8]
         k1, k2, k3, k4 = k
-        plan = self._derivatives(self._state, k1)
+        plan = self._derivatives(state, k1)
         for j, h in enumerate(self._stage_steps):
             plan += [
-                (np.multiply, (h, k[j], stage[:6])),
-                (np.add, (y, stage[:6], stage[:6])),
-                self._repeat(stage),
+                (np.multiply, (h, k[j], stage[2:8])),
+                (np.add, (y, stage[2:8], stage[2:8])),
+                *self._repeat(stage),
                 *self._derivatives(stage, k[j + 1]),
             ]
         # the k buffers are spent once read: accumulate in k2
@@ -278,7 +312,7 @@ class _Lockstep:
             (np.add, (k2, k4, k2)),
             (np.multiply, (self._sixth, k2, k2)),
             (np.add, (y, k2, y)),
-            self._repeat(self._state),
+            *self._repeat(state),
         ]
 
     def _fall_calls(self) -> list:
@@ -288,7 +322,7 @@ class _Lockstep:
         threshold in (0, pi/2): no trig, no square root.
         """
         a, b, _ = self._work
-        nx, ny, nz = self.y[3:]
+        nz, nx, ny = self._state[2:5]
         return [
             (np.multiply, (nx, nx, a)),
             (np.multiply, (ny, ny, b)),
@@ -473,7 +507,7 @@ def run_ensemble(
         n,
     )
     member_seeds = table[0].view(np.uint64).copy()
-    fall_steps, fallen = table[1].view(np.int64), table[2:]
+    fall_steps, start_energies, fallen = table[1].view(np.int64), table[2], table[3:]
     resolved = fall_steps >= 0
     with np.errstate(all="ignore"):
         drift = float(np.max(np.abs(np.linalg.norm(fallen[3:, resolved], axis=0) - 1.0), initial=0.0))
@@ -482,6 +516,11 @@ def run_ensemble(
                 f"dt={dt!r} is too coarse: |n| drifted from 1 by {drift:.3g} at a fall "
                 f"(limit {MAX_NORM_DRIFT:g}); use a smaller dt"
             )
+        energy_drift = (
+            None
+            if damping > 0.0
+            else float(np.max(np.abs(_energy(fallen[:, resolved]) - start_energies[resolved]), initial=0.0))
+        )
         _, azimuths, _, _ = _to_canonical(fallen[:, resolved])
 
     final_azimuths[resolved] = azimuths
@@ -497,22 +536,24 @@ def run_ensemble(
         member_seeds=member_seeds,
         n_sectors=int(n_sectors),
         max_norm_drift=drift,
+        max_energy_drift=energy_drift,
     )
 
 
 def _shared_table(n: int) -> np.ndarray:
-    """An (8, n) float64 table in an anonymous shared mapping, which forked
+    """A (9, n) float64 table in an anonymous shared mapping, which forked
     children write and this process reads: per member its seed (uint64
-    bits), its fall step (int64 bits) and its six-row state at the fall."""
+    bits), its fall step (int64 bits), its start energy and its six-row
+    state at the fall."""
     import mmap  # here: importing the CLI does not load it
 
     try:
-        shared = mmap.mmap(-1, 64 * n)
+        shared = mmap.mmap(-1, 72 * n)
     except OSError as exc:
         if exc.errno != errno.ENOMEM:
             raise
-        raise MemoryError(f"Unable to map {64 * n} bytes for the member table") from exc
-    return np.frombuffer(shared, dtype=np.float64).reshape(8, n)
+        raise MemoryError(f"Unable to map {72 * n} bytes for the member table") from exc
+    return np.frombuffer(shared, dtype=np.float64).reshape(9, n)
 
 
 def _in_blocks(run, n: int) -> None:
@@ -576,13 +617,13 @@ def _child(run, start: int, stop: int, parent: int):
 
 def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, max_steps, damping):
     """Draw members ``start``..``stop - 1`` and step them until they fall;
-    write each one's seed, fall step and state at the fall into its column
-    of :func:`_shared_table`'s ``table`` (an unresolved member's fall step
-    is -1 and its state NaN). With ``parent`` set (in a forked child), the
-    block stops once that process is no longer its parent: nobody is left
-    to read the table."""
+    write each one's seed, fall step, start energy and state at the fall
+    into its column of :func:`_shared_table`'s ``table`` (an unresolved
+    member's fall step is -1 and its state NaN). With ``parent`` set (in a
+    forked child), the block stops once that process is no longer its
+    parent: nobody is left to read the table."""
     seeds = table[0, start:stop].view(np.uint64)
-    fall_steps, fallen = table[1, start:stop].view(np.int64), table[2:, start:stop]
+    fall_steps, fallen = table[1, start:stop].view(np.int64), table[3:, start:stop]
     begin = np.empty((4, stop - start))
     for j in range(stop - start):
         ss = member_seed_sequence(seed, start + j)
@@ -594,7 +635,9 @@ def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, 
     cos2, sin2 = math.cos(fall_threshold) ** 2, math.sin(fall_threshold) ** 2
     step = 0
     with np.errstate(all="ignore"):
-        kernel = _Lockstep(_to_vector(*begin), dt, damping)
+        y = _to_vector(*begin)
+        table[2, start:stop] = _energy(y)
+        kernel = _Lockstep(y, dt, damping)
         upright = kernel.upright(cos2, sin2)
         while True:
             if not upright.all():

@@ -479,7 +479,9 @@ def indicator(field: FieldSample, interval) -> IndicatorField:
     """Bitmask that is 1 exactly where a <= value < b."""
     a, b = _checked_interval(interval)
     inside = field.values >= a
-    inside &= field.values < b
+    # a :func:`_slabs` slice at a time: no second mask of the field's size
+    for slabs in _slabs(inside, 0, field.side):
+        inside[slabs] &= field.values[slabs] < b
     return IndicatorField(bits=inside.view(np.uint8), spacing=field.spacing, _fresh=True)
 
 

@@ -717,6 +717,16 @@ class TestSummaries:
         assert members[0] == "member,seed,fall_time,final_azimuth,sector"
         assert len(members) == 41
 
+    def test_cone_energy_drift_beside_norm_drift(self, tmp_path):
+        drifts = {}
+        for damping in (0.0, 0.05):
+            out = tmp_path / f"k{damping}"
+            assert run_cli("cone", out, extra={"damping": damping}, tmp_path=tmp_path) == 0
+            drifts[damping] = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert sorted(drifts[0.0]) == ["max_energy_drift", "max_norm_drift"]
+        assert 0.0 < drifts[0.0]["max_energy_drift"] < 1e-12
+        assert drifts[0.05]["max_energy_drift"] is None
+
     def test_field_sidecar_and_binary(self, tmp_path):
         out = tmp_path / "f"
         assert run_cli("field", out, tmp_path=tmp_path) == 0

@@ -528,6 +528,7 @@ SPINNING = box(0.3, 0.25, 0.3, 0.2)  # p_phi != 0 for every member
 # entry is skipped, mixed with the smallest subnormals
 MIXED = box(0.3, 0.25, 0.3, 5e-324)
 DAMPED = 0.05
+TINY = 1e-300  # damped, but below every increment
 
 
 class TestBitIdentity:
@@ -585,6 +586,15 @@ class TestBitIdentity:
             ratio = liouville_check(macro, 1e-3, 300, n_probe=n_probe, damping=damping)
             assert ratio == oracle_liouville(macro, 1e-3, 300, n_probe=n_probe, damping=damping)
 
+    def test_tiny_damping_takes_the_damped_plan(self):
+        # any damping > 0 binds the damping term, however small its effect
+        result = run_both(SPINNING, 60, 1.0, 21, 1e-2, 3000, TINY)
+        assert result.n_unresolved < 60 and result.max_energy_drift is None
+        for state in (PhaseState(0.0, math.pi, 0.0, 0.0), PhaseState(0.5, 1.0, -0.3, 0.3)):
+            assert bits(integrate(state, 1e-3, 700, TINY)) == bits(oracle_integrate(state, 1e-3, 700, TINY))
+        ratio = liouville_check(SPINNING, 1e-3, 300, damping=TINY)
+        assert ratio == oracle_liouville(SPINNING, 1e-3, 300, damping=TINY)
+
     @settings(max_examples=25, deadline=None)
     @given(
         n_small=st.integers(1, 4),
@@ -618,23 +628,52 @@ def assert_plans_bound(kernel):
                 assert any(op.base is buf for buf in kernel._buf.values())
 
 
+def step_plan_shape(kernel):
+    """The step plan's length and how many of its operands are the damping
+    constant, after checking (on a batch that is not empty) that every
+    operand of both plans is C-contiguous but the reversed (n_y, n_x) view
+    of the torque, one per derivative."""
+    operands = [op for _, ops in kernel._step_plan for op in ops]
+    if kernel.n:
+        strided = [op for op in operands if not op.flags.c_contiguous]
+        assert len(strided) == 4 and all(op.strides == (-8 * kernel.n, 8) for op in strided)
+        assert all(op.flags.c_contiguous for _, ops in kernel._fall_plan for op in ops)
+    return len(kernel._step_plan), sum(op is kernel._damping for op in operands)
+
+
+def check_every_binding(monkeypatch, check):
+    """Call ``check(kernel)`` after each kernel construction and each
+    ``compact``; returns the list of batch sizes, appended as they come."""
+    sizes = []
+    init, compact = conefall._Lockstep.__init__, conefall._Lockstep.compact
+
+    def checked_init(kernel, *args):
+        init(kernel, *args)
+        check(kernel)
+        sizes.append(kernel.n)
+
+    def checked_compact(kernel, keep):
+        compact(kernel, keep)
+        check(kernel)
+        sizes.append(kernel.n)
+
+    monkeypatch.setattr(conefall._Lockstep, "__init__", checked_init)
+    monkeypatch.setattr(conefall._Lockstep, "compact", checked_compact)
+    return sizes
+
+
 class TestCallPlans:
+    @pytest.mark.parametrize("damping, shape", [(0.0, (37, 0)), (DAMPED, (45, 4)), (TINY, (45, 4))])
+    def test_step_plan_shape_after_every_compaction(self, damping, shape, monkeypatch):
+        def check(kernel):
+            assert step_plan_shape(kernel) == shape
+
+        sizes = check_every_binding(monkeypatch, check)
+        run_both(SPINNING, 40, 1.0, 7, 1e-2, 3000, damping)
+        assert sizes[0] == 40 and sizes[-1] == 0 and len(sizes) > 5
+
     def test_plans_follow_every_compaction(self, monkeypatch):
-        sizes = []
-        init, compact = conefall._Lockstep.__init__, conefall._Lockstep.compact
-
-        def checked_init(kernel, *args):
-            init(kernel, *args)
-            assert_plans_bound(kernel)
-            sizes.append(kernel.n)
-
-        def checked_compact(kernel, keep):
-            compact(kernel, keep)
-            assert_plans_bound(kernel)
-            sizes.append(kernel.n)
-
-        monkeypatch.setattr(conefall._Lockstep, "__init__", checked_init)
-        monkeypatch.setattr(conefall._Lockstep, "compact", checked_compact)
+        sizes = check_every_binding(monkeypatch, assert_plans_bound)
         result = run_both(SPINNING, 40, 1.0, 7, 1e-2, 3000)
         assert sizes[0] == 40 and sizes[-1] == result.n_unresolved == 0 and len(sizes) > 5
         assert sizes == sorted(sizes, reverse=True)
@@ -661,6 +700,43 @@ class TestCallPlans:
         monkeypatch.setattr(conefall._Lockstep, "__init__", counted_init)
         liouville_check(SYMMETRIC_MACRO, 1e-3, 10, n_probe=24)
         assert sizes == [24]
+
+
+class TestEnergyDrift:
+    def test_matches_the_hamiltonian_at_start_and_fall(self):
+        # the start energy from hamiltonian, the energy at the fall from the
+        # textbook loop's chart state (canonical coordinates would drop the
+        # drift of L . n); they differ from the run's start energy by
+        # rounding at most
+        macro, seed, dt = SPINNING, 21, 1e-2
+        result = run_ensemble(macro, 6, 8, seed=seed, dt=dt, max_steps=3000)
+        begin, drifts = starts(macro, seed, 6), []
+        for m, fall_time in enumerate(result.fall_times):
+            y = conefall._to_vector(*begin[:, m : m + 1])
+            for _ in range(round(fall_time / dt)):
+                y = _oracle_rk4_step(y, dt, 0.0)
+            L, n = y[:3, 0], y[3:, 0]
+            drifts.append(abs(0.5 * (L * L).sum() + n[2] - hamiltonian(PhaseState(*begin[:, m]))))
+        assert result.n_unresolved == 0
+        assert result.max_energy_drift == pytest.approx(max(drifts), rel=0.0, abs=1e-15)
+        assert result.max_energy_drift > 1e-13
+
+    def test_rounding_level_on_the_default_box(self, default_box):
+        runs, _ = default_box
+        assert 0.0 < runs[1e-3].max_energy_drift < 1e-12  # measured 1.4e-14
+        assert runs[1e-3].max_energy_drift < runs[1e-2].max_energy_drift  # measured 2.8e-11
+
+    def test_none_with_damping_and_zero_without_falls(self):
+        assert run_ensemble(SPINNING, 7, 8, seed=21, dt=1e-2, max_steps=3000, damping=DAMPED).max_energy_drift is None
+        assert run_ensemble(SYMMETRIC_MACRO, 16, 8, seed=5, max_steps=10).max_energy_drift == 0.0
+
+    def test_does_not_depend_on_the_cpu_count(self, monkeypatch):
+        drifts = set()
+        for cpus in (1, 2, 3):
+            force_cpus(monkeypatch, cpus)
+            drifts.add(run_ensemble(SPINNING, 7, 8, seed=21, dt=1e-2, max_steps=3000).max_energy_drift.hex())
+            assert_no_child_left()
+        assert len(drifts) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +875,7 @@ class TestForkedBlocks:
     def test_a_block_whose_parent_is_gone_stops(self):
         # a child polls its parent's id every 1024 steps; these members fall
         # after about 7000 steps, so the block stops with none fallen
-        table = np.zeros((8, 4))
+        table = np.zeros((9, 4))
         block = partial(
             conefall._fall_block,
             table,
@@ -825,5 +901,5 @@ class TestForkedBlocks:
                 raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
         monkeypatch.setattr(mmap, "mmap", Refused)
-        with pytest.raises(MemoryError, match=f"^Unable to map {64 * 5} bytes"):
+        with pytest.raises(MemoryError, match=f"^Unable to map {72 * 5} bytes"):
             run_ensemble(SYMMETRIC_MACRO, 5, 8)

@@ -224,6 +224,20 @@ class TestIndicator:
         with pytest.raises(ValueError):
             ind.bits[0, 0, 0] = 1
 
+    def test_peak_memory_is_one_mask(self):
+        # the mask itself (1 byte a point) and the second comparison's
+        # temporaries, one slab at a time: not a second field-sized mask
+        f = generate(CovarianceSpec(spectrum="power_law", index=-3.0), 3, 81, 5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ind = indicator(f, (-0.5, 0.5))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * ind.bits.size
+        assert np.array_equal(ind.bits, (f.values >= -0.5) & (f.values < 0.5))
+
     def test_caller_mask_is_copied_and_checked(self):
         bits = np.zeros((3, 3), dtype=np.uint8)
         ind = IndicatorField(bits=bits, spacing=1.0)
