@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _blocks, conefall, measurement, probcore, randomfield, spinecho
-from .errors import EnslabError, NumericsError, ValidationError
+from .errors import EnslabError, NumericsError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -68,9 +68,6 @@ EXIT_NUMERICS = 3
 _NUMPY_TOO_BIG = "array is too big"
 
 LOG_BASE_NOTE = "e (entropies in nats)"
-
-# classical RK4 is stable on dL/dt = -damping L only while damping*dt <= 2.785
-_RK4_DAMPING_LIMIT = 2.785
 
 
 class SchemaError(Exception):
@@ -101,8 +98,10 @@ def _is_pair(value) -> bool:
     return _is_array(value) and len(value) == 2
 
 
-# JSON-array tags: the test a value must pass, and how an error describes it
-_ARRAY_TAGS = {
+# type tags: the test a value must pass, and how an error describes it
+_TAGS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
     "numbers": (_is_array, "an array of numbers"),
     "integers": (lambda v: _is_array(v, _is_int), "an array of integers"),
     "interval": (_is_pair, "an array of two numbers [a, b]"),
@@ -115,9 +114,9 @@ _ARRAY_TAGS = {
 
 
 # ---------------------------------------------------------------------------
-# parameter schemas: key -> (type tag, default). Type tags: int, float, a key
-# of _ARRAY_TAGS (a JSON array with typed elements), or a tuple of allowed
-# strings.
+# parameter schemas: key -> (type tag, default). Type tags: a key of _TAGS
+# (a number, or a JSON array with typed elements), or a tuple of allowed
+# strings, which the library module that takes the value owns.
 # ---------------------------------------------------------------------------
 
 SCHEMAS = {
@@ -129,7 +128,7 @@ SCHEMAS = {
         "side": ("int", 81),
         "mean": ("float", 0.0),
         "variance": ("float", 1.0),
-        "spectrum": (("white", "power_law", "gaussian_bump"), "white"),
+        "spectrum": (randomfield.SPECTRUM_KINDS, "white"),
         "index": ("float", -2.0),
         "center": ("float", 8.0),
         "width": ("float", 2.0),
@@ -169,7 +168,7 @@ SCHEMAS = {
     },
     "spinecho": {
         "n": ("int", 10_000),
-        "spread_kind": (("normal", "uniform"), "normal"),
+        "spread_kind": (spinecho.SPREAD_KINDS, "normal"),
         "spread_scale": ("float", 1.0),
         "tau": ("float", 50.0),
         "n_bins": ("int", 32),
@@ -200,12 +199,7 @@ def _check_type(key: str, value, tag):
         if value not in tag:
             raise SchemaError(f"parameter '{key}' must be one of {tag}, got {value!r}")
         return value
-    if tag == "int":
-        accepts, description = _is_int, "an integer"
-    elif tag == "float":
-        accepts, description = _is_number, "a number"
-    else:
-        accepts, description = _ARRAY_TAGS[tag]
+    accepts, description = _TAGS[tag]
     if not accepts(value):
         raise SchemaError(f"parameter '{key}' must be {description}, got {value!r}")
     if tag in ("int", "integers"):
@@ -476,17 +470,6 @@ def _run_cone(params: dict, seed: int):
             params["azimuth_momentum_radius"],
         ),
     )
-    conefall._check_damping(params["damping"])
-    # a flow that overflows on its first steps fails here, naming its key,
-    # and not at the first fall as a dt too coarse
-    for key in ("tilt_momentum_radius", "azimuth_momentum_radius"):
-        if not math.isfinite(params[key] * params[key]):
-            raise ValidationError(f"{key}={params[key]!r} overflows the kinetic energy p^2/(2 m l^2)")
-    if params["damping"] * params["dt"] > _RK4_DAMPING_LIMIT:
-        raise ValidationError(
-            f"damping={params['damping']!r} at dt={params['dt']!r} is beyond RK4's stability "
-            f"limit damping*dt <= {_RK4_DAMPING_LIMIT}"
-        )
     result = conefall.run_ensemble(
         macro,
         params["n_members"],

@@ -47,6 +47,11 @@ map from that single macrostate to the distribution over fall sectors is the
 deterministic-microstates / indeterminate-macrostate situation the module
 exists to exhibit. An optional linear damping term provides a deliberately
 non-Hamiltonian control for the phase-volume check.
+
+The rules on the flow and the box live here once: each entry point calls
+``_check_flow`` before any work, and :class:`InitialMacrostate` refuses
+momenta that overflow when squared. Both raise ValidationError with the
+message the CLI prints.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ MAX_TILT = 0.5 * math.pi
 # largest ||n| - 1| accepted at a fall; it reads 1.8e-14 at dt = 1e-3 and
 # 8.4e-7 at dt = 0.1 on the default box, and is non-finite at dt = 10
 MAX_NORM_DRIFT = 1e-6
+# classical RK4 is stable on dL/dt = -damping L only while damping*dt <= 2.785
+_RK4_DAMPING_LIMIT = 2.785
 # fewest members a forked block takes: a fork and its reap cost about 2.5 ms,
 # and a block of 64 members spends about 4.5 ms on its draws alone
 _MIN_BLOCK_MEMBERS = 64
@@ -122,6 +129,16 @@ class InitialMacrostate:
             raise ValidationError("support radii must be positive and finite")
         if self.center.tilt - radii[0] < 0.0 or self.center.tilt + radii[0] > MAX_TILT:
             raise ValidationError("tilt support must stay inside [0, pi/2]")
+        # momenta that overflow when squared overflow the flow's first steps:
+        # fail here, naming the radius, and not at a fall as a dt too coarse
+        for name, radius in zip(("tilt_momentum", "azimuth_momentum"), radii[2:]):
+            center = float(getattr(self.center, name))
+            extent = abs(center) + radius
+            if not math.isfinite(extent * extent):  # x * x: a float's ** raises OverflowError
+                about = f" about {center!r}" if center else ""
+                raise ValidationError(
+                    f"{name}_radius={radius!r}{about} overflows the kinetic energy p^2/(2 m l^2)"
+                )
         object.__setattr__(self, "support_radii", radii)
 
 
@@ -161,11 +178,20 @@ class EnsembleResult:
         }
 
 
-def _check_damping(damping: float) -> None:
-    """Raise unless ``damping`` is finite and >= 0; a positive one makes the
-    flow dissipative (the non-Hamiltonian control)."""
+def _check_flow(dt: float, damping: float) -> None:
+    """Raise unless RK4 steps of ``dt`` can integrate the flow with ``damping``,
+    the rule of every entry point here: ``dt`` finite and > 0 (0 integrates
+    nothing, < 0 runs backwards), ``damping`` finite and >= 0 (> 0 is the
+    dissipative control), and ``damping*dt`` within RK4's stability limit."""
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValidationError(f"dt must be positive, got {dt!r}")
     if not (np.isfinite(damping) and damping >= 0.0):
         raise ValidationError(f"damping must be >= 0, got {damping!r}")
+    if float(damping) * float(dt) > _RK4_DAMPING_LIMIT:
+        raise ValidationError(
+            f"damping={damping!r} at dt={dt!r} is beyond RK4's stability "
+            f"limit damping*dt <= {_RK4_DAMPING_LIMIT}"
+        )
 
 
 def hamiltonian(state: PhaseState) -> float:
@@ -408,17 +434,17 @@ def integrate(state: PhaseState, dt: float, steps: int, damping: float = 0.0) ->
     """Advance one phase-space point by ``steps`` fixed RK4 steps of size dt.
 
     Energy drift stays below 1e-6 relative per 1e4 steps at dt = 1e-3, also
-    on trajectories through the pole. The exact equilibrium (tilt 0, both
-    momenta 0) is a fixed point. Raises NumericsError if the state turns
-    non-finite (a nonzero p_phi at the pole has no finite energy),
-    ValidationError if the final tilt leaves the [0, pi/2] chart
-    (integrated past the fall).
+    on trajectories through the pole. From the exact equilibrium (tilt 0,
+    both momenta 0) the tilt and both momenta stay 0 (a zero may read -0.0);
+    the azimuth is undefined at the pole, and it reads out from the signs of
+    the zero n_x and n_y, so it need not be the one given. Raises
+    NumericsError if the state turns non-finite (a nonzero p_phi at the pole
+    has no finite energy), ValidationError if the final tilt leaves the
+    [0, pi/2] chart (integrated past the fall).
     """
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValidationError(f"dt must be positive, got {dt!r}")
+    _check_flow(dt, damping)
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps!r}")
-    _check_damping(damping)
     start = ([v] for v in (state.tilt, state.azimuth, state.tilt_momentum, state.azimuth_momentum))
     with np.errstate(all="ignore"):
         kernel = _Lockstep(_to_vector(*start), dt, damping)
@@ -480,11 +506,9 @@ def run_ensemble(
         raise ValidationError(f"need at least two sectors, got {n_sectors!r}")
     if not (0.0 < fall_threshold < MAX_TILT):
         raise ValidationError(f"fall threshold must lie in (0, pi/2), got {fall_threshold!r}")
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ValidationError(f"dt must be positive, got {dt!r}")
+    _check_flow(dt, damping)
     if max_steps < 0:
         raise ValidationError(f"max_steps must be >= 0, got {max_steps!r}")
-    _check_damping(damping)
 
     n = int(n_members)
     counts = np.zeros(n_sectors, dtype=int)  # before the work: a table too big fails at once
@@ -678,7 +702,7 @@ def liouville_check(
         raise ValidationError(f"need at least 8 probes (2 per coordinate), got {n_probe!r}")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps!r}")
-    _check_damping(damping)
+    _check_flow(dt, damping)
     if steps == 0:
         return 1.0  # identity map: exact
     if not (np.isfinite(probe_scale) and probe_scale > 0.0):

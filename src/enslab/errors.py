@@ -1,7 +1,14 @@
 """Shared exception types.
 
 Everything raised by this package derives from EnslabError, so callers can
-catch one base class. Validation-style errors also derive from ValueError.
+catch one base class. There are two kinds of failure, and one class each:
+
+* ValidationError (also a ValueError): the input is bad. A distribution,
+  shape, interval, grid, separation bin, bound or flow that no computation
+  can serve. The check that raises it lives in the module that owns the
+  rule, and the CLI reports it as a bad configuration (exit 2).
+* NumericsError (also an ArithmeticError): a computation on good input left
+  its numerical tolerance (exit 3).
 """
 
 
@@ -10,19 +17,8 @@ class EnslabError(Exception):
 
 
 class ValidationError(EnslabError, ValueError):
-    """An input fails a structural invariant (bad distribution, shape, interval)."""
-
-
-class ConstraintError(EnslabError, ValueError):
-    """A numeric constraint cannot be met (bound below entropy, unreachable mean)."""
-
-
-class GridError(EnslabError, ValueError):
-    """Grid geometry does not admit the requested operation."""
-
-
-class EmptySeparationError(EnslabError, ValueError):
-    """No lattice offset falls inside the requested separation bin."""
+    """An input fails a rule of the module that takes it (shape, range,
+    constraint, grid geometry, empty separation bin, unstable flow)."""
 
 
 class NumericsError(EnslabError, ArithmeticError):

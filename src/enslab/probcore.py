@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConstraintError, NumericsError, ValidationError
+from .errors import NumericsError, ValidationError
 
 SUM_TOL = 1e-12
 ZERO_CUTOFF = 1e-15
@@ -238,9 +238,7 @@ def information(dist: DiscreteDistribution, s_max: float) -> float:
     """Information as the entropy deficit s_max - S(dist); always >= 0."""
     s = entropy(dist)
     if s_max < s - SUM_TOL:
-        raise ConstraintError(
-            f"s_max={s_max!r} is below the entropy {s!r}; no valid information value"
-        )
+        raise ValidationError(f"s_max={s_max!r} is below the entropy {s!r}; no valid information value")
     return max(0.0, s_max - s)
 
 
@@ -264,9 +262,7 @@ def info_decompose(
     masses = joint.block_masses()
     coarse_s = _shannon(masses)
     if s_max_coarse < coarse_s - SUM_TOL:
-        raise ConstraintError(
-            f"s_max_coarse={s_max_coarse!r} is below the coarse entropy {coarse_s!r}"
-        )
+        raise ValidationError(f"s_max_coarse={s_max_coarse!r} is below the coarse entropy {coarse_s!r}")
     i_coarse = max(0.0, s_max_coarse - coarse_s)
     i_residual = 0.0
     s_max_total = s_max_coarse
@@ -276,7 +272,7 @@ def info_decompose(
             continue
         cond_s = _shannon(vec / mass)
         if bound < cond_s - SUM_TOL:
-            raise ConstraintError(
+            raise ValidationError(
                 f"conditional bound {bound!r} for block {label!r} is below its entropy {cond_s!r}"
             )
         i_residual += mass * max(0.0, bound - cond_s)
@@ -323,7 +319,7 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
     scaled = np.ldexp(arr, -shift)
     e_flat = math.ldexp(float(scaled.mean()), shift)
     if not (e_min < target_mean < e_flat):
-        raise ConstraintError(
+        raise ValidationError(
             f"target mean {target_mean!r} is unreachable: must lie strictly inside "
             f"({e_min!r}, {e_flat!r})"
         )
@@ -337,14 +333,14 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
     while mean_at(t_lo) >= target_mean:
         t_lo *= 0.5
         if t_lo < 1e-300:
-            raise ConstraintError("could not bracket the target mean from below")
+            raise ValidationError("could not bracket the target mean from below")
     t_hi = span
     doublings = 0
     while mean_at(t_hi) < target_mean:
         t_hi *= 2.0
         doublings += 1
         if doublings > 200:
-            raise ConstraintError(
+            raise ValidationError(
                 f"target mean {target_mean!r} needs an astronomically large temperature"
             )
     t = 0.5 * (t_lo + t_hi)

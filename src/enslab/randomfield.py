@@ -71,7 +71,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._blocks import _both, _split
-from .errors import EmptySeparationError, GridError, NumericsError, ValidationError
+from .errors import NumericsError, ValidationError
 from .probcore import _frozen_array
 
 __all__ = [
@@ -414,7 +414,7 @@ def _check_lattice(dim: int, side: int, spacing: float) -> None:
     if dim not in (1, 2, 3):
         raise ValidationError(f"dim must be 1, 2 or 3, got {dim!r}")
     if side < 1 or not _admits_hierarchy(side):
-        raise GridError(
+        raise ValidationError(
             f"side {side!r} must be a product of powers of 2 and 3 "
             "(transform plus ternary hierarchy)"
         )
@@ -470,9 +470,7 @@ def _check_hierarchy(side: int, max_level: int) -> None:
         raise ValidationError(f"max_level must be >= 0, got {max_level!r}")
     # past side.bit_length(), 3^max_level exceeds the side: no power to build
     if max_level > side.bit_length() or side % (3**max_level) != 0:
-        raise GridError(
-            f"side {side} is not divisible by 3^{max_level}; hierarchy does not fit"
-        )
+        raise ValidationError(f"side {side} is not divisible by 3^{max_level}; hierarchy does not fit")
 
 
 def indicator(field: FieldSample, interval) -> IndicatorField:
@@ -606,9 +604,7 @@ def _pair_offsets(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
     cached; raises when the r-bin holds none."""
     offsets = _offsets_in_bin(dim, side, spacing, r)
     if not len(offsets):
-        raise EmptySeparationError(
-            f"no lattice offset has length within half a spacing of r={r!r}"
-        )
+        raise ValidationError(f"no lattice offset has length within half a spacing of r={r!r}")
     offsets.flags.writeable = False
     return offsets
 
@@ -632,9 +628,7 @@ def _direction_groups(dim: int, side: int, spacing: float, r: float) -> tuple:
     offsets = _offsets_in_bin(dim, side, spacing, r)
     offsets = offsets[offsets.any(axis=1)]
     if not len(offsets):
-        raise EmptySeparationError(
-            f"no nonzero lattice offset has length within half a spacing of r={r!r}"
-        )
+        raise ValidationError(f"no nonzero lattice offset has length within half a spacing of r={r!r}")
     reduced = offsets // np.gcd.reduce(offsets, axis=1)[:, None]
     first = reduced[np.arange(len(reduced)), np.argmax(reduced != 0, axis=1)]
     reduced *= np.sign(first)[:, None]

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+SPREAD_KINDS = ("normal", "uniform")
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,8 @@ class FrequencySpread:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("normal", "uniform"):
-            raise ValidationError(f"spread kind must be 'normal' or 'uniform', got {self.kind!r}")
+        if self.kind not in SPREAD_KINDS:
+            raise ValidationError(f"spread kind must be one of {SPREAD_KINDS}, got {self.kind!r}")
         if not (np.isfinite(self.scale) and self.scale >= 0.0):
             raise ValidationError(f"spread scale must be >= 0, got {self.scale!r}")
         if self.kind == "uniform" and not math.isfinite(2.0 * self.scale):

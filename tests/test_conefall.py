@@ -43,6 +43,20 @@ SYMMETRIC_MACRO = InitialMacrostate(
     support_radii=(0.01, math.pi, 0.01, 1e-8),
 )
 
+CONE_DEFAULTS = {key: default for key, (_, default) in cli.SCHEMAS["cone"].items()}
+# cone configs the CLI refuses for their flow or their box, with its message
+REFUSED_CONE_CONFIGS = [
+    ({"dt": 0.0}, "dt must be positive, got 0.0"),
+    ({"dt": -1e-3}, "dt must be positive, got -0.001"),
+    ({"dt": math.nan}, "dt must be positive, got nan"),
+    ({"dt": math.inf}, "dt must be positive, got inf"),
+    ({"damping": 1e4}, "damping=10000.0 at dt=0.001 is beyond RK4's stability limit damping*dt <= 2.785"),
+    *[
+        ({key: 1e300}, f"{key}=1e+300 overflows the kinetic energy p^2/(2 m l^2)")
+        for key in ("tilt_momentum_radius", "azimuth_momentum_radius")
+    ],
+]
+
 
 def first_crossing_time(state, dt, threshold, max_steps, chunk=250):
     """Fall time via the public integrator, refined to single-step resolution."""
@@ -89,12 +103,52 @@ class TestTypes:
             with pytest.raises(ValidationError, match="damping must be >= 0"):
                 call()
 
+    @pytest.mark.parametrize("entry", ["integrate", "run_ensemble", "liouville_check"])
+    @pytest.mark.parametrize(
+        "config, message",
+        REFUSED_CONE_CONFIGS,
+        ids=["dt-0", "dt-negative", "dt-nan", "dt-inf", "damping-1e4", "tilt_momentum_radius", "azimuth_momentum_radius"],
+    )
+    def test_library_rejects_what_the_cli_rejects(self, entry, config, message, tmp_path, monkeypatch, capsys):
+        # every entry point checks its flow before any work (liouville_check
+        # before its zero-step shortcut), and the box is checked where it is
+        # built; the CLI prints the same message wherever JSON holds the value
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work began for a config that fails")
+
+        monkeypatch.setattr(conefall, "sample_initial", unreachable)
+        monkeypatch.setattr(conefall._Lockstep, "__init__", unreachable)
+        p = {**CONE_DEFAULTS, **config}
+        calls = {
+            "integrate": lambda macro: integrate(macro.center, p["dt"], 1, p["damping"]),
+            "run_ensemble": lambda macro: run_ensemble(macro, 1, 8, dt=p["dt"], damping=p["damping"]),
+            "liouville_check": lambda macro: liouville_check(macro, p["dt"], 0, damping=p["damping"]),
+        }
+        radii = (p["tilt_radius"], p["azimuth_radius"], p["tilt_momentum_radius"], p["azimuth_momentum_radius"])
+        with pytest.raises(ValidationError) as info:
+            calls[entry](InitialMacrostate(PhaseState(p["tilt_center"], p["azimuth_center"], 0.0, 0.0), radii))
+        assert str(info.value) == message
+        if all(map(math.isfinite, config.values())):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(config))
+            assert cli.main(["cone", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+
 
 class TestIntegrate:
     def test_equilibrium_is_a_fixed_point(self):
         eq = PhaseState(0.0, 0.0, 0.0, 0.0)
         out = integrate(eq, 1e-3, 1000)
         assert out == eq
+
+    def test_equilibrium_keeps_tilt_and_momenta_at_zero(self):
+        # at the pole the azimuth is undefined: it reads out from the signs of
+        # the zero n_x and n_y, so only its range is pinned
+        for azimuth in np.arange(65) * (2.0 * math.pi / 65):
+            for steps in (0, 1, 1000):
+                out = integrate(PhaseState(0.0, float(azimuth), 0.0, 0.0), 1e-3, steps)
+                assert (out.tilt, out.tilt_momentum, out.azimuth_momentum) == (0.0, 0.0, 0.0)
+                assert 0.0 <= out.azimuth < 2.0 * math.pi
 
     def test_azimuthal_equivariance(self):
         # rotation about the vertical mixes n_x and n_y, so the rotated run

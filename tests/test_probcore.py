@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enslab.errors import ConstraintError, ValidationError
+from enslab.errors import ValidationError
 from enslab.probcore import (
     DiscreteDistribution,
     EnergyLevels,
@@ -110,7 +110,7 @@ class TestInformation:
         assert information(d, math.log(4)) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_bound_below_entropy_rejected(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ValidationError, match="is below the entropy .*; no valid information value"):
             information(DiscreteDistribution.uniform(8), math.log(8) - 1e-6)
 
     def test_refinement_invariance(self):
@@ -143,7 +143,7 @@ class TestInfoDecompose:
 
     def test_bound_below_conditional_entropy_rejected(self):
         joint = PartitionedDistribution((("a", [0.5]), ("b", [0.3, 0.2])))
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ValidationError, match="conditional bound .* for block 'b' is below its entropy"):
             info_decompose(joint, math.log(2), [0.0, 0.0])
 
 
@@ -214,7 +214,7 @@ class TestTemperatureSolving:
 
     def test_unreachable_targets_rejected(self):
         for bad in (0.0, -1.0, 0.5, 0.7):
-            with pytest.raises(ConstraintError):
+            with pytest.raises(ValidationError, match=f"target mean {bad!r} is unreachable"):
                 temperature_for_mean_energy([0.0, 1.0], bad)
 
     def test_needs_two_levels(self):

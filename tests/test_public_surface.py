@@ -131,3 +131,33 @@ def test_every_public_field_is_read_by_the_package():
                 unread.add(f"{module}.{cls.name}.{name}")
     assert fields  # the walk finds the dataclasses' fields at all
     assert unread == set()
+
+
+# the private names of sibling modules that cli.py reads: the field's config
+# rules, run before the field is built, and the blocks' thread pair and CPU
+# count. Every other rule is the library's own, checked where it is applied
+# (none of conefall's), so a new reach into a private fails here
+CLI_PRIVATE_READS = {
+    "randomfield._check_lattice",
+    "randomfield._checked_interval",
+    "randomfield._check_hierarchy",
+    "randomfield._pair_offsets",
+    "randomfield._direction_groups",
+    "_blocks._both",
+    "_blocks._cpu_count",
+}
+
+
+def test_the_cli_reads_only_the_listed_library_privates():
+    trees = parsed_sources()
+    siblings = set(trees) - {"cli"}
+    reads = set()
+    for node in ast.walk(trees["cli"]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+            names = [(node.value.id, node.attr)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in siblings:
+            names = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        reads.update(f"{module}.{name}" for module, name in names if name.startswith("_") and not name.startswith("__"))
+    assert reads == CLI_PRIVATE_READS

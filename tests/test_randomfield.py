@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
-from enslab.errors import EmptySeparationError, GridError, NumericsError, ValidationError
+from enslab.errors import NumericsError, ValidationError
 from block_helpers import force_cpus, public_calls_off_the_main_thread
 from enslab import _blocks, randomfield
 from enslab.randomfield import (
@@ -134,7 +134,7 @@ class TestGenerate:
         assert not np.array_equal(a.values, generate(WHITE, 2, 81, 31416).values)
 
     def test_side_must_factor_into_twos_and_threes(self):
-        with pytest.raises(GridError):
+        with pytest.raises(ValidationError, match="side 35 must be a product of powers of 2 and 3"):
             generate(WHITE, 2, 35, 0)
         for side in (6, 8, 9, 12, 243):
             generate(WHITE, 1, side, 0)
@@ -306,7 +306,7 @@ class TestHierarchy:
 
     def test_divisibility_guard(self):
         f = generate(WHITE, 2, 81, 0)
-        with pytest.raises(GridError):
+        with pytest.raises(ValidationError, match=r"side 81 is not divisible by 3\^5;"):
             hierarchical_average(indicator(f, (-1.0, 1.0)), 5)
 
     def test_level_past_the_side_fails_at_once(self):
@@ -315,7 +315,7 @@ class TestHierarchy:
         # takes seconds
         ind = indicator(generate(WHITE, 2, 81, 0), (-1.0, 1.0))
         start = time.perf_counter()
-        with pytest.raises(GridError, match=r"3\^10000000;"):
+        with pytest.raises(ValidationError, match=r"3\^10000000;"):
             hierarchical_average(ind, 10**7)
         assert time.perf_counter() - start < 1.0
 
@@ -800,5 +800,5 @@ class TestIsotropy:
     def test_directionless_bin_rejected(self):
         # r = 0.3: the only offset in the bin is (0, 0), which has no direction
         f = generate(WHITE, 2, 81, 3)
-        with pytest.raises(EmptySeparationError):
+        with pytest.raises(ValidationError, match="no nonzero lattice offset .* of r=0.3$"):
             isotropy_report(auto_counts(f, (-1.0, 1.0)), 0.3)
