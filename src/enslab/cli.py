@@ -48,6 +48,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
@@ -638,6 +639,12 @@ def build_config(argv) -> RunConfig:
         p.add_argument("--seed", type=int, default=None, help="root seed (overrides config)")
         p.add_argument("--out", type=Path, default=Path("runs") / name, help="output directory")
     args = parser.parse_args(argv)
+    # the first of --out and its parents that exists must be a directory
+    for path in (args.out, *args.out.parents):
+        if os.path.lexists(path):
+            if not path.is_dir():
+                raise SchemaError(f"--out {str(args.out)!r}: {str(path)!r} is not a directory")
+            break
 
     file_params: dict = {}
     file_seed = None

@@ -56,10 +56,7 @@ message the CLI prints.
 
 from __future__ import annotations
 
-import errno
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -88,9 +85,6 @@ MAX_TILT = 0.5 * math.pi
 MAX_NORM_DRIFT = 1e-6
 # classical RK4 is stable on dL/dt = -damping L only while damping*dt <= 2.785
 _RK4_DAMPING_LIMIT = 2.785
-# fewest members a forked block takes: a fork and its reap cost about 2.5 ms,
-# and a block of 64 members spends about 4.5 ms on its draws alone
-_MIN_BLOCK_MEMBERS = 64
 # the rows of ``_Lockstep``'s state that hold L_x, L_y, L_z, n_x, n_y, n_z
 _LN_ROWS = np.array([5, 6, 7, 3, 4, 2])
 
@@ -493,8 +487,8 @@ def run_ensemble(
     member's trajectory is independent of how many others are running.
     The members are split into one block of consecutive indices per CPU;
     block 0 runs in this process and each other block in a forked child
-    (see :func:`_in_blocks`), so the result does not depend on the CPU
-    count. Final azimuths are binned into ``n_sectors`` equal sectors.
+    (see :func:`._blocks._fork_join`), so the result does not depend on
+    the CPU count. Final azimuths are binned into ``n_sectors`` equal sectors.
     Members that never cross within ``max_steps`` land in the unresolved
     bucket. Raises NumericsError naming ``dt`` if ||n| - 1| at a fall
     exceeds ``MAX_NORM_DRIFT`` (a step too coarse for the flow), and naming
@@ -516,8 +510,8 @@ def run_ensemble(
     sectors = np.full(n, -1, dtype=np.int64)
     fall_times = np.full(n, np.nan)
     final_azimuths = np.full(n, np.nan)
-    table = _shared_table(n)
-    _in_blocks(
+    table = _blocks._shared_table(9, n)
+    _blocks._fork_join(
         partial(
             _fall_block,
             table,
@@ -529,6 +523,7 @@ def run_ensemble(
             damping=damping,
         ),
         n,
+        "members",
     )
     member_seeds = table[0].view(np.uint64).copy()
     fall_steps, start_energies, fallen = table[1].view(np.int64), table[2], table[3:]
@@ -564,88 +559,12 @@ def run_ensemble(
     )
 
 
-def _shared_table(n: int) -> np.ndarray:
-    """A (9, n) float64 table in an anonymous shared mapping, which forked
-    children write and this process reads: per member its seed (uint64
-    bits), its fall step (int64 bits), its start energy and its six-row
-    state at the fall."""
-    import mmap  # here: importing the CLI does not load it
-
-    try:
-        shared = mmap.mmap(-1, 72 * n)
-    except OSError as exc:
-        if exc.errno != errno.ENOMEM:
-            raise
-        raise MemoryError(f"Unable to map {72 * n} bytes for the member table") from exc
-    return np.frombuffer(shared, dtype=np.float64).reshape(9, n)
-
-
-def _in_blocks(run, n: int) -> None:
-    """Call ``run(start, stop, parent)`` on consecutive blocks covering
-    ``range(n)``, one per CPU, with ``_blocks._bounds``.
-
-    Block 0 runs in this process with ``parent`` None. Each other block runs
-    in a child made by ``os.fork``, with ``parent`` this process's id; the
-    child ends only by ``os._exit``, 0 if ``run`` returned and 1 if it
-    raised anything. A fork that the OS refuses runs its block here. There
-    is one block where ``os.fork`` is missing, where another thread is alive
-    (a fork copies no thread but the caller's, whatever locks the others
-    hold) or where a block would get fewer than ``_MIN_BLOCK_MEMBERS``
-    members. Every child is reaped before this returns or raises: if block
-    0 or a wait raises (a KeyboardInterrupt included), or a child fails,
-    the children still running are killed first. A failed child raises
-    NumericsError naming its members.
-    """
-    import signal
-
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    n_blocks = max(1, min(_blocks._cpu_count(), n // _MIN_BLOCK_MEMBERS)) if forkable else 1
-    bounds = _blocks._bounds(n, n_blocks)
-    parent = os.getpid()
-    children = {}  # pid -> (start, stop), until reaped
-    try:
-        for start, stop in bounds[1:]:
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare
-                run(start, stop, None)
-                continue
-            if pid == 0:
-                _child(run, start, stop, parent)
-            children[pid] = (start, stop)
-        run(*bounds[0], None)
-        for pid in list(children):
-            status = os.waitpid(pid, 0)[1]
-            start, stop = children.pop(pid)
-            if status != 0:
-                raise NumericsError(
-                    f"members {start}..{stop - 1} failed in a forked process "
-                    f"(exit status {os.waitstatus_to_exitcode(status)})"
-                )
-    finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _child(run, start: int, stop: int, parent: int):
-    """The body of a forked child: run its block, then end the process with
-    no cleanup (no flush, no atexit) and without returning to the caller."""
-    status = 1
-    try:
-        run(start, stop, parent)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, max_steps, damping):
     """Draw members ``start``..``stop - 1`` and step them until they fall;
     write each one's seed, fall step, start energy and state at the fall
-    into its column of :func:`_shared_table`'s ``table`` (an unresolved
-    member's fall step is -1 and its state NaN). With ``parent`` set (in a
-    forked child), the block stops once that process is no longer its
-    parent: nobody is left to read the table."""
+    into its column of the (9, n) shared ``table`` (an unresolved member's
+    fall step is -1 and its state NaN). In a forked child (``parent`` set),
+    the block stops once its parent is gone (``_blocks._check_parent``)."""
     seeds = table[0, start:stop].view(np.uint64)
     fall_steps, fallen = table[1, start:stop].view(np.int64), table[3:, start:stop]
     begin = np.empty((4, stop - start))
@@ -674,8 +593,8 @@ def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, 
                 break
             kernel.step()
             step += 1
-            if parent is not None and step % 1024 == 0 and os.getppid() != parent:
-                raise SystemExit("the process that reads the member table is gone")
+            if step % 1024 == 0:
+                _blocks._check_parent(parent)
             upright = kernel.upright(cos2, sin2)
 
 

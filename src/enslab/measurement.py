@@ -14,13 +14,11 @@ The combined K*M-dimensional state is never materialized: the fractions
 have a closed form, and every resultant is read from the K x M phase table
 by the one private kernel ``_phasor_sum``.
 
-The suppression curve builds its ensembles through :func:`build_apparatus`
-on the calling thread, a batch of seeds at a time. Each batch's phasor sums,
-the elementwise complex exponentials that are most of its work, are a task
-on a bounded queue (:class:`._blocks._Tasks`): worker threads sum while the
-calling thread builds the next batches, and it sums too once the queue is
-full. Every magnitude lands in its own slot, so the curve is bit-identical
-on any number of CPUs. The tasks call only ``_phasor_sum``.
+The suppression curve runs its seeds as one block of consecutive seeds per
+CPU (:func:`._blocks._fork_join`): block 0 in this process, each other block
+in a forked child. A block builds its seeds' ensembles through
+:func:`build_apparatus` and writes each magnitude into its own slot of a
+shared table, so the curve is bit-identical on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from ._blocks import _Tasks
+from . import _blocks
 from .errors import NumericsError, ValidationError
 from .probcore import SUM_TOL, DiscreteDistribution, _frozen_array, _shannon
 
@@ -48,11 +46,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# suppression_curve's phases per task, and the tasks that may wait for a
-# worker before the calling thread stops building to run one; sized by timing
-# the default curve (M = 100, 1000, 10000 at 200 seeds) on 2 CPUs
-_PHASOR_BATCH = 2**15
-_BACKLOG = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +229,13 @@ def suppression_curve(m_values, n_seeds: int, seed: int) -> list:
     fits. A draw of more outcomes fills rows 0 and 1 first, with the same
     phases, so the curve is the same for every number of outcomes.
 
-    The ensembles are built on the calling thread, a batch of seeds at a
-    time, all of one M sharing the first one's microstate distribution. Each
-    batch's phasor sums, most of the work, are a task of
-    :class:`_blocks._Tasks`: a worker thread runs it while the next batches
-    are built, or the calling thread does once more than _BACKLOG wait. Each
-    magnitude lands in its own slot, so the curve does not depend on the
-    number of CPUs.
+    The seeds run in blocks of consecutive seeds, one per CPU (see
+    :func:`._blocks._fork_join`); each block builds, for every M, its seeds'
+    ensembles, all of one M sharing the block's first microstate
+    distribution, and writes each magnitude into its slot of a shared
+    (len(m_values), n_seeds) table. So the curve does not depend on the
+    number of CPUs. Raises NumericsError naming the seeds of a block whose
+    process failed.
     """
     if n_seeds < 1:
         raise ValidationError("need at least one seed per curve point")
@@ -250,31 +243,33 @@ def suppression_curve(m_values, n_seeds: int, seed: int) -> list:
     for m in m_values:
         if m < 1:
             raise ValidationError(f"suppression curve M={m}: apparatus needs at least one microstate")
-    curve = []
-    with _Tasks(_BACKLOG) as tasks:
-        for j, m in enumerate(m_values):
-            batch = min(n_seeds, -(-_PHASOR_BATCH // m))
-            mags, micro_probs = np.empty(n_seeds), None
-            for lo in range(0, n_seeds, batch):
-                delta = np.empty((min(batch, n_seeds - lo), m))
-                for s, row in enumerate(delta, lo):
-                    child = np.random.SeedSequence(entropy=int(seed), spawn_key=(j, s))
-                    app = build_apparatus(m, 2, int(child.generate_state(1, np.uint64)[0]), micro_probs)
-                    micro_probs = app.micro_probs
-                    np.subtract(app.phases[0], app.phases[1], out=row)
-                tasks.submit(partial(_resultants, micro_probs.probs, delta, mags[lo : lo + len(delta)]))
-            curve.append((m, mags))
-    return [(m, float(np.median(mags)), float(np.percentile(mags, 95))) for m, mags in curve]
+    if not m_values:
+        return []
+    # numpy's table before the shared one, so a size too big fails with numpy's message
+    mags = np.empty((len(m_values), n_seeds))
+    table = _blocks._shared_table(len(m_values), n_seeds)
+    _blocks._fork_join(partial(_curve_block, table, m_values, seed), n_seeds, "seeds")
+    mags[...] = table
+    return [(m, float(np.median(row)), float(np.percentile(row, 95))) for m, row in zip(m_values, mags)]
 
 
-def _resultants(probs: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
-    """out[s] = |sum_i p_i exp(i delta[s, i])|: one resultant magnitude per row."""
-    sums = _phasor_sum(probs, delta, np.empty(delta.shape, dtype=complex))
-    out[:] = [abs(z) for z in sums.tolist()]
+def _curve_block(table, m_values, seed, start, stop, parent) -> None:
+    """For every M, build seeds ``start``..``stop - 1``'s two-outcome
+    ensembles and write each one's (0, 1) resultant magnitude into
+    ``table[j, s]``. In a forked child (``parent`` set), the block stops
+    once its parent is gone (``_blocks._check_parent``)."""
+    for j, m in enumerate(m_values):
+        micro_probs, delta, work = None, np.empty(m), np.empty(m, dtype=complex)
+        for s in range(start, stop):
+            _blocks._check_parent(parent)
+            child = np.random.SeedSequence(entropy=int(seed), spawn_key=(j, s))
+            app = build_apparatus(m, 2, int(child.generate_state(1, np.uint64)[0]), micro_probs)
+            micro_probs = app.micro_probs
+            np.subtract(app.phases[0], app.phases[1], out=delta)
+            table[j, s] = abs(complex(_phasor_sum(micro_probs.probs, delta, work)))
 
 
 def _phasor_sum(probs: np.ndarray, delta: np.ndarray, work: np.ndarray):
-    """sum_i p_i exp(i delta[..., i]) along the last axis, through the complex
-    buffer ``work``. Each row's sum is the same as on its own."""
+    """sum_i p_i exp(i delta_i), through the complex buffer ``work``."""
     phasors = np.exp(np.multiply(1j, delta, out=work), out=work)
-    return np.sum(np.multiply(probs, phasors, out=work), axis=-1)
+    return np.sum(np.multiply(probs, phasors, out=work))

@@ -273,7 +273,7 @@ def info_decompose(
         cond_s = _shannon(vec / mass)
         if bound < cond_s - SUM_TOL:
             raise ValidationError(
-                f"conditional bound {bound!r} for block {label!r} is below its entropy {cond_s!r}"
+                f"conditional bound {float(bound)!r} for block {label!r} is below its entropy {cond_s!r}"
             )
         i_residual += mass * max(0.0, bound - cond_s)
         s_max_total += mass * bound

@@ -1,5 +1,6 @@
 """Shared test helpers: pretend the process may run on n CPUs, watch which
-public functions run off the main thread, and count the cone's forks."""
+public functions run off the main thread, and count the forks of the
+cone's members and the curve's seeds."""
 
 import functools
 import inspect
@@ -15,11 +16,11 @@ LAYERS = (probcore, randomfield, measurement, conefall, spinecho)
 
 
 def force_cpus(monkeypatch, n):
-    # n CPUs, and no minimum block size, so small inputs take the split path
-    # (the cone's forked blocks included)
+    # n CPUs, and no minimum block size, so small inputs take the split
+    # path and the forked blocks (the cone's members, the curve's seeds)
     monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: set(range(n)))
     monkeypatch.setattr(_blocks, "_MIN_BLOCK_SIZE", 1)
-    monkeypatch.setattr(conefall, "_MIN_BLOCK_MEMBERS", 1)
+    monkeypatch.setattr(_blocks, "_MIN_FORKED_BLOCK", 1)
 
 
 def counted_forks(monkeypatch) -> list:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from block_helpers import force_cpus
-from enslab import _blocks, measurement
-from enslab._blocks import _both, _split, _Tasks
+from enslab import _blocks
+from enslab._blocks import _both, _split
 from enslab.measurement import suppression_curve
 from enslab.randomfield import CovarianceSpec, generate, hierarchical_average, indicator, pair_counts
 from enslab.spinecho import FrequencySpread, run_protocol
@@ -85,27 +85,19 @@ class TestSplit:
             _split(run, 9, 9)
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
-        # 8 blocks, or 7 workers and the calling thread on a queue of 200
-        # tasks, on a 2-CPU host, a thread switch every microsecond: every
-        # slot still holds what its own block or task wrote, and the curve
-        # (14 tasks per M), the protocol and every field stage equal their
-        # one-thread results
-        monkeypatch.setattr(measurement, "_PHASOR_BATCH", 90)
+        # 8 blocks on a 2-CPU host, a thread switch every microsecond: every
+        # slot still holds what its own block wrote, and the protocol, every
+        # field stage and the curve (8 forked blocks of seeds) equal their
+        # one-block results
 
         def results():
-            slots, queued = np.zeros(1000), np.zeros(200)
+            slots = np.zeros(1000)
 
             def run(start, stop):
                 for i in range(start, stop):
                     slots[i] = i
 
-            def task(i):
-                queued[i] = i
-
             _split(run, 1000, 1000)
-            with _Tasks(backlog=1) as tasks:
-                for i in range(200):
-                    tasks.submit(partial(task, i))
             report = run_protocol(200, FrequencySpread(), 3.0, 8, seed=2, samples_per_leg=12)
             curve = suppression_curve([30, 45], 41, 9)
             field = generate(CovarianceSpec(spectrum="power_law", index=-2.0), 2, 54, 3)
@@ -114,7 +106,7 @@ class TestSplit:
             counts = pair_counts(ind)
             stages = [field.values, ind.bits, *levels.cell_counts, counts.counts]
             stages = [a.tobytes() for a in stages] + [levels.epsilons, counts.residual]
-            return slots, queued, report.magnetization, report.binned_entropy, curve, stages
+            return slots, report.magnetization, report.binned_entropy, curve, stages
 
         force_cpus(monkeypatch, 1)
         serial = results()
@@ -126,10 +118,9 @@ class TestSplit:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(split[0], np.arange(1000.0))
-        assert np.array_equal(split[1], np.arange(200.0))
-        assert split[2].tobytes() == serial[2].tobytes() and split[3].tobytes() == serial[3].tobytes()
+        assert split[1].tobytes() == serial[1].tobytes() and split[2].tobytes() == serial[2].tobytes()
+        assert split[3] == serial[3]
         assert split[4] == serial[4]
-        assert split[5] == serial[5]
 
 
 def on_the_calling_thread():
@@ -171,70 +162,3 @@ class TestBoth:
         with pytest.raises(FloatingPointError, match="second"):
             _both(lambda: None, partial(fail, "second"), 2)
         assert threading.active_count() == before
-
-
-class TestTasks:
-    def test_full_backlog_makes_the_caller_run_the_oldest(self, monkeypatch):
-        # the one worker is held on task 0, so once 2 tasks wait the calling
-        # thread runs the oldest: tasks 1..7 in order. At most 2 wait, so at
-        # most 4 are live: those 2, the worker's and the caller's.
-        force_cpus(monkeypatch, 2)
-        gate, lock = threading.Event(), threading.Lock()
-        ran, live = [], [0, 0]  # live now, most live seen
-
-        def task(i):
-            if i == 0:
-                assert gate.wait(timeout=10)
-            with lock:
-                ran.append((i, threading.current_thread() is threading.main_thread()))
-                live[0] -= 1
-
-        with _Tasks(backlog=2) as tasks:
-            for i in range(10):
-                with lock:
-                    live[0] += 1
-                    live[1] = max(live)
-                tasks.submit(partial(task, i))
-            callers = list(ran)
-            gate.set()
-        assert callers == [(i, True) for i in range(1, 8)]
-        assert sorted(i for i, _ in ran) == list(range(10)) and (0, False) in ran
-        assert live == [0, 4]
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        # tasks wait until 2 do, then run oldest first on the calling thread
-        force_cpus(monkeypatch, 1)
-        before = threading.active_count()
-        ran = []
-
-        def task(i):
-            ran.append((i, threading.active_count(), threading.current_thread() is threading.main_thread()))
-
-        with _Tasks(backlog=2) as tasks:
-            for i in range(5):
-                tasks.submit(partial(task, i))
-                assert [r[0] for r in ran] == list(range(max(0, i - 1)))
-        assert ran == [(i, before, True) for i in range(5)]
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("caller_fails", [False, True])
-    def test_failures_reach_the_caller_in_order(self, cpus, caller_fails, monkeypatch):
-        # the block's own exception first, then the lowest failed task's;
-        # every task still runs and no thread outlives the block
-        force_cpus(monkeypatch, cpus)
-        before = threading.active_count()
-        finished = []
-
-        def task(i):
-            if i in (3, 5):
-                raise FloatingPointError(f"task {i}")
-            finished.append(i)
-
-        with pytest.raises(FloatingPointError, match="caller" if caller_fails else "task 3"):
-            with _Tasks(backlog=1) as tasks:
-                for i in range(8):
-                    tasks.submit(partial(task, i))
-                if caller_fails:
-                    raise FloatingPointError("caller")
-        assert threading.active_count() == before
-        assert sorted(finished) == [0, 1, 2, 4, 6, 7]

@@ -454,6 +454,19 @@ class TestSchema:
             cli.resolve_parameters("measure", {"suppression_m": [1, value]})
         assert cli.resolve_parameters("spinecho", {"n_bins": value // 2})["n_bins"] == value // 2
 
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_naming_a_file_exits_two_before_any_work(self, under, tmp_path, capsys, monkeypatch):
+        # mkdir cannot make a directory there: FileExistsError at the file
+        # itself, NotADirectoryError under it
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / under if under else afile
+        ran, runner = [], cli.RUNNERS["entropy"]
+        monkeypatch.setitem(cli.RUNNERS, "entropy", lambda params, seed: ran.append(seed) or runner(params, seed))
+        assert cli.main(["entropy", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: --out {str(out)!r}: {str(afile)!r} is not a directory\n"
+        assert ran == [] and afile.read_text() == "kept"
+
     def test_failed_rerun_leaves_no_stale_outputs(self, tmp_path):
         # the first run's outputs go before the second starts; a file that no
         # manifest lists stays

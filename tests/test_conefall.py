@@ -31,12 +31,6 @@ from enslab.conefall import (
 from enslab.errors import NumericsError, ValidationError
 from enslab.probcore import DiscreteDistribution, entropy
 
-@pytest.fixture(autouse=True)
-def no_child_outlives_a_test():
-    # ensembles of 128 members or more fork on a host with two CPUs or more
-    yield
-    assert_no_child_left()
-
 
 SYMMETRIC_MACRO = InitialMacrostate(
     center=PhaseState(tilt=0.01, azimuth=math.pi, tilt_momentum=0.0, azimuth_momentum=0.0),
@@ -895,9 +889,9 @@ class TestForkedBlocks:
 
         monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(os, "fork", refused)
-        n = 2 * conefall._MIN_BLOCK_MEMBERS - 1  # one block short of two full ones
+        n = 2 * _blocks._MIN_FORKED_BLOCK - 1  # one block short of two full ones
         below_the_floor = run()
-        monkeypatch.setattr(conefall, "_MIN_BLOCK_MEMBERS", 1)
+        monkeypatch.setattr(_blocks, "_MIN_FORKED_BLOCK", 1)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()

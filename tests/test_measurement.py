@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import threading
 import tracemalloc
 
@@ -6,9 +8,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from block_helpers import force_cpus, public_calls_off_the_main_thread
-from enslab import measurement
-from enslab.errors import ValidationError
+from block_helpers import assert_no_child_left, counted_forks, force_cpus, public_calls_off_the_main_thread
+from enslab import cli, measurement
+from enslab.errors import NumericsError, ValidationError
 from enslab.measurement import (
     ApparatusEnsemble,
     SystemState,
@@ -205,20 +207,22 @@ def curve_and_magnitudes(monkeypatch, *args, **kwargs):
 
 
 class TestSplitCurve:
-    @pytest.mark.parametrize("batch", [300, 2**17])
     @pytest.mark.parametrize("n_outcomes", [2, 3])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_bit_identical_to_a_serial_loop(self, cpus, n_outcomes, batch, monkeypatch):
-        # 13 seeds on 1-3 threads; a batch of 300 phases holds 3 seeds at
-        # M = 100 and 1 at M = 1001, one of 2**17 (as the default) all 13.
-        # The curve draws two outcomes; a reference of three draws rows 0
-        # and 1 first, so its magnitudes are the same
+    def test_bit_identical_to_a_serial_loop(self, cpus, n_outcomes, monkeypatch):
+        # 13 seeds in 1-3 blocks, each block past the first in a forked
+        # process; the curve starts no thread. The curve draws two outcomes;
+        # a reference of three draws rows 0 and 1 first, so its magnitudes
+        # are the same
         force_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(measurement, "_PHASOR_BATCH", batch)
+        forks = counted_forks(monkeypatch)
         m_values, n_seeds, seed = [1, 7, 100, 1001], 13, 40 + cpus
         before = threading.active_count()
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
         curve, seen = curve_and_magnitudes(monkeypatch, m_values, n_seeds, seed)
-        assert threading.active_count() == before
+        assert threading.active_count() == before and started == []
+        assert len(forks) == cpus - 1
         expected = reference_magnitudes(m_values, n_seeds, seed, n_outcomes)
         assert [m for m, _, _ in curve] == m_values
         for (_, med, p95), mags, ref in zip(curve, seen, expected):
@@ -226,6 +230,7 @@ class TestSplitCurve:
             assert (med, p95) == (float(np.median(ref)), float(np.percentile(ref, 95)))
 
     def test_workers_call_no_public_function(self, monkeypatch):
+        # the forked blocks run on the main thread of their own process
         force_cpus(monkeypatch, 3)
         calls = public_calls_off_the_main_thread(monkeypatch)
         suppression_curve([10, 200], 9, 5)
@@ -237,20 +242,41 @@ class TestSplitCurve:
         assert not worker.is_alive()
         assert calls == ["enslab.measurement.largest_remainder_counts"]
 
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        force_cpus(monkeypatch, 2)
-        before = threading.active_count()
-        phasor_sum = measurement._phasor_sum
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, tmp_path, capsys):
+        # a sum that fails in a forked block: the library names the block's
+        # seeds, and the CLI exits 3 with that message and writes nothing
+        force_cpus(monkeypatch, 3)
+        parent, phasor_sum = os.getpid(), measurement._phasor_sum
 
-        def failing_off_the_main_thread(probs, delta, work):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError(f"{delta.shape[0]} seeds of M = {delta.shape[1]}")
+        def failing_in_a_child(probs, delta, work):
+            if os.getpid() != parent:
+                raise FloatingPointError("a failing sum")
             return phasor_sum(probs, delta, work)
 
-        monkeypatch.setattr(measurement, "_phasor_sum", failing_off_the_main_thread)
-        with pytest.raises(FloatingPointError, match="8 seeds of M = 50"):
+        monkeypatch.setattr(measurement, "_phasor_sum", failing_in_a_child)
+        # 8 seeds on 3 CPUs: blocks 0..1, 2..4 and 5..7; the lowest failed one is named
+        message = "seeds 2..4 failed in a forked process (exit status 1)"
+        with pytest.raises(NumericsError) as info:
             suppression_curve([50], 8, 1)
-        assert threading.active_count() == before
+        assert str(info.value) == message
+        assert_no_child_left()
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"suppression_m": [50], "suppression_seeds": 8}))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert cli.main(["measure", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerics error: {message}\n"
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_a_block_whose_parent_is_gone_stops(self):
+        # a forked block checks its parent's id before each seed
+        table = np.zeros((2, 4))
+        with pytest.raises(SystemExit):
+            measurement._curve_block(table, [10, 20], 1, 0, 4, -1)
+        assert not table.any()
+        measurement._curve_block(table, [10, 20], 1, 0, 4, os.getppid())
+        assert table.all()
 
     def test_one_uniform_distribution_per_m(self, monkeypatch):
         # the later builds of each M reuse the first build's micro_probs
@@ -264,11 +290,9 @@ class TestSplitCurve:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_peak_memory_is_bounded(self, cpus, monkeypatch):
-        # at most _BACKLOG batches of 2**15 phases (0.26 MB each) wait while
-        # the worker and the calling thread sum one each (0.79 MB with the
-        # complex work buffer): about 2.0 MB on 1 CPU and 3.1 MB on 2, where
-        # a first version of this queue peaked at 3.9 MB. With no bound, the
-        # queue holds every batch of the curve on 1 CPU, 18.5 MB.
+        # block 0 builds one seed's ensemble at a time, and forked blocks
+        # allocate in their own processes: measured 1.8 MB on 1 CPU and
+        # 0.8 MB on 2
         force_cpus(monkeypatch, cpus)
         tracemalloc.start()
         try:

@@ -143,7 +143,7 @@ class TestInfoDecompose:
 
     def test_bound_below_conditional_entropy_rejected(self):
         joint = PartitionedDistribution((("a", [0.5]), ("b", [0.3, 0.2])))
-        with pytest.raises(ValidationError, match="conditional bound .* for block 'b' is below its entropy"):
+        with pytest.raises(ValidationError, match="conditional bound 0.0 for block 'b'"):
             info_decompose(joint, math.log(2), [0.0, 0.0])
 
 
