@@ -207,16 +207,17 @@ def curve_and_magnitudes(monkeypatch, *args, **kwargs):
 
 
 class TestSplitCurve:
+    @pytest.mark.parametrize("root_seed", [300, 2**17])
     @pytest.mark.parametrize("n_outcomes", [2, 3])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_bit_identical_to_a_serial_loop(self, cpus, n_outcomes, monkeypatch):
+    def test_bit_identical_to_a_serial_loop(self, cpus, n_outcomes, root_seed, monkeypatch):
         # 13 seeds in 1-3 blocks, each block past the first in a forked
-        # process; the curve starts no thread. The curve draws two outcomes;
-        # a reference of three draws rows 0 and 1 first, so its magnitudes
-        # are the same
+        # process; the curve starts no thread. The root seed is a small one
+        # or one past 2**16. The curve draws two outcomes; a reference of
+        # three draws rows 0 and 1 first, so its magnitudes are the same
         force_cpus(monkeypatch, cpus)
         forks = counted_forks(monkeypatch)
-        m_values, n_seeds, seed = [1, 7, 100, 1001], 13, 40 + cpus
+        m_values, n_seeds, seed = [1, 7, 100, 1001], 13, root_seed + cpus
         before = threading.active_count()
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
