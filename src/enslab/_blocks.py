@@ -20,8 +20,10 @@ names a profiler wraps, and its wrappers keep unsynchronized state.
 the suppression curve's seeds) as one block of consecutive members per CPU:
 block 0 in this process, each other block in a process forked from it. Its
 blocks make many small numpy calls, which would hand the GIL back and forth
-between threads. They write their results into a :func:`_shared_table`,
-one column per member, so the outputs do not depend on the CPU count.
+between threads. It owns the results' table: it allocates numpy's table,
+then a :func:`_shared_table` that the blocks write, one column per member,
+and fills numpy's from it after the join. So the outputs do not depend on
+the CPU count, and no caller touches the mapping.
 """
 
 from __future__ import annotations
@@ -102,9 +104,8 @@ def _both(first, second, size: int) -> tuple:
 
 def _shared_table(rows: int, n: int) -> np.ndarray:
     """A (rows, n) float64 table in an anonymous shared mapping, which forked
-    children write and this process reads. Callers allocate their numpy
-    tables first, so that a size too big fails with numpy's message; a
-    mapping the OS refuses is a MemoryError."""
+    children write and this process reads. A mapping the OS refuses is a
+    MemoryError."""
     import mmap  # here: importing the CLI does not load it
 
     try:
@@ -116,9 +117,15 @@ def _shared_table(rows: int, n: int) -> np.ndarray:
     return np.frombuffer(shared, dtype=np.float64).reshape(rows, n)
 
 
-def _fork_join(run, n: int, what: str) -> None:
-    """Call ``run(start, stop, parent)`` on consecutive blocks covering
-    ``range(n)``, one per CPU, with :func:`_bounds`.
+def _fork_join(run, rows: int, n: int, what: str) -> np.ndarray:
+    """Call ``run(table, start, stop, parent)`` on consecutive blocks
+    covering ``range(n)``, one per CPU, with :func:`_bounds`, and return the
+    (rows, n) float64 table the blocks wrote, column ``j`` by member ``j``'s
+    block.
+
+    numpy's table is allocated first, so a size too big fails with numpy's
+    message, and then the :func:`_shared_table` that every block writes;
+    after the join numpy's table is filled from it.
 
     Block 0 runs in this process with ``parent`` None. Each other block runs
     in a child made by ``os.fork``, with ``parent`` this process's id (see
@@ -135,6 +142,8 @@ def _fork_join(run, n: int, what: str) -> None:
     """
     import signal
 
+    result = np.empty((rows, n))
+    table = _shared_table(rows, n)
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     n_blocks = max(1, min(_cpu_count(), n // _MIN_FORKED_BLOCK)) if forkable else 1
     bounds = _bounds(n, n_blocks)
@@ -145,12 +154,12 @@ def _fork_join(run, n: int, what: str) -> None:
             try:
                 pid = os.fork()
             except OSError:  # no process to spare
-                run(start, stop, None)
+                run(table, start, stop, None)
                 continue
             if pid == 0:
-                _child(run, start, stop, parent)
+                _child(run, table, start, stop, parent)
             children[pid] = (start, stop)
-        run(*bounds[0], None)
+        run(table, *bounds[0], None)
         for pid in list(children):
             status = os.waitpid(pid, 0)[1]
             start, stop = children.pop(pid)
@@ -163,14 +172,16 @@ def _fork_join(run, n: int, what: str) -> None:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    result[...] = table
+    return result
 
 
-def _child(run, start: int, stop: int, parent: int):
+def _child(run, table, start: int, stop: int, parent: int):
     """The body of a forked child: run its block, then end the process with
     no cleanup (no flush, no atexit) and without returning to the caller."""
     status = 1
     try:
-        run(start, stop, parent)
+        run(table, start, stop, parent)
         status = 0
     finally:
         os._exit(status)

@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _blocks, conefall, measurement, probcore, randomfield, spinecho
-from .errors import EnslabError, NumericsError
+from .errors import EnslabError, NumericsError, ValidationError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -69,10 +69,6 @@ EXIT_NUMERICS = 3
 _NUMPY_TOO_BIG = "array is too big"
 
 LOG_BASE_NOTE = "e (entropies in nats)"
-
-
-class SchemaError(Exception):
-    """Config parameter failed validation; message names the offending key."""
 
 
 @dataclass(frozen=True)
@@ -198,16 +194,16 @@ def _fits_int64(value) -> bool:
 def _check_type(key: str, value, tag):
     if isinstance(tag, tuple):
         if value not in tag:
-            raise SchemaError(f"parameter '{key}' must be one of {tag}, got {value!r}")
+            raise ValidationError(f"parameter '{key}' must be one of {tag}, got {value!r}")
         return value
     accepts, description = _TAGS[tag]
     if not accepts(value):
-        raise SchemaError(f"parameter '{key}' must be {description}, got {value!r}")
+        raise ValidationError(f"parameter '{key}' must be {description}, got {value!r}")
     if tag in ("int", "integers"):
         if not _fits_int64(value):
-            raise SchemaError(f"parameter '{key}' holds an integer outside the int64 range")
+            raise ValidationError(f"parameter '{key}' holds an integer outside the int64 range")
     elif not _is_finite(value):
-        raise SchemaError(f"parameter '{key}' holds a number that is not finite as a float")
+        raise ValidationError(f"parameter '{key}' holds a number that is not finite as a float")
     return float(value) if tag == "float" else value
 
 
@@ -220,7 +216,7 @@ def resolve_parameters(subcommand: str, file_params: dict) -> dict:
     resolved = {key: default for key, (_, default) in schema.items()}
     for key, value in file_params.items():
         if key not in schema:
-            raise SchemaError(f"unknown parameter '{key}' for subcommand '{subcommand}'")
+            raise ValidationError(f"unknown parameter '{key}' for subcommand '{subcommand}'")
         tag, default = schema[key]
         resolved[key] = None if value is None and default is None else _check_type(key, value, tag)
     return resolved
@@ -253,9 +249,19 @@ def encode_csv(header, rows) -> tuple:
     return _output(text.getvalue().encode("ascii"))
 
 
+def _plain(value):
+    """A numpy array or scalar as the Python values of ``.tolist()``: the
+    JSON encoder's hook for what it cannot write itself."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def encode_json(obj) -> tuple:
-    """Standard JSON's ASCII bytes (no NaN or infinity) and their digest."""
-    return _output((json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("ascii"))
+    """Standard JSON's ASCII bytes (no NaN or infinity) and their digest;
+    numpy arrays and scalars are written as their Python values."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_plain)
+    return _output((text + "\n").encode("ascii"))
 
 
 def _role_seed(seed: int, role: int) -> int:
@@ -371,10 +377,10 @@ def _run_field(params: dict, seed: int):
     outputs["field.json"] = encode_json(sidecar)
     summary = {
         "log_base": LOG_BASE_NOTE,
-        "interval": list(interval),
+        "interval": interval,
         "one_point_prob": p1,
         "isotropy_spread": iso.spread if iso else None,
-        "epsilons": list(report.epsilons),
+        "epsilons": report.epsilons,
         "global_mean": p1,
         "sample_mean": mean,
         "sample_variance": variance,
@@ -396,7 +402,6 @@ def _run_canonical(params: dict, seed: int):
     levels = probcore.EnergyLevels(energies=energies, temperature=temperature)
     dist = probcore.canonical(levels)
     s = probcore.entropy(dist)
-    mean_e = float(dist.probs @ energies)
     live = dist.probs > probcore.ZERO_CUTOFF
     kkt = np.log(dist.probs[live]) + (energies[live] - energies.min()) / temperature
     rows = [(k, energies[k], dist.probs[k]) for k in range(len(dist))]
@@ -404,10 +409,10 @@ def _run_canonical(params: dict, seed: int):
     summary = {
         "log_base": LOG_BASE_NOTE,
         "temperature": temperature,
-        "mean_energy": mean_e,
+        "mean_energy": dist.probs @ energies,
         "entropy": s,
         "information": probcore.information(dist, math.log(len(dist))),
-        "kkt_spread": float(kkt.max() - kkt.min()),
+        "kkt_spread": kkt.max() - kkt.min(),
     }
     return summary, outputs
 
@@ -440,17 +445,17 @@ def _run_measure(params: dict, seed: int):
         "seed": seed,
         "M": params["n_microstates"],
         "K": k,
-        "c": np.stack((c.real, c.imag), axis=-1).tolist(),
-        "fractions": [float(p) for p in fractions.probs],
-        "counts": [int(v) for v in counts],
-        "suppression_curve": [[m, med, p95] for m, med, p95 in curve],
+        "c": np.stack((c.real, c.imag), axis=-1),
+        "fractions": fractions.probs,
+        "counts": counts,
+        "suppression_curve": curve,
         "ledger": {
             "initial_total": ledger.initial_total,
             "final_coarse": ledger.final_coarse,
             "final_residual": ledger.final_residual,
             "final_total": ledger.final_total,
             "rounding_defect": ledger.rounding_defect,
-            "microstate_counts": [int(v) for v in ledger.microstate_counts],
+            "microstate_counts": ledger.microstate_counts,
         },
     }
     return summary, outputs
@@ -491,7 +496,7 @@ def _run_cone(params: dict, seed: int):
     header = ["member", "seed", "fall_time", "final_azimuth", "sector"]
     outputs = {"members.csv": encode_csv(header, rows)}
     summary = {
-        "sector_counts": [int(v) for v in result.sector_counts],
+        "sector_counts": result.sector_counts,
         "n_unresolved": result.n_unresolved,
         # no member fell: no count to test against the uniform law
         "chi_square_uniform": conefall.chi_square_uniform(result.sector_counts)
@@ -569,7 +574,10 @@ def _remove_previous_outputs(out_dir: Path) -> None:
 
 def _non_finite_entry(obj, path: str = "") -> str | None:
     """The dotted path of the first NaN or infinity in a summary, in the
-    order the runner built it; None when every number is finite."""
+    order the runner built it, numpy arrays read as :func:`encode_json`
+    writes them; None when every number is finite."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, (list, tuple)):
@@ -643,7 +651,7 @@ def build_config(argv) -> RunConfig:
     for path in (args.out, *args.out.parents):
         if os.path.lexists(path):
             if not path.is_dir():
-                raise SchemaError(f"--out {str(args.out)!r}: {str(path)!r} is not a directory")
+                raise ValidationError(f"--out {str(args.out)!r}: {str(path)!r} is not a directory")
             break
 
     file_params: dict = {}
@@ -652,16 +660,16 @@ def build_config(argv) -> RunConfig:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int over 4300 digits
-            raise SchemaError(f"cannot read config file {args.config}: {exc}") from exc
+            raise ValidationError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise SchemaError("config file must hold a JSON object")
+            raise ValidationError("config file must hold a JSON object")
         file_params = dict(loaded)
         file_seed = file_params.pop("seed", None)
         if file_seed is not None and not _is_int(file_seed):
-            raise SchemaError(f"parameter 'seed' must be an integer, got {file_seed!r}")
+            raise ValidationError(f"parameter 'seed' must be an integer, got {file_seed!r}")
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
     if seed < 0:
-        raise SchemaError(f"parameter 'seed' must be a non-negative integer, got {seed!r}")
+        raise ValidationError(f"parameter 'seed' must be a non-negative integer, got {seed!r}")
     params = resolve_parameters(args.subcommand, file_params)
     return RunConfig(subcommand=args.subcommand, parameters=params, seed=int(seed), out_dir=args.out)
 
@@ -669,7 +677,7 @@ def build_config(argv) -> RunConfig:
 def main(argv=None) -> int:
     try:
         config = build_config(argv if argv is not None else sys.argv[1:])
-    except SchemaError as exc:
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     return run(config)

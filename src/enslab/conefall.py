@@ -38,8 +38,9 @@ and azimuth do not depend on the ensemble around it. That holds for a
 block of the ensemble too: :func:`run_ensemble` splits its members into
 one block of consecutive indices per CPU, each block drawing its own
 members and stepping them in its own process (block 0 in the caller, the
-others in forked children, which write into one shared table). So every
-output is the same, bit for bit, whatever the number of CPUs.
+others in forked children). Each block writes its members' columns of the
+table that :func:`._blocks._fork_join` owns and returns. So every output is
+the same, bit for bit, whatever the number of CPUs.
 
 A finite-support macrostate (uniform on a box) that straddles the
 equilibrium contains trajectories toward every fall direction; the ensemble
@@ -85,6 +86,8 @@ MAX_TILT = 0.5 * math.pi
 MAX_NORM_DRIFT = 1e-6
 # classical RK4 is stable on dL/dt = -damping L only while damping*dt <= 2.785
 _RK4_DAMPING_LIMIT = 2.785
+# liouville_check displaces its probes by this fraction of each support radius
+PROBE_SCALE = 1e-6
 # the rows of ``_Lockstep``'s state that hold L_x, L_y, L_z, n_x, n_y, n_z
 _LN_ROWS = np.array([5, 6, 7, 3, 4, 2])
 
@@ -506,15 +509,9 @@ def run_ensemble(
 
     n = int(n_members)
     counts = np.zeros(n_sectors, dtype=int)  # before the work: a table too big fails at once
-    # numpy's tables before the shared one, so a size too big fails with numpy's message
-    sectors = np.full(n, -1, dtype=np.int64)
-    fall_times = np.full(n, np.nan)
-    final_azimuths = np.full(n, np.nan)
-    table = _blocks._shared_table(9, n)
-    _blocks._fork_join(
+    table = _blocks._fork_join(
         partial(
             _fall_block,
-            table,
             macro=macro,
             seed=seed,
             fall_threshold=fall_threshold,
@@ -522,6 +519,7 @@ def run_ensemble(
             max_steps=max_steps,
             damping=damping,
         ),
+        9,
         n,
         "members",
     )
@@ -542,6 +540,9 @@ def run_ensemble(
         )
         _, azimuths, _, _ = _to_canonical(fallen[:, resolved])
 
+    sectors = np.full(n, -1, dtype=np.int64)
+    fall_times = np.full(n, np.nan)
+    final_azimuths = np.full(n, np.nan)
     final_azimuths[resolved] = azimuths
     sectors[resolved] = np.minimum(azimuths // (TWO_PI / n_sectors), n_sectors - 1)
     fall_times[resolved] = fall_steps[resolved] * dt
@@ -562,7 +563,7 @@ def run_ensemble(
 def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, max_steps, damping):
     """Draw members ``start``..``stop - 1`` and step them until they fall;
     write each one's seed, fall step, start energy and state at the fall
-    into its column of the (9, n) shared ``table`` (an unresolved member's
+    into its column of the (9, n) ``table`` (an unresolved member's
     fall step is -1 and its state NaN). In a forked child (``parent`` set),
     the block stops once its parent is gone (``_blocks._check_parent``)."""
     seeds = table[0, start:stop].view(np.uint64)
@@ -604,12 +605,11 @@ def liouville_check(
     steps: int,
     n_probe: int = 8,
     damping: float = 0.0,
-    probe_scale: float = 1e-6,
 ) -> float:
     """Estimated phase-volume ratio along trajectories from the macrostate.
 
     Each bundle of 8 probes takes centered differences of the flow map along
-    the four canonical axes (displacement = probe_scale * support radius;
+    the four canonical axes (displacement = PROBE_SCALE * support radius;
     the probes flow in the vector chart and are read back before they are
     differenced, azimuths on the circle);
     the Jacobian determinant estimates the local volume ratio, which is 1
@@ -624,13 +624,11 @@ def liouville_check(
     _check_flow(dt, damping)
     if steps == 0:
         return 1.0  # identity map: exact
-    if not (np.isfinite(probe_scale) and probe_scale > 0.0):
-        raise NumericsError("degenerate probe bundle: displacement is not positive")
     n_bundles = n_probe // 8
     c = macro.center
     radii = np.asarray(macro.support_radii)
     base = np.array([c.tilt, c.azimuth, c.tilt_momentum, c.azimuth_momentum])
-    h = probe_scale * radii
+    h = PROBE_SCALE * radii
     probes = np.empty((4, 8 * n_bundles))  # coords x probes, 8 per bundle
     for j in range(n_bundles):
         offset = (j / n_bundles - 0.5 * (n_bundles - 1) / n_bundles) * 0.5

@@ -17,8 +17,9 @@ by the one private kernel ``_phasor_sum``.
 The suppression curve runs its seeds as one block of consecutive seeds per
 CPU (:func:`._blocks._fork_join`): block 0 in this process, each other block
 in a forked child. A block builds its seeds' ensembles through
-:func:`build_apparatus` and writes each magnitude into its own slot of a
-shared table, so the curve is bit-identical on any number of CPUs.
+:func:`build_apparatus` and writes each magnitude into its own slot of the
+table the fork-join returns, so the curve is bit-identical on any number of
+CPUs.
 """
 
 from __future__ import annotations
@@ -232,10 +233,10 @@ def suppression_curve(m_values, n_seeds: int, seed: int) -> list:
     The seeds run in blocks of consecutive seeds, one per CPU (see
     :func:`._blocks._fork_join`); each block builds, for every M, its seeds'
     ensembles, all of one M sharing the block's first microstate
-    distribution, and writes each magnitude into its slot of a shared
-    (len(m_values), n_seeds) table. So the curve does not depend on the
-    number of CPUs. Raises NumericsError naming the seeds of a block whose
-    process failed.
+    distribution, and writes each magnitude into its slot of the
+    (len(m_values), n_seeds) table the fork-join returns. So the curve does
+    not depend on the number of CPUs. Raises NumericsError naming the seeds
+    of a block whose process failed.
     """
     if n_seeds < 1:
         raise ValidationError("need at least one seed per curve point")
@@ -245,15 +246,11 @@ def suppression_curve(m_values, n_seeds: int, seed: int) -> list:
             raise ValidationError(f"suppression curve M={m}: apparatus needs at least one microstate")
     if not m_values:
         return []
-    # numpy's table before the shared one, so a size too big fails with numpy's message
-    mags = np.empty((len(m_values), n_seeds))
-    table = _blocks._shared_table(len(m_values), n_seeds)
-    _blocks._fork_join(partial(_curve_block, table, m_values, seed), n_seeds, "seeds")
-    mags[...] = table
+    mags = _blocks._fork_join(partial(_curve_block, m_values, seed), len(m_values), n_seeds, "seeds")
     return [(m, float(np.median(row)), float(np.percentile(row, 95))) for m, row in zip(m_values, mags)]
 
 
-def _curve_block(table, m_values, seed, start, stop, parent) -> None:
+def _curve_block(m_values, seed, table, start, stop, parent) -> None:
     """For every M, build seeds ``start``..``stop - 1``'s two-outcome
     ensembles and write each one's (0, 1) resultant magnitude into
     ``table[j, s]``. In a forked child (``parent`` set), the block stops

@@ -47,7 +47,6 @@ __all__ = [
     "info_decompose",
     "canonical",
     "temperature_for_mean_energy",
-    "refine",
 ]
 
 
@@ -359,15 +358,3 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
         )
     return t
 
-
-def refine(dist_over_cells: DiscreteDistribution, k: int) -> DiscreteDistribution:
-    """Split every cell into k equal subcells.
-
-    Entropy rises by exactly ln k; information measured against a bound that
-    is refined the same way (s_max + ln k) is unchanged.
-    """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"refinement factor must be a positive integer, got {k!r}")
-    if k == 1:
-        return dist_over_cells
-    return DiscreteDistribution(np.repeat(dist_over_cells.probs / k, int(k)))

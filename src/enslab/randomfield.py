@@ -20,8 +20,9 @@ rows' bytes hold the real rows, as in FFTW's in-place real transforms. A
 Row blocks (consecutive indices on axis 0) transform the last axis and then
 axes dim-2 ... 1; column blocks (on axis 1) transform axis 0, apply the
 step between the forward and the inverse transform (the amplitudes of a
-synthesis, |A|^2 of a pair count), and transform axis 0 back; row blocks
-finish the inverse. :func:`_filter` is that one transform path for both.
+synthesis, |A|^2 of a pair count) in one call per block, and transform
+axis 0 back; row blocks finish the inverse. :func:`_filter` is that one
+transform path for both.
 Each line is transformed exactly as ``np.fft.rfftn``/``irfftn`` would
 transform it, so fields and pair counts are bit-identical to theirs on any
 number of CPUs.
@@ -361,20 +362,18 @@ def _filter(modes: np.ndarray, rows: np.ndarray, scale) -> None:
     three passes.
 
     Row blocks transform the axes after the first; each column block then
-    finishes its modes on axis 0, calls ``scale(slab, index)`` on each of
-    its slabs of axis 0 (contiguous, where numpy would buffer a strided
-    block's operands), which changes ``slab = modes[index]`` in place, and
-    transforms axis 0 back; row blocks finish the inverse. Pass ``scale``
-    with no other reference to it: it is dropped after its pass, so what it
-    holds does not outlive its use.
+    finishes its modes on axis 0, calls ``scale(block, cols)`` once, which
+    changes ``block = modes[:, cols]`` in place, and transforms axis 0 back;
+    row blocks finish the inverse. Pass ``scale`` with no other reference to
+    it: it is dropped after its pass, so what it holds does not outlive its
+    use.
     """
     _split(partial(_forward_rows, modes, rows), len(rows), rows.size)
 
     def columns(start, stop):
         block = modes[:, start:stop]
         np.fft.fft(block, axis=0, out=block)
-        for i, slab in enumerate(block):
-            scale(slab, (i, slice(start, stop)))
+        scale(block, slice(start, stop))
         np.fft.ifft(block, axis=0, out=block)
 
     _split(columns, modes.shape[1], modes.size)
@@ -382,17 +381,17 @@ def _filter(modes: np.ndarray, rows: np.ndarray, scale) -> None:
     _split(partial(_inverse_rows, modes, rows), len(rows), rows.size)
 
 
-def _times(amps: np.ndarray, slab: np.ndarray, index: tuple) -> None:
-    np.multiply(slab, np.atleast_2d(amps)[index], out=slab)
+def _times(amps: np.ndarray, block: np.ndarray, cols: slice) -> None:
+    np.multiply(block, np.atleast_2d(amps)[:, cols], out=block)
 
 
-def _square(slab: np.ndarray, index: tuple) -> None:
-    """|slab|^2 in place, as re**2 + im**2, bit for bit; ``slab`` is
-    contiguous, so both squares are one call."""
-    floats = slab.view(float)
+def _square(block: np.ndarray, cols: slice) -> None:
+    """|block|^2 in place, as re**2 + im**2, bit for bit; ``block``'s last
+    axis is contiguous, so both squares are one call on its floats."""
+    floats = block.view(float)
     np.square(floats, out=floats)
-    np.add(slab.real, slab.imag, out=slab.real)
-    slab.imag = 0.0
+    np.add(block.real, block.imag, out=block.real)
+    block.imag = 0.0
 
 
 def _admits_hierarchy(side: int) -> bool:
@@ -437,7 +436,7 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
     the constant field. The calling thread builds the amplitude table while
     a worker draws the noise into the half-grid table, the two jobs of one
     ``_both`` (one thread does both below two blocks of _MIN_BLOCK_SIZE);
-    the amplitudes are applied per column slab, and the mean in the one
+    the amplitudes are applied per column block, and the mean in the one
     call that copies the field out of the table, which the sample keeps.
     """
     _check_lattice(dim, side, spacing)

@@ -35,7 +35,6 @@ __all__ = [
     "init_ensemble",
     "evolve",
     "apply_pulse",
-    "magnetization",
     "binned_phase_entropy",
     "run_protocol",
 ]
@@ -128,13 +127,9 @@ def apply_pulse(ensemble: SpinEnsemble) -> SpinEnsemble:
     return SpinEnsemble(frequencies=ensemble.frequencies, phases=-ensemble.phases)
 
 
-def magnetization(ensemble: SpinEnsemble) -> float:
-    """Coarse order parameter |sum_i exp(i phi_i)| / n, in [0, 1]."""
-    return _magnetization(ensemble.phases)
-
-
 def _magnetization(phases: np.ndarray) -> float:
-    """|mean of exp(i phases)|, with one complex temporary."""
+    """Coarse order parameter |sum_i exp(i phi_i)| / n, in [0, 1], with one
+    complex temporary."""
     phasors = np.multiply(1j, phases)
     return float(abs(np.mean(np.exp(phasors, out=phasors))))
 

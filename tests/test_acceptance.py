@@ -45,7 +45,7 @@ from enslab.randomfield import (
     isotropy_report,
     pair_counts,
 )
-from enslab.spinecho import FrequencySpread, evolve, init_ensemble, magnetization, run_protocol
+from enslab.spinecho import FrequencySpread, _magnetization, evolve, init_ensemble, run_protocol
 from partition_helpers import random_partition, tilt_rows_to_mean
 
 PHI_BAND = 0.682689492137086  # Phi(1) - Phi(-1), Normal-CDF oracle
@@ -332,7 +332,7 @@ def test_11_spin_echo():
     for seed in range(20):
         ens = init_ensemble(10_000, spread, seed)
         for j, t in enumerate(t_grid):
-            mags[seed, j] = magnetization(evolve(ens, float(t)))
+            mags[seed, j] = _magnetization(evolve(ens, float(t)).phases)
     envelope = np.exp(-0.5 * t_grid**2)
     se = mags.std(axis=0, ddof=1) / math.sqrt(mags.shape[0])
     ok_envelope = bool(np.all(np.abs(mags.mean(axis=0) - envelope) < 3.0 * se))

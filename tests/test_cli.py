@@ -15,7 +15,7 @@ import pytest
 
 from block_helpers import force_cpus, public_calls_off_the_main_thread
 from enslab import _blocks, cli, conefall, measurement, probcore, randomfield, spinecho
-from enslab.errors import NumericsError
+from enslab.errors import NumericsError, ValidationError
 
 SMALL_CONFIGS = {
     "entropy": {},
@@ -438,6 +438,35 @@ class TestSchema:
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli.encode_json({"a": [1.0, math.inf]})
 
+    def test_numpy_values_encode_as_their_python_values(self):
+        # the runners hand numpy arrays and scalars straight to the encoder
+        plain = {
+            "ints": [[1, -2], [2**62, 0]],
+            "floats": [0.1, 1e-300, -2.5],
+            "int": 7,
+            "float": 0.30000000000000004,
+            "flag": True,
+            "empty": [],
+        }
+        numpy = {
+            "ints": np.array(plain["ints"], dtype=np.int64),
+            "floats": np.array(plain["floats"]),
+            "int": np.int64(7),
+            "float": np.float64(0.1) + np.float64(0.2),
+            "flag": np.bool_(True),
+            "empty": np.empty(0),
+        }
+        assert cli.encode_json(numpy) == cli.encode_json(plain)
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            cli.encode_json({"a": {1}})
+
+    def test_non_finite_entry_is_found_inside_an_array(self):
+        summary = {"a": 1.0, "c": np.array([[0.6, 0.0], [0.8, np.nan]]), "d": [np.float64(np.inf)]}
+        assert cli._non_finite_entry(summary) == "c.1.1"
+        assert cli._non_finite_entry({"c": np.array([[0.6, -np.inf]])}) == "c.0.1"
+        assert cli._non_finite_entry({"d": [np.float64(np.inf)]}) == "d.0"
+        assert cli._non_finite_entry({"n": np.arange(3), "x": np.float64(2.0)}) is None
+
     def test_overflowing_coefficients_exit_two_without_a_warning(self, tmp_path, capsys):
         # the squared norm overflows to inf and is rejected; the RuntimeWarning
         # filter of this suite turns any overflow warning into an error
@@ -448,9 +477,9 @@ class TestSchema:
 
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
     def test_integer_tags_hold_int64(self, value):
-        with pytest.raises(cli.SchemaError, match="'n_bins' holds an integer outside the int64 range"):
+        with pytest.raises(ValidationError, match="'n_bins' holds an integer outside the int64 range"):
             cli.resolve_parameters("spinecho", {"n_bins": value})
-        with pytest.raises(cli.SchemaError, match="'suppression_m' holds an integer outside the int64 range"):
+        with pytest.raises(ValidationError, match="'suppression_m' holds an integer outside the int64 range"):
             cli.resolve_parameters("measure", {"suppression_m": [1, value]})
         assert cli.resolve_parameters("spinecho", {"n_bins": value // 2})["n_bins"] == value // 2
 

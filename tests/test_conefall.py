@@ -926,7 +926,6 @@ class TestForkedBlocks:
         table = np.zeros((9, 4))
         block = partial(
             conefall._fall_block,
-            table,
             macro=SYMMETRIC_MACRO,
             seed=3,
             fall_threshold=1.0,
@@ -935,9 +934,9 @@ class TestForkedBlocks:
             damping=0.0,
         )
         with pytest.raises(SystemExit):
-            block(0, 4, -1)
+            block(table, 0, 4, -1)
         assert np.all(table[1].view(np.int64) == -1)
-        block(0, 4, os.getppid())
+        block(table, 0, 4, os.getppid())
         assert np.all(table[1].view(np.int64) > 1024)
 
     def test_a_refused_mapping_is_out_of_memory(self, monkeypatch):

@@ -274,9 +274,9 @@ class TestSplitCurve:
         # a forked block checks its parent's id before each seed
         table = np.zeros((2, 4))
         with pytest.raises(SystemExit):
-            measurement._curve_block(table, [10, 20], 1, 0, 4, -1)
+            measurement._curve_block([10, 20], 1, table, 0, 4, -1)
         assert not table.any()
-        measurement._curve_block(table, [10, 20], 1, 0, 4, os.getppid())
+        measurement._curve_block([10, 20], 1, table, 0, 4, os.getppid())
         assert table.all()
 
     def test_one_uniform_distribution_per_m(self, monkeypatch):

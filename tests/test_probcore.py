@@ -15,7 +15,6 @@ from enslab.probcore import (
     entropy,
     info_decompose,
     information,
-    refine,
     temperature_for_mean_energy,
 )
 from partition_helpers import random_partition, tilt_rows_to_mean
@@ -112,12 +111,6 @@ class TestInformation:
     def test_bound_below_entropy_rejected(self):
         with pytest.raises(ValidationError, match="is below the entropy .*; no valid information value"):
             information(DiscreteDistribution.uniform(8), math.log(8) - 1e-6)
-
-    def test_refinement_invariance(self):
-        d = DiscreteDistribution([0.5, 0.3, 0.2])
-        base = information(d, math.log(3))
-        refined = information(refine(d, 4), math.log(3) + math.log(4))
-        assert refined == pytest.approx(base, abs=1e-12)
 
 
 class TestInfoDecompose:
@@ -240,27 +233,3 @@ class TestGibbsMaximality:
         )
         assert margins.min() > 0.0
 
-
-class TestRefine:
-    def test_identity_at_k_one(self):
-        d = DiscreteDistribution([0.4, 0.6])
-        assert refine(d, 1) is d
-
-    def test_uniform_two_to_uniform_six(self):
-        refined = refine(DiscreteDistribution.uniform(2), 3)
-        assert np.allclose(refined.probs, 1.0 / 6.0, atol=1e-15)
-        assert entropy(refined) == pytest.approx(math.log(6), abs=1e-12)
-
-    def test_entropy_shift_is_log_k(self):
-        d = DiscreteDistribution([0.5, 0.3, 0.2])
-        assert entropy(refine(d, 5)) - entropy(d) == pytest.approx(math.log(5), abs=1e-12)
-
-    def test_composition(self):
-        d = DiscreteDistribution([0.15, 0.35, 0.5])
-        ab = refine(refine(d, 3), 5)
-        direct = refine(d, 15)
-        np.testing.assert_allclose(ab.probs, direct.probs, rtol=1e-15, atol=0.0)
-
-    def test_zero_factor_rejected(self):
-        with pytest.raises(ValidationError):
-            refine(DiscreteDistribution.uniform(2), 0)

@@ -1,9 +1,12 @@
 """Every public function and class of the layer modules (those with an
 ``__all__``) is used by some module of the package, or it is listed here;
-and every public method, property and dataclass field of those classes is
-read by some module of the package."""
+every public method, property and dataclass field of those classes is read
+by some module of the package; and a rule has one owner: the CLI reads only
+the listed library privates, only ``_blocks`` reads the shared table, and
+only ``errors`` defines an exception class."""
 
 import ast
+import builtins
 import pathlib
 from collections import Counter
 
@@ -11,19 +14,16 @@ import enslab
 
 SOURCE = pathlib.Path(enslab.__file__).parent
 
-# public names that only tests reach. hamiltonian, liouville_check and
-# refine state a paper claim (energy conservation, phase volume, refinement
-# invariance) that no run reports yet; integrate is the single-trajectory
-# entry point the physics tests drive; binned_phase_entropy and magnetization
-# are the public twins of the spin-echo workers' kernels (the benchmark traces
-# both, and the tests take magnetization as the reference for _magnetization).
+# public names that only tests reach. hamiltonian and liouville_check state
+# a paper claim (energy conservation, phase volume) that no run reports yet;
+# integrate is the single-trajectory entry point the physics tests drive;
+# binned_phase_entropy is the public twin of the spin-echo workers' entropy
+# kernel, which the benchmark traces.
 UNREACHED = {
     "conefall.hamiltonian",
     "conefall.liouville_check",
-    "probcore.refine",
     "conefall.integrate",
     "spinecho.binned_phase_entropy",
-    "spinecho.magnetization",
 }
 
 
@@ -161,3 +161,43 @@ def test_the_cli_reads_only_the_listed_library_privates():
             continue
         reads.update(f"{module}.{name}" for module, name in names if name.startswith("_") and not name.startswith("__"))
     assert reads == CLI_PRIVATE_READS
+
+
+def modules_reading(name: str, trees: dict) -> set:
+    """The modules whose code loads ``name``, bare or as an attribute."""
+    return {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+    }
+
+
+def test_only_the_fork_join_reads_the_shared_table():
+    # _fork_join allocates numpy's table, then the mapping, and copies one
+    # into the other; its callers get numpy's table back
+    assert modules_reading("_shared_table", parsed_sources()) == {"_blocks"}
+
+
+def exception_classes(trees: dict) -> set:
+    """``module.Class`` for every class, at any depth, with a base that is a
+    builtin exception or another such class of the package."""
+    classes = [
+        (module, node, {ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases})
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    known = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    found = set()
+    while True:
+        new = {(module, cls.name) for module, cls, bases in classes if bases & known} - found
+        if not new:
+            return {f"{module}.{name}" for module, name in found}
+        found |= new
+        known |= {name for _, name in new}
+
+
+def test_only_errors_defines_exception_classes():
+    trees = parsed_sources()
+    assert exception_classes(trees) == {"errors.EnslabError", "errors.ValidationError", "errors.NumericsError"}
