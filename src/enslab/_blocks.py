@@ -9,9 +9,9 @@ not depend on how many run. The work inside the blocks (numpy transforms,
 ufuncs, reductions, histograms and random draws, and ``hashlib`` on a large
 buffer) releases the GIL, so the blocks run side by side. :func:`_both`
 runs two jobs as the two indices of one ``_split``. Its callers: the field
-transforms and the rounding of pair counts in ``randomfield``,
-``generate``'s noise draw beside the amplitude table, the CLI's hash of
-``field.bin`` beside the field's moments, and the spin echo's samples.
+transforms in ``randomfield``, ``generate``'s noise draw beside the
+amplitude table, the CLI's hash of ``field.bin`` beside the field's
+moments, and the spin echo's samples.
 Blocks must call only private kernels, never a public ``__all__`` function,
 a ``DiscreteDistribution`` constructor or the CLI's encoders: those are the
 names a profiler wraps, and its wrappers keep unsynchronized state.

@@ -22,10 +22,10 @@ measures the integration error. Canonical coordinates are converted to the
 chart at entry and back at readout only.
 
 One lockstep kernel (``_Lockstep``) steps every integration here: the
-single state of :func:`integrate`, the probe bundles of
-:func:`liouville_check` (all in one batch) and the whole ensemble of
-:func:`run_ensemble`. Its buffers are allocated once, and the batch is
-compacted only on steps where members fell. Its state rows are
+single state of :func:`integrate` and the probe bundles of
+:func:`liouville_check` (all in one batch), both through ``_flow``, their
+one path through a fixed number of steps, and the whole ensemble of
+:func:`run_ensemble`. Its buffers are allocated once, and the batch is compacted only on steps where members fell. Its state rows are
 ``n_x' n_y' | n_z n_x n_y L_x L_y L_z | L_x'``, the primed rows copies of
 n_x, n_y and L_x: every operand of the cross product L x n is then a
 contiguous slice of rows, so a step copies no L, and an undamped step
@@ -39,8 +39,9 @@ block of the ensemble too: :func:`run_ensemble` splits its members into
 one block of consecutive indices per CPU, each block drawing its own
 members and stepping them in its own process (block 0 in the caller, the
 others in forked children). Each block writes its members' columns of the
-table that :func:`._blocks._fork_join` owns and returns. So every output is
-the same, bit for bit, whatever the number of CPUs.
+table that :func:`._blocks._fork_join` owns and returns: a member's seed,
+its fall time (NaN while it stands), its start energy and its state at the
+fall. So every output is the same, bit for bit, whatever the number of CPUs.
 
 A finite-support macrostate (uniform on a box) that straddles the
 equilibrium contains trajectories toward every fall direction; the ensemble
@@ -145,7 +146,9 @@ class EnsembleResult:
 
     ``sectors`` holds -1 for unresolved members (never crossed the threshold
     within the step budget); their ``fall_times`` entries are NaN. Unresolved
-    members are reported, never dropped. ``max_norm_drift`` is the largest
+    members are reported, never dropped. ``member_seeds[m]`` is the first word
+    of ``member_seed_sequence(seed, m)``, the stream the member is drawn from;
+    ``sample_initial(macro, member_seeds[m])`` draws a different member. ``max_norm_drift`` is the largest
     ||n| - 1| over the members' falls (0.0 if none fell): the integration
     error of the run, bounded by ``MAX_NORM_DRIFT``. ``max_energy_drift`` is
     the largest change of the energy between a member's start and its fall
@@ -376,12 +379,6 @@ class _Lockstep:
         """Advance every member by one RK4 step of size dt."""
         _replay(self._step_plan)
 
-    def advance(self, steps: int) -> None:
-        """Take ``steps`` steps (callers run it under ``np.errstate``, so
-        overflow shows as non-finite state, not warnings)."""
-        for _ in range(int(steps)):
-            self.step()
-
 
 def _replay(plan) -> None:
     """Make each call of a plan, in order."""
@@ -427,6 +424,17 @@ def _to_canonical(y) -> tuple:
     return tilt, azimuth, p_theta, lz.copy()
 
 
+def _flow(coords, dt: float, steps: int, damping: float) -> tuple:
+    """(4, m) canonical coordinates after ``steps`` RK4 steps of size dt in one
+    lockstep batch, as :func:`_to_canonical` reads them; an overflow is a
+    non-finite state, not a warning."""
+    with np.errstate(all="ignore"):
+        kernel = _Lockstep(_to_vector(*coords), dt, damping)
+        for _ in range(int(steps)):
+            kernel.step()
+        return _to_canonical(kernel.y)
+
+
 def integrate(state: PhaseState, dt: float, steps: int, damping: float = 0.0) -> PhaseState:
     """Advance one phase-space point by ``steps`` fixed RK4 steps of size dt.
 
@@ -443,10 +451,7 @@ def integrate(state: PhaseState, dt: float, steps: int, damping: float = 0.0) ->
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps!r}")
     start = ([v] for v in (state.tilt, state.azimuth, state.tilt_momentum, state.azimuth_momentum))
-    with np.errstate(all="ignore"):
-        kernel = _Lockstep(_to_vector(*start), dt, damping)
-        kernel.advance(steps)
-        vals = tuple(float(v[0]) for v in _to_canonical(kernel.y))
+    vals = tuple(float(v[0]) for v in _flow(start, dt, steps, damping))
     if not all(np.isfinite(v) for v in vals):
         raise NumericsError("trajectory left the finite range (non-finite state)")
     return PhaseState(*vals)
@@ -523,9 +528,9 @@ def run_ensemble(
         n,
         "members",
     )
-    member_seeds = table[0].view(np.uint64).copy()
-    fall_steps, start_energies, fallen = table[1].view(np.int64), table[2], table[3:]
-    resolved = fall_steps >= 0
+    member_seeds, fall_times = table[0].view(np.uint64).copy(), table[1].copy()
+    start_energies, fallen = table[2], table[3:]
+    resolved = np.isfinite(fall_times)
     with np.errstate(all="ignore"):
         drift = float(np.max(np.abs(np.linalg.norm(fallen[3:, resolved], axis=0) - 1.0), initial=0.0))
         if not drift <= MAX_NORM_DRIFT:
@@ -541,11 +546,9 @@ def run_ensemble(
         _, azimuths, _, _ = _to_canonical(fallen[:, resolved])
 
     sectors = np.full(n, -1, dtype=np.int64)
-    fall_times = np.full(n, np.nan)
     final_azimuths = np.full(n, np.nan)
     final_azimuths[resolved] = azimuths
     sectors[resolved] = np.minimum(azimuths // (TWO_PI / n_sectors), n_sectors - 1)
-    fall_times[resolved] = fall_steps[resolved] * dt
     np.add.at(counts, sectors[resolved], 1)
     return EnsembleResult(
         sector_counts=counts,
@@ -562,20 +565,19 @@ def run_ensemble(
 
 def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, max_steps, damping):
     """Draw members ``start``..``stop - 1`` and step them until they fall;
-    write each one's seed, fall step, start energy and state at the fall
-    into its column of the (9, n) ``table`` (an unresolved member's
-    fall step is -1 and its state NaN). In a forked child (``parent`` set),
+    write each one's seed, fall time, start energy and state at the fall
+    into its column of the (9, n) ``table`` (an unresolved member's fall
+    time and state are NaN). In a forked child (``parent`` set),
     the block stops once its parent is gone (``_blocks._check_parent``)."""
     seeds = table[0, start:stop].view(np.uint64)
-    fall_steps, fallen = table[1, start:stop].view(np.int64), table[3:, start:stop]
+    fall_times, fallen = table[1, start:stop], table[3:, start:stop]
     begin = np.empty((4, stop - start))
     for j in range(stop - start):
         ss = member_seed_sequence(seed, start + j)
         seeds[j] = ss.generate_state(1, np.uint64)[0]
         state = sample_initial(macro, ss)
         begin[:, j] = state.tilt, state.azimuth, state.tilt_momentum, state.azimuth_momentum
-    fall_steps[...] = -1
-    fallen[...] = np.nan
+    table[1:, start:stop] = np.nan  # row 2, the start energies, is written next
     cos2, sin2 = math.cos(fall_threshold) ** 2, math.sin(fall_threshold) ** 2
     step = 0
     with np.errstate(all="ignore"):
@@ -587,7 +589,7 @@ def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, 
             if not upright.all():
                 fell = ~upright
                 ids = kernel.ids[fell]
-                fall_steps[ids] = step
+                fall_times[ids] = step * dt
                 fallen[:, ids] = kernel.y[:, fell]
                 kernel.compact(upright)
             if kernel.n == 0 or step >= max_steps:
@@ -640,10 +642,7 @@ def liouville_check(
             minus[axis] -= h[axis]
             probes[:, 8 * j + 2 * axis] = plus
             probes[:, 8 * j + 2 * axis + 1] = minus
-    with np.errstate(all="ignore"):
-        kernel = _Lockstep(_to_vector(*probes), dt, damping)
-        kernel.advance(steps)
-        flowed = np.vstack(_to_canonical(kernel.y))
+    flowed = np.vstack(_flow(probes, dt, steps, damping))
     dets = []
     for bundle in np.hsplit(flowed, n_bundles):
         if not np.all(np.isfinite(bundle)):

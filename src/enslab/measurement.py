@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -171,21 +172,20 @@ def sample_outcomes(
 
 
 def largest_remainder_counts(weights: np.ndarray, n: int) -> np.ndarray:
-    """Integer allocation n_k of n slots proportional to weights (sum preserved).
+    """Integer allocation n_k of n slots proportional to weights, summing to n.
 
-    Floors first, then hands the leftover slots to the largest fractional
-    remainders; ties break toward the lower index, so the result is
-    deterministic.
+    Each share w_k n / sum(w) is an exact Fraction, so the counts sum to n for
+    any n and weights. Floors first, then hands the leftover slots (fewer than
+    K) to the largest remainders; ties break toward the lower index.
     """
-    w = np.asarray(weights, dtype=float)
-    exact = w * n
-    counts = np.floor(exact).astype(int)
-    leftover = int(n - counts.sum())
-    if leftover:
-        remainders = exact - counts
-        order = np.lexsort((np.arange(w.size), -remainders))
-        counts[order[:leftover]] += 1
-    return counts
+    w = [Fraction(x) for x in np.asarray(weights, dtype=float).tolist()]
+    total = sum(w)
+    shares = [x * n / total for x in w]
+    counts = [math.floor(share) for share in shares]
+    order = sorted(range(len(w)), key=lambda k: (counts[k] - shares[k], k))
+    for k in order[: n - sum(counts)]:
+        counts[k] += 1
+    return np.array(counts, dtype=np.int64)
 
 
 def entropy_ledger(system: SystemState, n_micro: int) -> EntropyLedger:

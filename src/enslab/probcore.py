@@ -322,6 +322,8 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
             f"target mean {target_mean!r} is unreachable: must lie strictly inside "
             f"({e_min!r}, {e_flat!r})"
         )
+    if not 1e-12 * span > 0.0:  # the bracket below starts at 1e-12 * span
+        raise ValidationError(f"energies span {span!r}, too narrow to bracket a temperature")
 
     def mean_at(t: float) -> float:
         x = -arr / t

@@ -672,6 +672,45 @@ class TestSchema:
         assert 0.0 < summary["temperature"] < math.inf
 
 
+    @pytest.mark.parametrize(
+        "subcommand, config, message",
+        [
+            pytest.param(
+                # variance * side^dim / total overflowed: numpy warned in the
+                # multiply and the transform, then "field values must be finite"
+                "field",
+                {"variance": 1e305},
+                "variance=1e+305 overflows the spectrum's normalization on 81^2 points",
+                id="field-variance",
+            ),
+            pytest.param(
+                # 1e-12 * span, the bracket's lowest temperature, underflowed
+                # to 0: numpy warned at -E / 0, and the run exited 0
+                "canonical",
+                {"energies": [0.0, 1e-320], "target_mean_energy": 1e-321},
+                "energies span 1e-320, too narrow to bracket a temperature",
+                id="canonical-subnormal-span",
+            ),
+        ],
+    )
+    def test_scale_past_the_float_range_exits_two_silently(self, subcommand, config, message, tmp_path):
+        proc, out = run_module(subcommand, config, tmp_path)
+        assert proc.returncode == 2
+        assert "Warning" not in proc.stderr
+        assert proc.stderr == f"invalid configuration: {message}\n"
+        assert not out.exists()
+
+
+def run_module(subcommand, config, tmp_path):
+    """``python -m enslab`` in a fresh process: (the completed process, its
+    output directory)."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    argv = [sys.executable, "-m", "enslab", subcommand, "--config", str(cfg), "--out", str(out)]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60), out
+
+
 class TestSummaries:
     def test_measure_summary_values(self, tmp_path):
         out = tmp_path / "m"
@@ -758,6 +797,30 @@ class TestSummaries:
         members = (out / "members.csv").read_text().strip().split("\n")
         assert members[0] == "member,seed,fall_time,final_azimuth,sector"
         assert len(members) == 41
+
+    def test_member_seed_is_the_first_word_of_the_member_stream(self, tmp_path):
+        # the member is drawn from its SeedSequence, not from this word
+        out = tmp_path / "k"
+        assert run_cli("cone", out, tmp_path=tmp_path) == 0
+        s0 = int(np.random.SeedSequence(11, spawn_key=(0,)).generate_state(1, np.uint64)[0])
+        words = [conefall.member_seed_sequence(s0, m).generate_state(1, np.uint64)[0] for m in range(40)]
+        rows = (out / "members.csv").read_text().split()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == [int(w) for w in words]
+
+    @pytest.mark.parametrize(
+        "coefficients, n_micro",
+        [
+            pytest.param([0.6, 0.8000000000001], 10**13, id="two-over"),
+            pytest.param([0.6, 0.8], 2**63 - 1, id="int64-max"),
+        ],
+    )
+    def test_ledger_counts_sum_to_the_microstates(self, coefficients, n_micro, tmp_path):
+        # float floors of |c_k|^2 n overshot n: two microstates too many at
+        # 10^13, and at 2^63 - 1 an overflow warning as well
+        proc, out = run_module("measure", {"coefficients": coefficients, "ledger_n_micro": n_micro}, tmp_path)
+        assert proc.returncode == 0 and proc.stderr == ""
+        counts = json.loads((out / "summary.json").read_text())["ledger"]["microstate_counts"]
+        assert sum(counts) == n_micro and min(counts) >= 0
 
     def test_cone_energy_drift_beside_norm_drift(self, tmp_path):
         drifts = {}

@@ -269,6 +269,14 @@ class TestRunEnsemble:
         assert np.all(result.sectors == -1)
         assert np.all(np.isnan(result.fall_times))
 
+    def test_every_block_writes_nan_for_members_that_never_fall(self, monkeypatch):
+        # steps of 1e-300 move no member: each forked block's fall times stay NaN
+        force_cpus(monkeypatch, 3)
+        result = run_ensemble(SYMMETRIC_MACRO, 10, 8, seed=5, dt=1e-300, max_steps=3)
+        assert result.n_unresolved == 10
+        assert np.all(np.isnan(result.fall_times))
+        assert result.fall_time_stats() == {"count": 0}
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             run_ensemble(SYMMETRIC_MACRO, 0, 8)
@@ -414,7 +422,8 @@ class TestFallOracles:
         # box (measured: 1.4e-14, 4.3e-15 and 8.8e-15)
         y0 = conefall._to_vector(*starts(SYMMETRIC_MACRO, 3, 300))
         kernel = conefall._Lockstep(y0, 1e-3, 0.0)
-        kernel.advance(5000)
+        for _ in range(5000):
+            kernel.step()
 
         def invariants(y):
             L, n = y[:3], y[3:]
@@ -935,9 +944,9 @@ class TestForkedBlocks:
         )
         with pytest.raises(SystemExit):
             block(table, 0, 4, -1)
-        assert np.all(table[1].view(np.int64) == -1)
+        assert np.all(np.isnan(table[1]))
         block(table, 0, 4, os.getppid())
-        assert np.all(table[1].view(np.int64) > 1024)
+        assert np.all(table[1] > 1024 * 1e-3)
 
     def test_a_refused_mapping_is_out_of_memory(self, monkeypatch):
         # a size numpy refuses fails first, with numpy's own message (the

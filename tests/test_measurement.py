@@ -3,9 +3,12 @@ import math
 import os
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
 from block_helpers import assert_no_child_left, counted_forks, force_cpus, public_calls_off_the_main_thread
@@ -180,6 +183,20 @@ class TestLargestRemainder:
 
     def test_exact_fractions_are_untouched(self):
         np.testing.assert_array_equal(largest_remainder_counts(np.array([0.25, 0.75]), 8), [2, 6])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=2, max_size=8),
+        st.integers(min_value=1, max_value=2**63 - 1),
+    )
+    def test_counts_sum_to_n_at_any_size(self, raw, n):
+        # Born weights sum to 1 only within rounding; float floors of w * n
+        # overshot n, and the leftover, negative, raised every count but one
+        w = np.asarray(raw) / math.fsum(raw)
+        counts = largest_remainder_counts(w, n).tolist()
+        assert sum(counts) == n and min(counts) >= 0
+        total = sum(Fraction(x) for x in w.tolist())
+        assert all(abs(c - Fraction(x) * n / total) < 1 for c, x in zip(counts, w.tolist()))
 
 
 def reference_magnitudes(m_values, n_seeds, seed, n_outcomes) -> list:

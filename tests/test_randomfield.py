@@ -478,6 +478,15 @@ class TestPairCounts:
         with pytest.raises(NumericsError):
             _round_counts(corrupted, 27)
 
+    def test_a_nan_in_the_last_slice_fails_the_guard(self):
+        # the residual is the largest of the slices'; a NaN anywhere must
+        # reach it, and its cast to int64 must not warn
+        padded = np.zeros((27, 27, 28))
+        assert len(randomfield._slabs(padded, 0, 27)) > 1
+        padded[-1, 0, 0] = np.nan
+        with pytest.raises(NumericsError, match="nan"):
+            _round_counts(padded, 27)
+
     @pytest.mark.parametrize(
         "dim, side, spacing, r",
         [(1, 27, 1.0, 4.0), (2, 81, 1.0, 1.5), (2, 81, 0.5, 3.2), (3, 162, 1.0, 8.0), (3, 27, 2.5, 10.0)],
@@ -710,10 +719,10 @@ class TestSplitStages:
         assert field.values.shape == (54, 54, 54) and field.values.flags.c_contiguous
         assert peak <= max(half * 16 + 2 * half * 8 + half, half * 16 + n * 8) + 2**17
 
-    def test_only_transforms_and_rounding_are_split(self, monkeypatch):
-        # the indicator, the cast of bits into the table and the mean run on
-        # the calling thread; every pass handed to _split is a transform pass
-        # or the rounding of pair counts
+    def test_only_transforms_are_split(self, monkeypatch):
+        # the indicator, the cast of bits into the table, the rounding of
+        # pair counts and the mean run on the calling thread; every pass
+        # handed to _split is a transform pass
         force_cpus(monkeypatch, 3)
         passes, split = [], randomfield._split
 
@@ -728,7 +737,6 @@ class TestSplitStages:
             "_forward_rows",
             "_filter.<locals>.columns",
             "_inverse_rows",
-            "_round_counts.<locals>.run",
         }
 
     def test_workers_call_no_public_function(self, monkeypatch):
