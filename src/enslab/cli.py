@@ -549,7 +549,8 @@ RUNNERS = {
 
 def _environment() -> dict:
     """What the speed of a run depends on: interpreter, numpy, platform and the
-    CPUs the field transforms, suppression curve and spin echo split across."""
+    CPUs the field transforms, suppression curve, cone members and spin echo
+    split across."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -25,14 +25,18 @@ One lockstep kernel (``_Lockstep``) steps every integration here: the
 single state of :func:`integrate` and the probe bundles of
 :func:`liouville_check` (all in one batch), both through ``_flow``, their
 one path through a fixed number of steps, and the whole ensemble of
-:func:`run_ensemble`. Its buffers are allocated once, and the batch is compacted only on steps where members fell. Its state rows are
+:func:`run_ensemble`. Its buffers are allocated once. A member that falls
+is parked at the hanging equilibrium, where every RK4 increment is exactly
+zero, so it costs its column's arithmetic and no copy; the batch is
+compacted only once an eighth of it is parked. Its state rows are
 ``n_x' n_y' | n_z n_x n_y L_x L_y L_z | L_x'``, the primed rows copies of
 n_x, n_y and L_x: every operand of the cross product L x n is then a
 contiguous slice of rows, so a step copies no L, and an undamped step
-makes no damping call (37 ufunc calls a step, 45 with damping). The RK4 step and the fall test
-are call plans, lists of ufunc calls on views of the buffers, bound when
-the kernel is built and bound again at each compaction; every other step
-replays them without slicing an array. Each element sees the same
+makes no damping call (37 ufunc calls a step, 45 with damping; the fall
+test is 7). The RK4 step and the fall test are call plans, lists of ufunc
+calls on views of the buffers, bound when the kernel is built and bound
+again at each compaction; every other step replays them without slicing
+an array. Each element sees the same
 operations in the same order whatever the batch, so a member's fall time
 and azimuth do not depend on the ensemble around it. That holds for a
 block of the ensemble too: :func:`run_ensemble` splits its members into
@@ -91,6 +95,11 @@ _RK4_DAMPING_LIMIT = 2.785
 PROBE_SCALE = 1e-6
 # the rows of ``_Lockstep``'s state that hold L_x, L_y, L_z, n_x, n_y, n_z
 _LN_ROWS = np.array([5, 6, 7, 3, 4, 2])
+# a cone block compacts its batch once this share of it is parked: a
+# compaction copies the whole state and rebinds both call plans, while
+# parked columns then add at most 1/7 to the live work, and a batch of n
+# members compacts about log(n) / log(8/7) times
+_COMPACT_PARKED_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -232,8 +241,15 @@ class _Lockstep:
     member's trajectory is the same to the last bit whatever batch it runs
     in. The undamped torque leaves out the textbook's ``- 0*L``, which
     changes no finite value but the sign of a zero: a -0 torque stays -0
-    where ``-0 - 0*L`` is +0 for an L with its sign bit set. Every ufunc writes into a buffer allocated once; ``compact`` drops
-    members and moves the survivors to the front.
+    where ``-0 - 0*L`` is +0 for an L with its sign bit set. Every ufunc
+    writes into a buffer allocated once.
+
+    ``park`` puts members at the hanging equilibrium, n = (0, 0, -1) and
+    L = 0, where every increment is exactly +-0: a parked column never
+    changes and never reads upright, damped or not, so a fall costs only
+    the fallen members' columns. ``compact`` drops members and moves the
+    survivors to the front; :func:`_fall_block` calls it once an eighth of
+    the batch is parked.
 
     The state and stage buffers have 9 rows, ``n_x' n_y' | n_z n_x n_y L_x
     L_y L_z | L_x'``: the state proper is rows 2-7, and the primed rows
@@ -246,11 +262,12 @@ class _Lockstep:
 
     The step and the fall test are call plans: lists of (function,
     operands) on views of the buffers, built by ``_resize`` once per batch
-    size, so construction and every ``compact`` rebind them. ``step`` and
-    ``upright`` replay a plan and slice nothing. The fall test's squared
-    cosine and sine sit in 0-d arrays that ``upright`` writes before each
-    replay. A plan fixes operands, not arithmetic: each element still goes
-    through the ufuncs of the update above in the same order.
+    size, so construction and every ``compact`` rebind them; ``park``
+    rebinds nothing. ``step`` and ``upright`` replay a plan and slice
+    nothing. The fall test is 7 calls; its squared cosine and sine sit in
+    0-d arrays that ``upright`` writes before each replay. A plan fixes
+    operands, not arithmetic: each element still goes through the ufuncs
+    of the update above in the same order.
     """
 
     def __init__(self, y, dt: float, damping: float):
@@ -348,10 +365,9 @@ class _Lockstep:
         threshold in (0, pi/2): no trig, no square root.
         """
         a, b, _ = self._work
-        nz, nx, ny = self._state[2:5]
+        nz, n_xy = self._state[2], self._state[3:5]
         return [
-            (np.multiply, (nx, nx, a)),
-            (np.multiply, (ny, ny, b)),
+            (np.multiply, (n_xy, n_xy, self._work[:2])),
             (np.add, (a, b, a)),
             (np.multiply, (self._cos2, a, a)),
             (np.abs, (nz, b)),
@@ -367,6 +383,18 @@ class _Lockstep:
         self._cos2[...], self._sin2[...] = cos2, sin2
         _replay(self._fall_plan)
         return self._keep
+
+    def states(self, members) -> np.ndarray:
+        """A copy of the given members' states, (L, n) by members."""
+        return self._state[_LN_ROWS[:, None], members]
+
+    def park(self, members) -> None:
+        """Put the given members at the hanging equilibrium, n = (0, 0, -1)
+        and L = 0, primed rows included. Every RK4 increment there is
+        exactly +-0, so their columns never change, and the fall test reads
+        0 < -sin2 there, so they never read upright again."""
+        self._state[:, members] = 0.0
+        self._state[2, members] = -1.0
 
     def compact(self, keep) -> None:
         """Keep only the members where ``keep`` is True, in order."""
@@ -567,8 +595,11 @@ def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, 
     """Draw members ``start``..``stop - 1`` and step them until they fall;
     write each one's seed, fall time, start energy and state at the fall
     into its column of the (9, n) ``table`` (an unresolved member's fall
-    time and state are NaN). In a forked child (``parent`` set),
-    the block stops once its parent is gone (``_blocks._check_parent``)."""
+    time and state are NaN). A member is parked once its fall is recorded
+    and the batch compacted once ``_COMPACT_PARKED_SHARE`` of it is
+    parked, so a fall costs the fallen members' columns, not the batch. In
+    a forked child (``parent`` set), the block stops once its parent is
+    gone (``_blocks._check_parent``)."""
     seeds = table[0, start:stop].view(np.uint64)
     fall_times, fallen = table[1, start:stop], table[3:, start:stop]
     begin = np.empty((4, stop - start))
@@ -584,15 +615,23 @@ def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, 
         y = _to_vector(*begin)
         table[2, start:stop] = _energy(y)
         kernel = _Lockstep(y, dt, damping)
+        # parked members never read upright: a step has new falls exactly
+        # when fewer than the standing members read upright
+        standing, parked = kernel.n, np.zeros(kernel.n, dtype=bool)
         upright = kernel.upright(cos2, sin2)
         while True:
-            if not upright.all():
-                fell = ~upright
+            if np.count_nonzero(upright) < standing:
+                fell = np.flatnonzero(~upright & ~parked)
                 ids = kernel.ids[fell]
                 fall_times[ids] = step * dt
-                fallen[:, ids] = kernel.y[:, fell]
-                kernel.compact(upright)
-            if kernel.n == 0 or step >= max_steps:
+                fallen[:, ids] = kernel.states(fell)
+                kernel.park(fell)
+                parked[fell] = True
+                standing -= fell.size
+                if kernel.n - standing >= _COMPACT_PARKED_SHARE * kernel.n:
+                    kernel.compact(~parked)
+                    parked = np.zeros(kernel.n, dtype=bool)
+            if standing == 0 or step >= max_steps:
                 break
             kernel.step()
             step += 1

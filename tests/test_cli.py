@@ -1069,3 +1069,93 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (out / "summary.json").exists()
+
+
+# Every CLI key, each with a small base config where the key is live and a
+# changed value: (subcommand, key, base config, changed value). The base
+# config is the subcommand's SMALL_CONFIGS entry updated with the one given.
+CONE_QUICK = {"n_members": 20, "dt": 1e-2, "max_steps": 3000}
+KEY_CHANGES = [
+    ("entropy", "blocks", {}, [[0.4], [0.4, 0.2]]),
+    ("field", "dim", {}, 1),
+    ("field", "side", {}, 81),
+    ("field", "mean", {}, 1.0),
+    ("field", "variance", {}, 2.0),
+    ("field", "spectrum", {}, "power_law"),
+    ("field", "index", {"spectrum": "power_law"}, -3.0),
+    ("field", "center", {"spectrum": "gaussian_bump"}, 4.0),
+    ("field", "width", {"spectrum": "gaussian_bump"}, 1.0),
+    ("field", "cutoff", {}, 4.0),
+    ("field", "spacing", {}, 0.5),
+    ("field", "interval", {}, [0.0, 1.0]),
+    ("field", "max_level", {}, 2),
+    ("field", "two_point_r", {}, [2.0]),
+    ("field", "isotropy_r", {}, 2.0),
+    ("canonical", "energies", {}, [0.0, 2.0]),
+    ("canonical", "temperature", {}, 2.0),
+    ("canonical", "target_mean_energy", {}, 0.25),
+    ("measure", "coefficients", {}, [0.8, 0.6]),
+    ("measure", "n_members", {}, 3000),
+    ("measure", "ledger_n_micro", {}, 256),
+    ("measure", "suppression_m", {}, [50, 200]),
+    ("measure", "suppression_seeds", {}, 30),
+    ("cone", "tilt_center", CONE_QUICK, 0.015),
+    ("cone", "tilt_radius", CONE_QUICK, 0.005),
+    ("cone", "azimuth_center", CONE_QUICK, 1.0),
+    ("cone", "azimuth_radius", CONE_QUICK, 1.0),
+    ("cone", "tilt_momentum_radius", CONE_QUICK, 0.02),
+    ("cone", "azimuth_momentum_radius", CONE_QUICK, 1e-3),
+    ("cone", "n_members", CONE_QUICK, 21),
+    ("cone", "n_sectors", CONE_QUICK, 5),
+    ("cone", "fall_threshold", CONE_QUICK, 0.8),
+    ("cone", "dt", CONE_QUICK, 5e-3),
+    ("cone", "max_steps", {**CONE_QUICK, "max_steps": 500}, 600),
+    ("cone", "damping", CONE_QUICK, 0.5),
+    ("spinecho", "n", {}, 600),
+    ("spinecho", "spread_kind", {}, "uniform"),
+    ("spinecho", "spread_scale", {}, 2.0),
+    ("spinecho", "tau", {}, 12.0),
+    ("spinecho", "n_bins", {}, 16),
+    ("spinecho", "samples_per_leg", {}, 12),
+]
+# keys that change only their own echo, each with where its removal is planned
+KNOWN_DEAD_KEYS = {
+    ("measure", "n_microstates"): "ROADMAP item 12: the apparatus M feeds no printed number",
+}
+# summary.json entries that only repeat a key, and a file that repeats the
+# field's config: a change there shows the key was read, not that it was used
+ECHOED_ENTRIES = {"M", "seed", "tau", "n_bins", "n_sectors", "interval"}
+ECHO_FILES = {"manifest.json", "field.json"}
+
+
+def results(subcommand, config, out_dir, tmp_path):
+    """The outputs of a run with ``config`` on top of the small config,
+    less the manifest and every echo of the config."""
+    assert run_cli(subcommand, out_dir, extra=config, tmp_path=tmp_path) == 0
+    out = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name not in ECHO_FILES}
+    summary = json.loads(out.pop("summary.json"))
+    out["summary.json"] = {k: v for k, v in summary.items() if k not in ECHOED_ENTRIES}
+    return out
+
+
+class TestEveryKeyIsLive:
+    def test_the_table_names_every_key(self):
+        named = [(sub, key) for sub, key, _, _ in KEY_CHANGES] + list(KNOWN_DEAD_KEYS)
+        assert sorted(named) == sorted((sub, key) for sub, schema in cli.SCHEMAS.items() for key in schema)
+
+    @pytest.mark.parametrize(
+        "subcommand, key, base, changed", KEY_CHANGES, ids=[f"{sub}.{key}" for sub, key, _, _ in KEY_CHANGES]
+    )
+    def test_changing_a_key_changes_an_output(self, subcommand, key, base, changed, tmp_path):
+        assert base.get(key, SMALL_CONFIGS[subcommand].get(key)) != changed
+        before = results(subcommand, base, tmp_path / "a", tmp_path)
+        after = results(subcommand, {**base, key: changed}, tmp_path / "b", tmp_path)
+        assert before != after
+
+    @pytest.mark.parametrize("subcommand, key", sorted(KNOWN_DEAD_KEYS))
+    def test_a_known_dead_key_is_still_dead(self, subcommand, key, tmp_path):
+        # once its removal lands this fails: take the key off the list
+        value = SMALL_CONFIGS[subcommand][key]
+        before = results(subcommand, {}, tmp_path / "a", tmp_path)
+        after = results(subcommand, {key: 2 * value}, tmp_path / "b", tmp_path)
+        assert before == after

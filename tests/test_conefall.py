@@ -450,7 +450,8 @@ class TestFallOracles:
 # Bit identity of the buffered kernel against the textbook RK4 update.
 #
 # The lockstep kernel reorganizes the work (preallocated buffers, repeated
-# rows, accumulation in place, the batch compacted only when members fall)
+# rows, accumulation in place, fallen members parked and the batch compacted
+# an eighth at a time)
 # but must give every float the plain per-element RK4 update on the same
 # vector-chart equations gives. The functions below are that update; they
 # share only the chart maps with the module and drive a
@@ -757,6 +758,37 @@ class TestCallPlans:
         monkeypatch.setattr(conefall._Lockstep, "__init__", counted_init)
         liouville_check(SYMMETRIC_MACRO, 1e-3, 10, n_probe=24)
         assert sizes == [24]
+
+
+class TestParking:
+    @pytest.mark.parametrize("damping", [0.0, DAMPED], ids=["undamped", "damped"])
+    def test_a_parked_column_stays_put(self, damping):
+        y = conefall._to_vector(*starts(SPINNING, 5, 30))
+        parked = np.zeros(30, dtype=bool)
+        parked[[0, 3, 4, 17, 29]] = True
+        kernel = conefall._Lockstep(y, 1e-2, damping)
+        alone = conefall._Lockstep(y[:, ~parked], 1e-2, damping)
+        kernel.park(np.flatnonzero(parked))
+        before = kernel._state[:, parked].copy()
+        with np.errstate(all="ignore"):
+            for _ in range(10_000):
+                kernel.step()
+                alone.step()
+        assert kernel._state[:, parked].tobytes() == before.tobytes()
+        assert np.array_equal(kernel.y[:, parked], np.tile([[0.0]] * 5 + [[-1.0]], parked.sum()))
+        for threshold in (0.2, 1.0, 1.5):
+            assert not kernel.upright(math.cos(threshold) ** 2, math.sin(threshold) ** 2)[parked].any()
+        hexes = lambda a: [float(v).hex() for v in a.ravel()]  # noqa: E731
+        assert hexes(kernel.y[:, ~parked]) == hexes(alone.y)
+
+    def test_compactions_are_bounded(self, monkeypatch):
+        # a block compacts once an eighth of its batch is parked, so each
+        # compaction leaves at most 7/8 of the batch before it
+        force_cpus(monkeypatch, 1)
+        sizes = check_every_binding(monkeypatch, lambda kernel: None)
+        result = run_ensemble(SYMMETRIC_MACRO, 2000, 8, seed=3, dt=1e-2, max_steps=50_000)
+        assert result.n_unresolved == 0 and sizes[0] == 2000
+        assert len(sizes) - 1 <= math.ceil(math.log(2000) / math.log(8 / 7)) + 2
 
 
 class TestEnergyDrift:
