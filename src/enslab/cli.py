@@ -65,8 +65,8 @@ EXIT_SCHEMA = 2
 EXIT_NUMERICS = 3
 
 # numpy raises ValueError, not MemoryError, when an array's size in bytes
-# overflows; this message is reported as out of memory too
-_NUMPY_TOO_BIG = "array is too big"
+# or its length overflows; these messages are reported as out of memory too
+_NUMPY_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
 
 LOG_BASE_NOTE = "e (entropies in nats)"
 
@@ -447,6 +447,7 @@ def _run_measure(params: dict, seed: int):
         "K": k,
         "c": np.stack((c.real, c.imag), axis=-1),
         "fractions": fractions.probs,
+        "max_coherence": measurement.max_coherence(system, apparatus),
         "counts": counts,
         "suppression_curve": curve,
         "ledger": {

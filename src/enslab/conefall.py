@@ -22,8 +22,8 @@ measures the integration error. Canonical coordinates are converted to the
 chart at entry and back at readout only.
 
 One lockstep kernel (``_Lockstep``) steps every integration here: the
-single state of :func:`integrate` and the probe bundles of
-:func:`liouville_check` (all in one batch), both through ``_flow``, their
+single state of :func:`integrate` and the probe bundle of
+:func:`liouville_check` (one batch), both through ``_flow``, their
 one path through a fixed number of steps, and the whole ensemble of
 :func:`run_ensemble`. Its buffers are allocated once. A member that falls
 is parked at the hanging equilibrium, where every RK4 increment is exactly
@@ -136,6 +136,9 @@ class InitialMacrostate:
             raise ValidationError("support radii must be positive and finite")
         if self.center.tilt - radii[0] < 0.0 or self.center.tilt + radii[0] > MAX_TILT:
             raise ValidationError("tilt support must stay inside [0, pi/2]")
+        azimuth = float(self.center.azimuth)
+        if not math.isfinite((azimuth + radii[1]) - (azimuth - radii[1])):
+            raise ValidationError(f"azimuth_radius={radii[1]!r} about {azimuth!r} spans past the float range")
         # momenta that overflow when squared overflow the flow's first steps:
         # fail here, naming the radius, and not at a fall as a dt too coarse
         for name, radius in zip(("tilt_momentum", "azimuth_momentum"), radii[2:]):
@@ -640,60 +643,38 @@ def _fall_block(table, start, stop, parent, *, macro, seed, fall_threshold, dt, 
             upright = kernel.upright(cos2, sin2)
 
 
-def liouville_check(
-    macro: InitialMacrostate,
-    dt: float,
-    steps: int,
-    n_probe: int = 8,
-    damping: float = 0.0,
-) -> float:
-    """Estimated phase-volume ratio along trajectories from the macrostate.
+def liouville_check(macro: InitialMacrostate, dt: float, steps: int, damping: float = 0.0) -> float:
+    """Estimated phase-volume ratio along trajectories from the macrostate's centre.
 
-    Each bundle of 8 probes takes centered differences of the flow map along
+    One bundle of 8 probes takes centered differences of the flow map along
     the four canonical axes (displacement = PROBE_SCALE * support radius;
-    the probes flow in the vector chart and are read back before they are
-    differenced, azimuths on the circle);
-    the Jacobian determinant estimates the local volume ratio, which is 1
-    for the undamped Hamiltonian flow up to integrator and differencing
-    error. ``n_probe // 8`` bundles are spread across the support and their
-    determinants averaged; all their probes flow in one lockstep batch.
+    the probes flow in one lockstep batch in the vector chart and are read
+    back before they are differenced, azimuths on the circle); the Jacobian
+    determinant estimates the local volume ratio, which is 1 for the
+    undamped Hamiltonian flow up to integrator and differencing error.
     """
-    if n_probe < 8:
-        raise ValidationError(f"need at least 8 probes (2 per coordinate), got {n_probe!r}")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps!r}")
     _check_flow(dt, damping)
     if steps == 0:
         return 1.0  # identity map: exact
-    n_bundles = n_probe // 8
     c = macro.center
-    radii = np.asarray(macro.support_radii)
-    base = np.array([c.tilt, c.azimuth, c.tilt_momentum, c.azimuth_momentum])
-    h = PROBE_SCALE * radii
-    probes = np.empty((4, 8 * n_bundles))  # coords x probes, 8 per bundle
-    for j in range(n_bundles):
-        offset = (j / n_bundles - 0.5 * (n_bundles - 1) / n_bundles) * 0.5
-        center_j = base + offset * radii
-        for axis in range(4):
-            plus = center_j.copy()
-            minus = center_j.copy()
-            plus[axis] += h[axis]
-            minus[axis] -= h[axis]
-            probes[:, 8 * j + 2 * axis] = plus
-            probes[:, 8 * j + 2 * axis + 1] = minus
+    center = np.array([[c.tilt], [c.azimuth], [c.tilt_momentum], [c.azimuth_momentum]])
+    h = PROBE_SCALE * np.asarray(macro.support_radii)
+    # coords x probes, plus and minus along each axis; every coordinate is
+    # the centre's plus an offset, so a -0.0 centre coordinate enters as +0.0
+    probes = np.empty((4, 8))
+    probes[:, 0::2] = center + np.diag(h)
+    probes[:, 1::2] = center + np.diag(-h)
     flowed = np.vstack(_flow(probes, dt, steps, damping))
-    dets = []
-    for bundle in np.hsplit(flowed, n_bundles):
-        if not np.all(np.isfinite(bundle)):
-            raise NumericsError("degenerate probe bundle: flow produced non-finite probes")
-        diff = bundle[:, 0::2] - bundle[:, 1::2]
-        diff[1] = np.mod(diff[1] + math.pi, TWO_PI) - math.pi  # azimuths differ on the circle
-        jac = diff / (2.0 * h)
-        det = float(abs(np.linalg.det(jac)))
-        if not np.isfinite(det) or det == 0.0:
-            raise NumericsError("degenerate probe bundle: singular flow Jacobian")
-        dets.append(det)
-    return float(np.mean(dets))
+    if not np.all(np.isfinite(flowed)):
+        raise NumericsError("degenerate probe bundle: flow produced non-finite probes")
+    diff = flowed[:, 0::2] - flowed[:, 1::2]
+    diff[1] = np.mod(diff[1] + math.pi, TWO_PI) - math.pi  # azimuths differ on the circle
+    det = float(abs(np.linalg.det(diff / (2.0 * h))))
+    if not np.isfinite(det) or det == 0.0:
+        raise NumericsError("degenerate probe bundle: singular flow Jacobian")
+    return det
 
 
 def chi_square_uniform(counts) -> float:

@@ -24,6 +24,7 @@ CPUs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,7 @@ __all__ = [
     "EntropyLedger",
     "build_apparatus",
     "outcome_fractions",
+    "max_coherence",
     "sample_outcomes",
     "entropy_ledger",
     "largest_remainder_counts",
@@ -151,9 +153,32 @@ def outcome_fractions(system: SystemState, apparatus: ApparatusEnsemble) -> Disc
     outcome projectors; the diagonal blocks carry resultant 1 regardless of
     the phase table, so the closed form needs no Monte Carlo.
     """
+    _check_outcomes(system, apparatus)
+    return DiscreteDistribution.from_weights(np.abs(system.coefficients) ** 2)
+
+
+def max_coherence(system: SystemState, apparatus: ApparatusEnsemble) -> float:
+    """Largest off-diagonal magnitude of the system's decohered density matrix.
+
+    rho[k, k'] = c_k conj(c_k') D[k, k'], where D[k, k'] = sum_i p_i
+    exp(i(theta[k, i] - theta[k', i])) is the pair's random-phasor resultant
+    over the apparatus microstates (D[k, k] = 1, so the diagonal holds the
+    Born weights). Returns the largest |rho[k, k']| over k != k', which
+    shrinks as M^-1/2: one phasor sum per pair of outcomes.
+    """
+    _check_outcomes(system, apparatus)
+    c, theta, probs = system.coefficients, apparatus.phases, apparatus.micro_probs.probs
+    delta, work = np.empty(theta.shape[1]), np.empty(theta.shape[1], dtype=complex)
+    largest = 0.0
+    for k, j in itertools.combinations(range(system.n_outcomes), 2):
+        np.subtract(theta[k], theta[j], out=delta)
+        largest = max(largest, abs(c[k] * np.conj(c[j]) * _phasor_sum(probs, delta, work)))
+    return float(largest)
+
+
+def _check_outcomes(system: SystemState, apparatus: ApparatusEnsemble) -> None:
     if system.n_outcomes != apparatus.n_outcomes:
         raise ValidationError("system and apparatus disagree on the number of outcomes")
-    return DiscreteDistribution.from_weights(np.abs(system.coefficients) ** 2)
 
 
 def sample_outcomes(

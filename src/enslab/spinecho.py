@@ -109,7 +109,10 @@ def init_ensemble(n: int, spread: FrequencySpread, seed: int) -> SpinEnsemble:
         raise ValidationError(f"need at least one spin, got {n!r}")
     rng = np.random.default_rng(seed)
     if spread.kind == "normal":
-        freq = spread.scale * rng.standard_normal(n)
+        with np.errstate(over="ignore"):  # an infinite frequency is refused below
+            freq = spread.scale * rng.standard_normal(n)
+        if np.isinf(freq).any():
+            raise ValidationError(f"normal spread scale {spread.scale!r} overflows a spin's frequency")
     else:
         freq = rng.uniform(-spread.scale, spread.scale, n)
     return SpinEnsemble(frequencies=freq, phases=np.zeros(n))
@@ -181,6 +184,12 @@ def run_protocol(
     if samples_per_leg < 1:
         raise ValidationError("need at least one sample per leg")
     _check_bins(n_bins)
+    # np.linspace, which builds each leg's sample times and np.histogram's
+    # bin edges, raises IndexError for a length near 2^63: allocating arrays
+    # of both lengths first lets numpy's own size error, or a MemoryError,
+    # report a size too big
+    for length in (samples_per_leg + 1, n_bins + 1):
+        np.empty(length)
     base = init_ensemble(n, spread, seed)
     # every phase of the protocol is at most max|omega| * tau in magnitude
     if not math.isfinite(float(np.abs(base.frequencies).max()) * tau):
@@ -188,25 +197,24 @@ def run_protocol(
             f"tau={tau!r} at spread scale {spread.scale!r} overflows a spin's phase omega*tau"
         )
     pulsed = apply_pulse(evolve(base, tau))
-    first_leg = np.linspace(0.0, tau, samples_per_leg + 1)
-    second_leg = np.linspace(tau, 2.0 * tau, samples_per_leg + 1)[1:]
-    # (phases evolved from, time, evolution time) of each sample, as
-    # evolve(base, t) and evolve(pulsed, t - tau) take them
-    samples = [(base.phases, float(t), float(t)) for t in first_leg]
-    samples += [(pulsed.phases, float(t), float(t) - tau) for t in second_leg]
-    mags, ents = np.empty(len(samples)), np.empty(len(samples))
+    times = np.concatenate(
+        (np.linspace(0.0, tau, samples_per_leg + 1), np.linspace(tau, 2.0 * tau, samples_per_leg + 1)[1:])
+    )
+    mags, ents = np.empty_like(times), np.empty_like(times)
 
     def run(start, stop):
         phases = np.empty(base.n_spins)
         for i in range(start, stop):
-            origin, _, step = samples[i]
+            # evolve(base, t) on the first leg, evolve(pulsed, t - tau) after it
+            t = float(times[i])
+            origin, step = (base.phases, t) if i <= samples_per_leg else (pulsed.phases, t - tau)
             np.add(origin, np.multiply(base.frequencies, step, out=phases), out=phases)
             mags[i] = _magnetization(phases)
             ents[i] = _binned_entropy(phases, n_bins, out=phases)
 
-    _split(run, len(samples), len(samples) * base.n_spins)
+    _split(run, times.size, times.size * base.n_spins)
     return EchoReport(
-        times=np.array([t for _, t, _ in samples]),
+        times=times,
         magnetization=mags,
         binned_entropy=ents,
         echo_time=2.0 * tau,

@@ -1,5 +1,7 @@
 import builtins
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,10 +10,14 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from block_helpers import force_cpus, public_calls_off_the_main_thread
 from enslab import _blocks, cli, conefall, measurement, probcore, randomfield, spinecho
@@ -271,6 +277,15 @@ class TestSchema:
                     ("cone", "n_sectors"),
                 ]
             ],
+            # from 2^63 - 513 up np.linspace raises IndexError: the size error must come first
+            *[
+                pytest.param("spinecho", {key: value}, message, id=f"spinecho-{key}-{label}")
+                for key in ("n_bins", "samples_per_leg")
+                for value, label, message in [
+                    (2**63 - 513, "2^63-513", "array is too big"),
+                    (2**63 - 1, "2^63-1", "Maximum allowed dimension exceeded"),
+                ]
+            ],
             # max_level 0: 3^3 does not divide 2^40, and a config error comes first
             pytest.param("field", {"side": 2**40, "max_level": 0}, "array is too big", id="field-side-2^40"),
         ],
@@ -280,7 +295,9 @@ class TestSchema:
         # it touches any memory. The address-space cap keeps that so on a host
         # that overcommits every allocation. At 2^62 elements (2^80 points of
         # a side-2^40 field) the byte count overflows, and numpy raises its
-        # "array is too big" ValueError instead of MemoryError.
+        # "array is too big" ValueError instead of MemoryError; at 2^63 the
+        # length itself overflows, and numpy says "Maximum allowed dimension
+        # exceeded".
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "x"
@@ -562,11 +579,17 @@ class TestSchema:
                 "uniform spread scale 1e+308 spans past the float range",
                 id="uniform-span",
             ),
+            pytest.param(
+                {"spread_scale": 1e308},
+                "normal spread scale 1e+308 overflows a spin's frequency",
+                id="normal-frequency",
+            ),
         ],
     )
     def test_spinecho_overflow_exits_two_silently(self, config, message, tmp_path):
         # each overflowed in numpy first: a RuntimeWarning and "phases must
-        # be finite", a non-finite echo time, or numpy's OverflowError
+        # be finite", a non-finite echo time, numpy's OverflowError, or a
+        # RuntimeWarning and "frequencies must be finite"
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "s"
@@ -1095,6 +1118,7 @@ KEY_CHANGES = [
     ("canonical", "temperature", {}, 2.0),
     ("canonical", "target_mean_energy", {}, 0.25),
     ("measure", "coefficients", {}, [0.8, 0.6]),
+    ("measure", "n_microstates", {}, 1000),
     ("measure", "n_members", {}, 3000),
     ("measure", "ledger_n_micro", {}, 256),
     ("measure", "suppression_m", {}, [50, 200]),
@@ -1119,9 +1143,7 @@ KEY_CHANGES = [
     ("spinecho", "samples_per_leg", {}, 12),
 ]
 # keys that change only their own echo, each with where its removal is planned
-KNOWN_DEAD_KEYS = {
-    ("measure", "n_microstates"): "ROADMAP item 12: the apparatus M feeds no printed number",
-}
+KNOWN_DEAD_KEYS: dict = {}
 # summary.json entries that only repeat a key, and a file that repeats the
 # field's config: a change there shows the key was read, not that it was used
 ECHOED_ENTRIES = {"M", "seed", "tau", "n_bins", "n_sectors", "interval"}
@@ -1152,10 +1174,132 @@ class TestEveryKeyIsLive:
         after = results(subcommand, {**base, key: changed}, tmp_path / "b", tmp_path)
         assert before != after
 
-    @pytest.mark.parametrize("subcommand, key", sorted(KNOWN_DEAD_KEYS))
-    def test_a_known_dead_key_is_still_dead(self, subcommand, key, tmp_path):
-        # once its removal lands this fails: take the key off the list
-        value = SMALL_CONFIGS[subcommand][key]
-        before = results(subcommand, {}, tmp_path / "a", tmp_path)
-        after = results(subcommand, {key: 2 * value}, tmp_path / "b", tmp_path)
-        assert before == after
+
+# The contract fuzz's values. Each key draws from a small valid range, where
+# every run ends well under a second, or from the edge values below, written
+# as JSON literals. Sizes between about 10^6 and 2^62 are left out: in-process
+# they can allocate gigabytes, and test_unallocatable_size_exits_three covers
+# allocation failure under RLIMIT_AS.
+EDGE_LITERALS = [
+    "0", "-1", "5e-324", "1e308", "-1e308", "NaN", "Infinity", "-Infinity",
+    str(2**62), str(2**63 - 513), str(2**63 - 1), str(2**63),
+    '"x"', "[1]", "null", "true",
+]  # fmt: skip
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def _numbers(lo, hi, min_size=1):
+    return st.lists(_floats(lo, hi), min_size=min_size, max_size=4)
+
+
+FUZZ_RANGES = {
+    "entropy": {"blocks": st.lists(_numbers(0.0, 1.0), min_size=1, max_size=3)},
+    "field": {
+        "dim": st.integers(1, 3),
+        "side": st.integers(1, 60),
+        "mean": _floats(-10.0, 10.0),
+        "variance": _floats(0.0, 10.0),
+        "spectrum": st.sampled_from(randomfield.SPECTRUM_KINDS),
+        "index": _floats(-4.0, 0.0),
+        "center": _floats(0.0, 10.0),
+        "width": _floats(0.0, 5.0),
+        "cutoff": _floats(0.0, 10.0),
+        "spacing": _floats(0.1, 3.0),
+        "interval": _numbers(-3.0, 3.0, min_size=2).map(lambda v: sorted(v[:2])),
+        "max_level": st.integers(0, 4),
+        "two_point_r": _numbers(0.0, 5.0, min_size=0),
+        "isotropy_r": _floats(0.0, 5.0),
+    },
+    "canonical": {
+        "energies": _numbers(-5.0, 5.0),
+        "temperature": _floats(0.01, 10.0),
+        "target_mean_energy": _floats(-5.0, 5.0),
+    },
+    "measure": {
+        "coefficients": st.one_of(st.sampled_from([[0.6, 0.8], [1.0, 0.0], [[0.0, 0.6], 0.8]]), _numbers(-1.0, 1.0)),
+        "n_microstates": st.integers(1, 1000),
+        "n_members": st.integers(1, 5000),
+        "ledger_n_micro": st.integers(1, 1000),
+        "suppression_m": st.lists(st.integers(1, 1000), max_size=3),
+        "suppression_seeds": st.integers(1, 30),
+    },
+    "cone": {
+        "tilt_center": _floats(0.0, 0.5),
+        "tilt_radius": _floats(0.0, 0.5),
+        "azimuth_center": _floats(0.0, 7.0),
+        "azimuth_radius": _floats(0.0, 4.0),
+        "tilt_momentum_radius": _floats(0.0, 0.1),
+        "azimuth_momentum_radius": _floats(0.0, 0.01),
+        "n_members": st.integers(1, 40),
+        "n_sectors": st.integers(1, 16),
+        "fall_threshold": _floats(0.1, 1.5),
+        "dt": _floats(1e-3, 0.1),
+        "max_steps": st.integers(0, 20_000),
+        "damping": _floats(0.0, 1.0),
+    },
+    "spinecho": {
+        "n": st.integers(1, 2000),
+        "spread_kind": st.sampled_from(spinecho.SPREAD_KINDS),
+        "spread_scale": _floats(0.0, 5.0),
+        "tau": _floats(0.1, 100.0),
+        "n_bins": st.integers(2, 64),
+        "samples_per_leg": st.integers(1, 30),
+    },
+}
+# A huge max_steps with a tiny dt can run without bound: no dt that small
+# reaches a fall, and every step is taken (ROADMAP item 3's open question).
+# So max_steps draws no edge integer above 20,000.
+BOUNDED_KEYS = {("cone", "max_steps")}
+
+
+def _literal(subcommand, key):
+    edges = EDGE_LITERALS
+    if (subcommand, key) in BOUNDED_KEYS:
+        edges = [e for e in edges if not e.isdigit() or int(e) <= 20_000]
+    return st.one_of(FUZZ_RANGES[subcommand][key].map(json.dumps), st.sampled_from(edges))
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """(subcommand, config JSON): a SMALL_CONFIGS base with one to three keys
+    replaced."""
+    subcommand = draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    keys = draw(st.permutations(sorted(cli.SCHEMAS[subcommand])))[: draw(st.integers(1, 3))]
+    config = {key: json.dumps(value) for key, value in SMALL_CONFIGS[subcommand].items()}
+    config.update({key: draw(_literal(subcommand, key)) for key in keys})
+    return subcommand, "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in config.items()) + "}"
+
+
+class TestContractFuzz:
+    def test_the_ranges_name_every_key(self):
+        assert {sub: sorted(keys) for sub, keys in FUZZ_RANGES.items()} == {
+            sub: sorted(schema) for sub, schema in cli.SCHEMAS.items()
+        }
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(fuzzed_configs())
+    def test_every_config_keeps_the_contract(self, case):
+        # exit 0, 2 or 3; no exception out of main; no traceback or warning
+        # on stderr; a failed run leaves no directory, and a run that
+        # succeeds writes a manifest whose digests match its files
+        subcommand, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = pathlib.Path(tmp, "c.json"), pathlib.Path(tmp, "out")
+            cfg.write_text(text)
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")
+                status = cli.main([subcommand, "--config", str(cfg), "--out", str(out), "--seed", "3"])
+            assert status in (0, 2, 3)
+            assert "Traceback" not in stderr.getvalue() and "Warning" not in stderr.getvalue()
+            if status != 0:
+                assert not out.exists()
+                return
+            manifest = json.loads((out / "manifest.json").read_bytes())
+            written = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir() if p.name != "manifest.json"
+            }
+            assert manifest["outputs"] == written

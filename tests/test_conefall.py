@@ -49,6 +49,7 @@ REFUSED_CONE_CONFIGS = [
         ({key: 1e300}, f"{key}=1e+300 overflows the kinetic energy p^2/(2 m l^2)")
         for key in ("tilt_momentum_radius", "azimuth_momentum_radius")
     ],
+    ({"azimuth_radius": 1e308}, "azimuth_radius=1e+308 about 3.141592653589793 spans past the float range"),
 ]
 
 
@@ -101,7 +102,16 @@ class TestTypes:
     @pytest.mark.parametrize(
         "config, message",
         REFUSED_CONE_CONFIGS,
-        ids=["dt-0", "dt-negative", "dt-nan", "dt-inf", "damping-1e4", "tilt_momentum_radius", "azimuth_momentum_radius"],
+        ids=[
+            "dt-0",
+            "dt-negative",
+            "dt-nan",
+            "dt-inf",
+            "damping-1e4",
+            "tilt_momentum_radius",
+            "azimuth_momentum_radius",
+            "azimuth_radius",
+        ],
     )
     def test_library_rejects_what_the_cli_rejects(self, entry, config, message, tmp_path, monkeypatch, capsys):
         # every entry point checks its flow before any work (liouville_check
@@ -294,18 +304,10 @@ class TestLiouville:
         ratio = liouville_check(SYMMETRIC_MACRO, 1e-3, 1000)
         assert abs(ratio - 1.0) < 1e-4
 
-    def test_multiple_bundles(self):
-        ratio = liouville_check(SYMMETRIC_MACRO, 1e-3, 500, n_probe=24)
-        assert abs(ratio - 1.0) < 1e-4
-
     def test_dissipative_control_contracts(self):
         ratio = liouville_check(SYMMETRIC_MACRO, 1e-3, 1000, damping=0.1)
         assert ratio == pytest.approx(math.exp(-0.2), rel=1e-3)
         assert ratio < 0.99
-
-    def test_needs_eight_probes(self):
-        with pytest.raises(ValidationError):
-            liouville_check(SYMMETRIC_MACRO, 1e-3, 10, n_probe=4)
 
 
 class TestChiSquare:
@@ -638,11 +640,11 @@ class TestBitIdentity:
         assert out.azimuth_momentum == state.azimuth_momentum
 
     @pytest.mark.parametrize("damping", [0.0, DAMPED], ids=["undamped", "damped"])
-    @pytest.mark.parametrize("n_probe", [8, 24])
-    def test_liouville_matches_original_step(self, damping, n_probe):
-        for macro in (SYMMETRIC_MACRO, SPINNING):
-            ratio = liouville_check(macro, 1e-3, 300, n_probe=n_probe, damping=damping)
-            assert ratio == oracle_liouville(macro, 1e-3, 300, n_probe=n_probe, damping=damping)
+    def test_liouville_matches_original_step(self, damping):
+        signed_zeros = InitialMacrostate(PhaseState(0.3, -0.0, -0.0, -0.0), (0.25, 1.0, 0.3, 0.2))
+        for macro in (SYMMETRIC_MACRO, SPINNING, signed_zeros):
+            ratio = liouville_check(macro, 1e-3, 300, damping=damping)
+            assert ratio == oracle_liouville(macro, 1e-3, 300, n_probe=8, damping=damping)
 
     def test_tiny_damping_takes_the_damped_plan(self):
         # any damping > 0 binds the damping term, however small its effect
@@ -756,8 +758,8 @@ class TestCallPlans:
             init(kernel, y, *args)
 
         monkeypatch.setattr(conefall._Lockstep, "__init__", counted_init)
-        liouville_check(SYMMETRIC_MACRO, 1e-3, 10, n_probe=24)
-        assert sizes == [24]
+        liouville_check(SYMMETRIC_MACRO, 1e-3, 10)
+        assert sizes == [8]
 
 
 class TestParking:

@@ -20,6 +20,7 @@ from enslab.measurement import (
     build_apparatus,
     entropy_ledger,
     largest_remainder_counts,
+    max_coherence,
     outcome_fractions,
     sample_outcomes,
     suppression_curve,
@@ -104,6 +105,44 @@ class TestOutcomeFractions:
             app = build_apparatus(30, k, 1)
             fractions = outcome_fractions(SystemState(z), app)
             np.testing.assert_allclose(fractions.probs, np.abs(z) ** 2, atol=1e-12)
+
+
+class TestMaxCoherence:
+    def test_equals_a_direct_sum_over_every_pair(self):
+        rng = np.random.default_rng(3)
+        for k in (2, 3, 5):
+            z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            system, app = SystemState(z / np.linalg.norm(z)), build_apparatus(1000, k, 4)
+            c, theta, p = system.coefficients, app.phases, app.micro_probs.probs
+            direct = max(
+                abs(c[a] * np.conj(c[b]) * np.sum(p * np.exp(1j * (theta[a] - theta[b]))))
+                for a in range(k)
+                for b in range(k)
+                if a != b
+            )
+            assert max_coherence(system, app) == direct
+
+    @pytest.mark.parametrize("m", [100, 10_000])
+    def test_median_is_rayleigh(self, m):
+        # |D| sqrt(M) is Rayleigh with median sqrt(ln 2) as M grows (Kluyver's
+        # exact median reads 0.8339 at M = 100); the median of 200 seeds has
+        # sd about 1 / (2 f(median) sqrt(200)) = 0.042, so the band is 3.5 sd
+        system = SystemState([0.6, 0.8])
+        scaled = [max_coherence(system, build_apparatus(m, 2, seed)) / 0.48 * math.sqrt(m) for seed in range(200)]
+        assert abs(float(np.median(scaled)) - math.sqrt(math.log(2.0))) < 0.15
+
+    def test_picks_the_largest_pair(self):
+        # rows 1 and 2 coincide, so D[1, 2] = 1 and the last pair dominates
+        # the pairs with row 0, whose resultants are about M^-1/2
+        rows = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (2, 10_000))
+        app = ApparatusEnsemble(DiscreteDistribution.uniform(10_000), rows[[0, 1, 1]])
+        system = SystemState([math.sqrt(0.8), 0.4, 0.2])
+        assert max_coherence(system, app) == pytest.approx(0.4 * 0.2, rel=1e-12)
+        assert max_coherence(SystemState([0.8, 0.6, 0.0]), app) < 0.05
+
+    def test_outcome_counts_must_agree(self):
+        with pytest.raises(ValidationError, match="disagree on the number of outcomes"):
+            max_coherence(EQUAL_PAIR, build_apparatus(10, 3, 0))
 
 
 class TestSampleOutcomes:
