@@ -7,11 +7,14 @@ returns. It returns the blocks' values in block order; a block writes
 per-index results only to its own slots, so what the threads compute does
 not depend on how many run. The work inside the blocks (numpy transforms,
 ufuncs, reductions, histograms and random draws, and ``hashlib`` on a large
-buffer) releases the GIL, so the blocks run side by side. :func:`_both`
-runs two jobs as the two indices of one ``_split``. Its callers: the field
-transforms in ``randomfield``, ``generate``'s noise draw beside the
-amplitude table, the CLI's hash of ``field.bin`` beside the field's
-moments, and the spin echo's samples.
+buffer) releases the GIL, so the blocks run side by side. Its callers are
+the field transforms in ``randomfield`` and the spin echo's samples.
+:func:`_both` runs two jobs as the two indices of one ``_split``; its one
+caller is the CLI's hash of ``field.bin`` beside the field's moments.
+:func:`_handoff` is the one place work passes between live threads: in
+``generate`` a worker draws the noise slab by slab while the calling thread
+builds the amplitude table, and each drawn slab's forward transform goes to
+whichever thread takes it next.
 Blocks must call only private kernels, never a public ``__all__`` function,
 a ``DiscreteDistribution`` constructor or the CLI's encoders: those are the
 names a profiler wraps, and its wrappers keep unsynchronized state.
@@ -56,15 +59,14 @@ def _split(run, length: int, size: int) -> list:
     """Call ``run(start, stop)`` on consecutive blocks covering ``range(length)``
     and return the calls' values in block order.
 
-    ``size`` is the number of elements the whole loop touches. There is one
-    block per CPU, capped by ``length`` and by _MIN_BLOCK_SIZE elements per
-    block. Block 0 runs on the calling thread and each other block on a
+    ``size`` is the number of elements the whole loop touches, which with
+    ``length`` sets the number of blocks (:func:`_n_blocks`). Block 0 runs on the calling thread and each other block on a
     thread started for it, so a single block starts no thread. Every block
     runs to its end and every thread is joined before this returns or
     raises; then block 0's exception is raised first, else the lowest
     block's.
     """
-    n_blocks = max(1, min(_cpu_count(), length, size // _MIN_BLOCK_SIZE))
+    n_blocks = _n_blocks(length, size)
     bounds = _bounds(length, n_blocks)
     values, errors = [None] * n_blocks, [None] * n_blocks
 
@@ -88,6 +90,13 @@ def _split(run, length: int, size: int) -> list:
     return values
 
 
+def _n_blocks(length: int, size: int) -> int:
+    """The number of blocks of a loop over ``range(length)`` that touches
+    ``size`` elements: one per CPU, capped by ``length`` and by
+    _MIN_BLOCK_SIZE elements per block."""
+    return max(1, min(_cpu_count(), length, size // _MIN_BLOCK_SIZE))
+
+
 def _bounds(length: int, n_blocks: int) -> list:
     """``(start, stop)`` of ``n_blocks`` consecutive blocks covering
     ``range(length)``, their sizes differing by at most one."""
@@ -100,6 +109,79 @@ def _both(first, second, size: int) -> tuple:
     of two jobs of ``size`` elements. ``first``'s exception wins."""
     blocks = _split(lambda start, stop: [job() for job in (first, second)[start:stop]], 2, size)
     return tuple(value for block in blocks for value in block)
+
+
+def _handoff(job, produce, consume, length: int, size: int):
+    """``job()``'s value, after ``produce(i)`` and then ``consume(i)`` for
+    every i in ``range(length)``.
+
+    On one thread, exactly when :func:`_both` would run its two jobs of
+    ``size`` elements on one: ``job()``, every ``produce`` in order, then
+    every ``consume`` in order. Otherwise a worker calls ``produce(i)`` for
+    every i in order while the calling thread runs ``job()``. Each produced
+    index is then consumed once, by whichever thread takes it next, in
+    order: the calling thread waits while the next index is not produced
+    yet, and the worker takes indices once it has produced them all. A
+    failure on either thread stops the other before its next index. The
+    worker is joined before this returns or raises; the calling thread's
+    exception wins, else the worker's.
+    """
+    if _n_blocks(2, size) == 1:
+        value = job()
+        for i in range(length):
+            produce(i)
+        for i in range(length):
+            consume(i)
+        return value
+    ready = threading.Condition()
+    produced = taken = 0
+    stopped = False  # set by a failure on either thread, and once the caller is done
+    failures = []
+
+    def take():
+        """The next index to consume, or None once every one is taken or
+        the hand-off stopped."""
+        nonlocal taken
+        with ready:
+            while not stopped and taken == produced < length:
+                ready.wait()
+            if stopped or taken == length:
+                return None
+            taken += 1
+            return taken - 1
+
+    def work():
+        nonlocal produced, stopped
+        try:
+            for i in range(length):
+                with ready:
+                    if stopped:
+                        return
+                produce(i)
+                with ready:
+                    produced += 1
+                    ready.notify()
+            while (i := take()) is not None:
+                consume(i)
+        except BaseException as exc:  # any failure: raised on the calling thread after the join
+            failures.append(exc)
+            with ready:
+                stopped = True
+                ready.notify()
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        value = job()
+        while (i := take()) is not None:
+            consume(i)
+    finally:
+        with ready:
+            stopped = True
+        worker.join()
+    if failures:
+        raise failures[0]
+    return value
 
 
 def _shared_table(rows: int, n: int) -> np.ndarray:

@@ -21,24 +21,29 @@ Row blocks (consecutive indices on axis 0) transform the last axis and then
 axes dim-2 ... 1; column blocks (on axis 1) transform axis 0, apply the
 step between the forward and the inverse transform (the amplitudes of a
 synthesis, |A|^2 of a pair count) in one call per block, and transform
-axis 0 back; row blocks finish the inverse. :func:`_filter` is that one
-transform path for both.
+axis 0 back; row blocks finish the inverse. :func:`_filter` runs the column
+and inverse passes for both. The forward rows of a pair count read its
+bits, cast to float slab by slab; those of a synthesis read each slab of
+noise as soon as it is drawn, and its inverse rows write the field, mean
+added, straight into its own contiguous array.
 Each line is transformed exactly as ``np.fft.rfftn``/``irfftn`` would
 transform it, so fields and pair counts are bit-identical to theirs on any
 number of CPUs.
 The passes write through ``out=``, which needs NumPy 2.0.
 
-The elementwise stages (the indicator, casting the bits into the table,
-rounding the pair counts and adding the mean) are plain numpy calls on the
-calling thread: memory-bound, split they ran no faster (on 2 CPUs rounding
-took 1.7 ms against 3.8 ms split at 81^3, 13.3 against 12.6 ms at 162^3).
-In :func:`generate` the calling thread builds the amplitude table while a
-worker draws the noise. Every block writes only its own slots, so no result
-depends on the CPU count. Blocks hold at least 2^16 elements, so small
-fields stay on one thread. Every table is allocated on the calling thread,
-the noise draw's slab buffer included: memory a worker thread allocates and
-frees stays in that thread's C-allocator arena and would raise the
-process's peak RSS.
+The indicator and the rounding of the pair counts are plain numpy calls on
+the calling thread: memory-bound, split they ran no faster (on 2 CPUs
+rounding took 1.7 ms against 3.8 ms split at 81^3, 13.3 against 12.6 ms at
+162^3). In :func:`generate` a worker draws the noise into the table while
+the calling thread builds the amplitude table; the two threads then share
+the forward transforms of the drawn slabs, in order
+(:func:`._blocks._handoff`). Every block writes only its own slots, so no
+result depends on the CPU count. Blocks hold at least 2^16 elements, so
+small fields stay on one thread. Every table is allocated on the calling
+thread: memory a worker thread allocates and frees stays in that thread's
+C-allocator arena and would raise the process's peak RSS. The column step
+runs with numpy's ufunc buffer cut to one row of its block, so it copies
+no operand but the amplitudes' cast to complex.
 
 On top of the fields sit the fractional-volume estimators: indicator
 bitmasks for half-open value intervals [a, b), hierarchical 3^dim cell
@@ -71,7 +76,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._blocks import _both, _split
+from ._blocks import _handoff, _split
 from .errors import NumericsError, ValidationError
 from .probcore import _frozen_array
 
@@ -336,50 +341,64 @@ def _slabs(rows: np.ndarray, start: int, stop: int) -> list:
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
-def _forward_rows(modes: np.ndarray, rows: np.ndarray, start: int, stop: int) -> None:
-    """``rfft`` in place on the last axis of rows start:stop, a call per
-    :func:`_slabs` slice, then ``fft`` in place on axes dim-2 ... 1."""
-    for slabs in _slabs(rows, start, stop):
-        np.fft.rfft(rows[slabs], axis=-1, out=modes[slabs])
+def _forward_rows(modes: np.ndarray, source: np.ndarray, start: int, stop: int) -> None:
+    """``rfft`` on the last axis of rows start:stop of ``source`` (shaped as
+    the table's real rows; numpy casts it to float) into ``modes``, a call
+    per :func:`_slabs` slice, then ``fft`` in place on axes dim-2 ... 1."""
+    for slabs in _slabs(source, start, stop):
+        np.fft.rfft(source[slabs], axis=-1, out=modes[slabs])
     block = modes[start:stop]
     for axis in range(modes.ndim - 2, 0, -1):
         np.fft.fft(block, axis=axis, out=block)
 
 
-def _inverse_rows(modes: np.ndarray, rows: np.ndarray, start: int, stop: int) -> None:
+def _inverse_rows(modes: np.ndarray, rows: np.ndarray, start: int, stop: int, mean=None) -> None:
     """``ifft`` in place on axes 1 ... dim-2 of rows start:stop of ``modes``,
-    then ``irfft`` in place on the last axis, a call per :func:`_slabs`
-    slice."""
+    then ``irfft`` on the last axis into ``rows`` (the table's own padded
+    rows, or another array of their shape), a call per :func:`_slabs`
+    slice, adding ``mean`` to each slice unless it is None."""
     block = modes[start:stop]
     for axis in range(1, modes.ndim - 1):
         np.fft.ifft(block, axis=axis, out=block)
     for slabs in _slabs(rows, start, stop):
         np.fft.irfft(modes[slabs], n=rows.shape[-1], axis=-1, out=rows[slabs])
+        if mean is not None:
+            rows[slabs] += mean
 
 
-def _filter(modes: np.ndarray, rows: np.ndarray, scale) -> None:
-    """``np.fft.irfftn(scale(np.fft.rfftn(rows)), s=rows.shape)`` bit for
-    bit, in place in a :func:`_half_grid` table, split across the CPUs in
-    three passes.
+def _filter(modes: np.ndarray, rows: np.ndarray, scale, mean=None) -> np.ndarray:
+    """``np.fft.irfftn(scale(np.fft.rfftn(x)), s=rows.shape)`` bit for bit,
+    where ``modes``, the :func:`_half_grid` table of ``rows``, holds the
+    forward row pass of x (:func:`_forward_rows`); split across the CPUs in
+    two passes.
 
-    Row blocks transform the axes after the first; each column block then
-    finishes its modes on axis 0, calls ``scale(block, cols)`` once, which
-    changes ``block = modes[:, cols]`` in place, and transforms axis 0 back;
-    row blocks finish the inverse. Pass ``scale`` with no other reference to
-    it: it is dropped after its pass, so what it holds does not outlive its
-    use.
+    Each column block finishes its modes on axis 0, calls ``scale(block,
+    cols)`` once, which changes ``block = modes[:, cols]`` in place, and
+    transforms axis 0 back; row blocks finish the inverse. With ``mean``
+    None they write ``rows`` in place, which is returned. Otherwise they
+    write a new C-contiguous array of rows' shape, allocated once ``scale``
+    is dropped, and add ``mean`` to it slice by slice; it is returned. Pass
+    ``scale`` with no other reference to it: it is dropped after its pass,
+    so what it holds does not outlive its use.
     """
-    _split(partial(_forward_rows, modes, rows), len(rows), rows.size)
 
     def columns(start, stop):
         block = modes[:, start:stop]
         np.fft.fft(block, axis=0, out=block)
-        scale(block, slice(start, stop))
+        with np.errstate():  # restores numpy's ufunc buffer size
+            # a buffer within one contiguous axis-0 row lets the step's ufuncs
+            # work on the block in place: numpy's default 8192 elements span
+            # rows, and then every operand is copied through a buffer of its
+            # own (0.2-0.4 MB a block at 54^3, and up to 2x slower)
+            np.setbufsize(max(16, block[0].size // 16 * 16))
+            scale(block, slice(start, stop))
         np.fft.ifft(block, axis=0, out=block)
 
     _split(columns, modes.shape[1], modes.size)
     del columns, scale
-    _split(partial(_inverse_rows, modes, rows), len(rows), rows.size)
+    out = rows if mean is None else np.empty(rows.shape)
+    _split(partial(_inverse_rows, modes, out, mean=mean), len(rows), rows.size)
+    return out
 
 
 def _times(amps: np.ndarray, block: np.ndarray, cols: slice) -> None:
@@ -421,24 +440,20 @@ def _check_lattice(dim: int, side: int, spacing: float) -> None:
     _check_spacing(spacing)
 
 
-def _draw(normal, slab: np.ndarray, rows: np.ndarray) -> None:
-    """``normal(out=slab)`` into ``rows``, slab by slab of axis 0: ``out=``
-    needs a contiguous array, and in order the slabs' draws are one draw."""
-    for row in rows:
-        row[...] = normal(out=slab)
-
-
 def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: float = 1.0) -> FieldSample:
     """Synthesize one Gaussian field realization.
 
     The white-noise cube is drawn from the seeded generator, so equal
     (spec, dim, side, seed) always reproduces the same array bit for bit.
     Every point is exactly N(mean, variance) marginally; zero variance gives
-    the constant field. The calling thread builds the amplitude table while
-    a worker draws the noise into the half-grid table, the two jobs of one
-    ``_both`` (one thread does both below two blocks of _MIN_BLOCK_SIZE);
-    the amplitudes are applied per column block, and the mean in the one
-    call that copies the field out of the table, which the sample keeps.
+    the constant field. A worker draws the noise into the half-grid table,
+    slab by slab in one stream, while the calling thread builds the
+    amplitude table; each drawn slab's forward row transform is then taken
+    by whichever thread is free, in slab order (one thread does it all
+    below two blocks of _MIN_BLOCK_SIZE). The amplitudes are applied per
+    column block, and the inverse rows write the field, mean added, into
+    the array the sample keeps, allocated once the amplitude table is
+    freed.
     """
     _check_lattice(dim, side, spacing)
     shape = (side,) * dim
@@ -446,12 +461,25 @@ def generate(spec: CovarianceSpec, dim: int, side: int, seed: int, spacing: floa
         values = np.full(shape, spec.mean)
     else:
         modes, rows = _half_grid(shape)
+        # slab j's noise, contiguous at the start of modes[j], where its
+        # forward transform reads it: out= needs a contiguous array, and in
+        # order the slabs' draws are one draw
+        noise = modes.view(float).reshape(len(rows), -1)[:, : rows[0].size].reshape(rows.shape)
         normal = np.random.default_rng(seed).standard_normal
-        noise = partial(_draw, normal, np.empty(rows.shape[1:]), rows)
+        slices = _slabs(rows, 0, len(rows))
+
+        def draw(i):
+            for slab in noise[slices[i]]:
+                normal(out=slab)
+
+        def forward(i):
+            _forward_rows(modes, noise, slices[i].start, slices[i].stop)
+
         amplitudes = partial(_mode_amplitudes, spec, dim, side)
-        # indexed, so _filter holds the only reference to the amplitude table
-        _filter(modes, rows, partial(_times, _both(amplitudes, noise, side**dim)[0]))
-        values = rows.reshape(shape) + spec.mean
+        # passed straight on, so _filter holds the only reference to the amplitude table
+        values = _filter(
+            modes, rows, partial(_times, _handoff(amplitudes, draw, forward, len(slices), side**dim)), spec.mean
+        ).reshape(shape)
         del modes, rows, noise  # the table is freed before the sample checks the values
     return FieldSample(dim=dim, side=side, values=values, spacing=spacing, seed=int(seed), _fresh=True)
 
@@ -555,12 +583,13 @@ def pair_counts(ind: IndicatorField) -> PairCounts:
     counts[y] = sum_x a[x] a[x + y] is the inverse transform of |A|^2,
     rounded to integers (Wiener-Khinchin).
 
-    Peak memory is one half-grid complex table: the bits are cast into its
-    padded rows, |A|^2 is formed in it per block, and the counts are
-    rounded in its bytes and kept there, strided.
+    Peak memory is one half-grid complex table: the forward row blocks
+    cast the bits to float a slab at a time as they transform them into
+    it, |A|^2 is formed in it per block, and the counts are rounded in its
+    bytes on the calling thread and kept there, strided.
     """
     modes, rows = _half_grid(ind.bits.shape)
-    rows[...] = ind.bits
+    _split(partial(_forward_rows, modes, ind.bits.reshape(rows.shape)), len(rows), rows.size)
     _filter(modes, rows, _square)
     counts, residual = _round_counts(modes.view(float), rows.shape[-1])
     return PairCounts(counts=counts.reshape(ind.bits.shape), spacing=ind.spacing, residual=residual)

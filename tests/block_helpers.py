@@ -1,6 +1,6 @@
 """Shared test helpers: pretend the process may run on n CPUs, watch which
-public functions run off the main thread, and count the forks of the
-cone's members and the curve's seeds."""
+public functions run off the main thread, count the forks of the cone's
+members and the curve's seeds, and bound a call that could deadlock."""
 
 import functools
 import inspect
@@ -71,3 +71,24 @@ def public_calls_off_the_main_thread(monkeypatch) -> list:
         monkeypatch.setattr(cli, name, spy(getattr(cli, name), f"enslab.cli.{name}"))
     monkeypatch.setattr(pathlib.Path, "write_bytes", spy(pathlib.Path.write_bytes, "pathlib.Path.write_bytes"))
     return calls
+
+
+def raised_within(call, seconds=10.0):
+    """Run ``call()`` on a thread of its own, which must end within
+    ``seconds``, so a deadlock fails the test instead of hanging the suite.
+    Returns the exception ``call`` raised, or None."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+        else:
+            raised.append(None)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return raised[0]

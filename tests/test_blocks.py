@@ -1,13 +1,15 @@
 import sys
 import threading
+import time
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from block_helpers import force_cpus
+from block_helpers import force_cpus, raised_within
 from enslab import _blocks
-from enslab._blocks import _both, _split
+from enslab._blocks import _both, _handoff, _split
 from enslab.measurement import suppression_curve
 from enslab.randomfield import CovarianceSpec, generate, hierarchical_average, indicator, pair_counts
 from enslab.spinecho import FrequencySpread, run_protocol
@@ -162,3 +164,161 @@ class TestBoth:
         with pytest.raises(FloatingPointError, match="second"):
             _both(lambda: None, partial(fail, "second"), 2)
         assert threading.active_count() == before
+
+
+def joining_event(monkeypatch) -> threading.Event:
+    """An Event that _handoff sets when it starts to join its worker, which
+    is after it has told the worker to stop."""
+    joining = threading.Event()
+
+    class Worker(threading.Thread):
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    monkeypatch.setattr(_blocks, "threading", SimpleNamespace(Thread=Worker, Condition=threading.Condition))
+    return joining
+
+
+class TestHandoff:
+    @pytest.mark.parametrize("length", [0, 1, 2, 7])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_each_index_is_produced_in_order_then_consumed_once(self, cpus, length, monkeypatch):
+        force_cpus(monkeypatch, cpus)
+        caller = threading.current_thread()
+        lock, produced, consumed, early = threading.Lock(), [], [], []
+
+        def produce(i):
+            with lock:  # logged as its last step: logged means finished
+                produced.append((i, threading.current_thread() is caller))
+
+        def consume(i):
+            with lock:
+                if i not in {j for j, _ in produced}:
+                    early.append(i)
+                consumed.append((i, threading.current_thread()))
+
+        assert _handoff(lambda: threading.current_thread() is caller, produce, consume, length, 2)
+        # the job runs on the calling thread; the draws on one worker, in order
+        assert produced == [(i, cpus == 1) for i in range(length)]
+        assert sorted(i for i, _ in consumed) == list(range(length))
+        assert early == []
+        for thread in {thread for _, thread in consumed}:  # each thread takes its indices in order
+            mine = [i for i, t in consumed if t is thread]
+            assert mine == sorted(mine)
+
+    def test_stress_a_thread_switch_every_microsecond(self, monkeypatch):
+        # a lost update of the shared counters would skip or repeat an index
+        force_cpus(monkeypatch, 2)
+        runs = []
+
+        def run():
+            for _ in range(50):
+                produced, consumed = set(), []
+                _handoff(lambda: None, produced.add, lambda i: consumed.append((i, i in produced)), 100, 2)
+                runs.append(sorted(consumed) == [(i, True) for i in range(100)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert raised_within(run, 60.0) is None
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [True] * 50
+
+    def test_one_block_starts_no_thread_and_keeps_the_call_order(self, monkeypatch):
+        monkeypatch.setattr(_blocks.os, "sched_getaffinity", lambda pid: {0, 1})
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        floor, calls = _blocks._MIN_BLOCK_SIZE, []
+
+        def run(size):
+            return _handoff(
+                lambda: calls.append("job") or "value",
+                lambda i: calls.append(f"produce {i}"),
+                lambda i: calls.append(f"consume {i}"),
+                3,
+                size,
+            )
+
+        assert run(2 * floor - 1) == "value"
+        assert started == []
+        assert calls == ["job", "produce 0", "produce 1", "produce 2", "consume 0", "consume 1", "consume 2"]
+        calls.clear()
+        assert run(2 * floor) == "value"
+        assert len(started) == 1 and sorted(calls) == sorted(["job"] + [f"{s} {i}" for s in ("produce", "consume") for i in range(3)])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_failed_draw_wakes_the_waiting_caller(self, cpus, monkeypatch):
+        force_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        produced, consumed = [], []
+
+        def produce(i):
+            if i == 1:
+                time.sleep(0.05)  # the calling thread is waiting for index 1 by now
+                raise FloatingPointError("produce 1")
+            produced.append(i)
+
+        error = raised_within(lambda: _handoff(lambda: None, produce, consumed.append, 5, 2))
+        assert isinstance(error, FloatingPointError) and str(error) == "produce 1"
+        assert produced == [0] and consumed in ([], [0])
+        assert threading.active_count() == before
+
+    def test_a_failed_consume_on_the_worker_reaches_the_caller(self, monkeypatch):
+        # the job holds the calling thread until the worker, done drawing,
+        # has taken index 0 and failed on it
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        caller, failed = [], threading.Event()
+
+        def consume(i):
+            if threading.current_thread() is not caller[0]:
+                failed.set()
+                raise FloatingPointError(f"consume {i} on the worker")
+
+        def call():
+            caller.append(threading.current_thread())
+            _handoff(lambda: failed.wait(10.0), lambda i: None, consume, 4, 2)
+
+        error = raised_within(call)
+        assert isinstance(error, FloatingPointError) and str(error) == "consume 0 on the worker"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["job", "consume"])
+    def test_a_failure_on_the_caller_stops_the_worker_before_its_next_index(self, failing, monkeypatch):
+        # the worker's draw of index 1 (or 0, when the job fails) finishes
+        # only once the calling thread has failed and is joining it
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        joining, produced = joining_event(monkeypatch), []
+        last = 0 if failing == "job" else 1
+
+        def produce(i):
+            if i == last:
+                assert joining.wait(10.0)
+            produced.append(i)
+
+        def fail(*index):
+            raise FloatingPointError(f"{failing} on the calling thread")
+
+        job, consume = (fail, lambda i: None) if failing == "job" else (lambda: None, fail)
+        error = raised_within(lambda: _handoff(job, produce, consume, 5, 2))
+        assert isinstance(error, FloatingPointError) and str(error) == f"{failing} on the calling thread"
+        assert produced == list(range(last + 1))
+        assert threading.active_count() == before
+
+    def test_the_callers_exception_wins(self, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        drawn = threading.Event()
+
+        def produce(i):
+            drawn.set()
+            raise FloatingPointError("produce")
+
+        def job():
+            assert drawn.wait(10.0)
+            raise ArithmeticError("job")
+
+        error = raised_within(lambda: _handoff(job, produce, lambda i: None, 3, 2))
+        assert type(error) is ArithmeticError and str(error) == "job"

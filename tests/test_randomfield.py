@@ -13,17 +13,20 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
 from enslab.errors import NumericsError, ValidationError
-from block_helpers import force_cpus, public_calls_off_the_main_thread
+from block_helpers import force_cpus, public_calls_off_the_main_thread, raised_within
 from enslab import _blocks, randomfield
+from enslab._blocks import _split
 from enslab.randomfield import (
     CovarianceSpec,
     FieldSample,
     IndicatorField,
     _filter,
+    _forward_rows,
     _half_grid,
     _mode_amplitudes,
     _offsets_in_bin,
     _round_counts,
+    _square,
     _times,
     generate,
     hierarchical_average,
@@ -512,11 +515,11 @@ class TestPairCounts:
 
 def filtered(x, scale):
     """``np.fft.irfftn(scale(np.fft.rfftn(x)), s=x.shape)`` through the
-    in-place passes: ``x`` cast into a half-grid table's padded rows."""
+    in-place passes: ``x`` cast to float in the forward pass into a
+    half-grid table, and the inverse written into its padded rows."""
     modes, rows = _half_grid(x.shape)
-    rows[...] = x
-    _filter(modes, rows, scale)
-    return rows.reshape(x.shape)
+    _split(partial(_forward_rows, modes, x.reshape(rows.shape)), len(rows), rows.size)
+    return _filter(modes, rows, scale).reshape(x.shape)
 
 
 class TestSplitTransforms:
@@ -572,6 +575,36 @@ class TestSplitTransforms:
         with pytest.raises(FloatingPointError, match=r"axis 0 of a block shaped \(6, 2\)"):
             filtered(np.ones((6, 6)), lambda slab, index: None)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("step", ["amplitudes", "square"])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_the_column_step_buffers_at_most_one_row(self, cpus, step, monkeypatch):
+        # numpy's ufunc buffer is cut to one contiguous axis-0 row of each
+        # column block, so the step copies at most the amplitudes' cast to
+        # complex of one row; with the default 8192 elements, a buffer spans
+        # rows and the block goes through buffers too (0.13-0.39 MB a step
+        # at 54^3). The steps run one at a time under a lock, so the traced
+        # peak of each is its own
+        force_cpus(monkeypatch, cpus)
+        x = np.random.default_rng(3).standard_normal((54, 54, 54))
+        amps = np.random.default_rng(4).random((54, 54, 28))
+        column_step = partial(_times, amps) if step == "amplitudes" else _square
+        lock, steps = threading.Lock(), []
+
+        def scale(block, cols):
+            with lock:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                column_step(block, cols)
+                steps.append((tracemalloc.get_traced_memory()[1] - start, block[0].nbytes))
+
+        tracemalloc.start()
+        try:
+            filtered(x, scale)
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == cpus
+        assert all(peak <= row + 2**12 for peak, row in steps)
 
     def test_pair_counts_peak_memory(self, monkeypatch):
         # one half-grid complex table, nothing else of the field's size: the
@@ -703,9 +736,11 @@ class TestSplitStages:
         # the half-grid modes, which the noise is drawn into, beside the
         # spectrum table as it is built (two half-grid float tables and a
         # mask, as test_spectrum_table_peak_memory pins); no noise table of
-        # the field's size. The field is copied out of the modes with the
-        # mean added, and the modes are freed before its finiteness check.
-        # The 128 KiB slack holds a slab and the threads' bookkeeping.
+        # the field's size. The inverse pass writes the field, mean added,
+        # into an array allocated once the amplitude table is freed, and
+        # the modes are freed before its finiteness check. The 128 KiB
+        # slack holds a slab's transform temporaries and the threads'
+        # bookkeeping.
         force_cpus(monkeypatch, cpus)
         spec = CovarianceSpec(spectrum="power_law", index=-3.0)
         n, half = 54**3, 54 * 54 * 28
@@ -719,24 +754,64 @@ class TestSplitStages:
         assert field.values.shape == (54, 54, 54) and field.values.flags.c_contiguous
         assert peak <= max(half * 16 + 2 * half * 8 + half, half * 16 + n * 8) + 2**17
 
-    def test_only_transforms_are_split(self, monkeypatch):
-        # the indicator, the cast of bits into the table, the rounding of
-        # pair counts and the mean run on the calling thread; every pass
-        # handed to _split is a transform pass
-        force_cpus(monkeypatch, 3)
-        passes, split = [], randomfield._split
+    def test_the_table_is_freed_before_the_sample_checks_the_field(self, monkeypatch):
+        # the sample's finiteness check allocates a mask of the field's size;
+        # by then the field is the only array of that size still live
+        force_cpus(monkeypatch, 2)
+        live, sample = [], randomfield.FieldSample
 
-        def spy(run, length, size):
-            passes.append(getattr(run, "func", run).__qualname__)
+        def checked_sample(**fields):
+            live.append(tracemalloc.get_traced_memory()[0] - start)
+            return sample(**fields)
+
+        monkeypatch.setattr(randomfield, "FieldSample", checked_sample)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            field = generate(WHITE, 3, 54, 9)
+        finally:
+            tracemalloc.stop()
+        assert live[0] <= field.values.nbytes + 2**14
+
+    def test_only_transforms_are_split(self, monkeypatch):
+        # the passes that leave the calling thread: the noise draw beside the
+        # amplitude table and the forward rows it hands over, the forward
+        # rows that cast the bits, the columns, and the inverse rows, which
+        # add the mean; the indicator, the hierarchy and the rounding of pair
+        # counts run on the calling thread
+        force_cpus(monkeypatch, 3)
+        passes, jobs = set(), []
+        split, handoff = randomfield._split, randomfield._handoff
+
+        def name(run):
+            func = getattr(run, "func", run)
+            if func is randomfield._forward_rows:  # the array it casts and transforms
+                return f"_forward_rows of {run.args[1].dtype}"
+            if func is randomfield._inverse_rows:
+                return f"_inverse_rows adding {run.keywords['mean']}"
+            return func.__qualname__
+
+        def spy_split(run, length, size):
+            passes.add(name(run))
             return split(run, length, size)
 
-        monkeypatch.setattr(randomfield, "_split", spy)
+        def spy_handoff(job, produce, consume, length, size):
+            jobs.append(name(job))
+            passes.update((name(produce), name(consume)))
+            return handoff(job, produce, consume, length, size)
+
+        monkeypatch.setattr(randomfield, "_split", spy_split)
+        monkeypatch.setattr(randomfield, "_handoff", spy_handoff)
         field = generate(CovarianceSpec(mean=1.0, spectrum="power_law", index=-2.0), 3, 18, 4)
         pair_counts(indicator(field, (0.0, 1.5)))
-        assert set(passes) == {
-            "_forward_rows",
+        assert jobs == ["_mode_amplitudes"]
+        assert passes == {
+            "generate.<locals>.draw",
+            "generate.<locals>.forward",
+            "_forward_rows of uint8",
             "_filter.<locals>.columns",
-            "_inverse_rows",
+            "_inverse_rows adding 1.0",
+            "_inverse_rows adding None",
         }
 
     def test_workers_call_no_public_function(self, monkeypatch):
@@ -767,6 +842,34 @@ class TestSplitStages:
         monkeypatch.setattr(randomfield.np.random, "default_rng", FailingOffTheMainThread)
         with pytest.raises(FloatingPointError, match=r"noise of shape \(6,\)"):
             generate(WHITE, 2, 6, 1)
+        assert threading.active_count() == before
+
+    def test_forward_transform_exception_on_the_worker_reaches_the_caller(self, monkeypatch):
+        # the amplitude table waits until the worker, done drawing, has
+        # taken the first slab and failed to transform it
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        caller, failed = [], threading.Event()
+        rfft, amplitudes = np.fft.rfft, randomfield._mode_amplitudes
+
+        def rfft_failing_on_the_worker(a, axis, out):
+            if threading.current_thread() is not caller[0]:
+                failed.set()
+                raise FloatingPointError(f"rows of a slab shaped {a.shape}")
+            return rfft(a, axis=axis, out=out)
+
+        def amplitudes_after_the_failure(*args):
+            assert failed.wait(10.0)
+            return amplitudes(*args)
+
+        def call():
+            caller.append(threading.current_thread())
+            generate(WHITE, 3, 6, 1)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft_failing_on_the_worker)
+        monkeypatch.setattr(randomfield, "_mode_amplitudes", amplitudes_after_the_failure)
+        error = raised_within(call)
+        assert isinstance(error, FloatingPointError) and str(error) == "rows of a slab shaped (6, 6, 6)"
         assert threading.active_count() == before
 
 
