@@ -11,10 +11,11 @@ buffer) releases the GIL, so the blocks run side by side. Its callers are
 the field transforms in ``randomfield`` and the spin echo's samples.
 :func:`_both` runs two jobs as the two indices of one ``_split``; its one
 caller is the CLI's hash of ``field.bin`` beside the field's moments.
-:func:`_handoff` is the one place work passes between live threads: in
-``generate`` a worker draws the noise slab by slab while the calling thread
-builds the amplitude table, and each drawn slab's forward transform goes to
-whichever thread takes it next.
+:func:`_handoff` is the one place work passes between live threads, as the
+two blocks of one ``_split``: in ``generate`` block 1 draws the noise slab
+by slab while block 0, on the calling thread, builds the amplitude table,
+and each drawn slab's forward transform goes to whichever block takes it
+next.
 Blocks must call only private kernels, never a public ``__all__`` function,
 a ``DiscreteDistribution`` constructor or the CLI's encoders: those are the
 names a profiler wraps, and its wrappers keep unsynchronized state.
@@ -59,14 +60,15 @@ def _split(run, length: int, size: int) -> list:
     """Call ``run(start, stop)`` on consecutive blocks covering ``range(length)``
     and return the calls' values in block order.
 
-    ``size`` is the number of elements the whole loop touches, which with
-    ``length`` sets the number of blocks (:func:`_n_blocks`). Block 0 runs on the calling thread and each other block on a
+    ``size`` is the number of elements the whole loop touches: there is one
+    block per CPU, capped by ``length`` and by _MIN_BLOCK_SIZE elements per
+    block. Block 0 runs on the calling thread and each other block on a
     thread started for it, so a single block starts no thread. Every block
     runs to its end and every thread is joined before this returns or
     raises; then block 0's exception is raised first, else the lowest
-    block's.
+    block's. This is the one place that starts, joins and fails threads.
     """
-    n_blocks = _n_blocks(length, size)
+    n_blocks = max(1, min(_cpu_count(), length, size // _MIN_BLOCK_SIZE))
     bounds = _bounds(length, n_blocks)
     values, errors = [None] * n_blocks, [None] * n_blocks
 
@@ -90,13 +92,6 @@ def _split(run, length: int, size: int) -> list:
     return values
 
 
-def _n_blocks(length: int, size: int) -> int:
-    """The number of blocks of a loop over ``range(length)`` that touches
-    ``size`` elements: one per CPU, capped by ``length`` and by
-    _MIN_BLOCK_SIZE elements per block."""
-    return max(1, min(_cpu_count(), length, size // _MIN_BLOCK_SIZE))
-
-
 def _bounds(length: int, n_blocks: int) -> list:
     """``(start, stop)`` of ``n_blocks`` consecutive blocks covering
     ``range(length)``, their sizes differing by at most one."""
@@ -115,28 +110,17 @@ def _handoff(job, produce, consume, length: int, size: int):
     """``job()``'s value, after ``produce(i)`` and then ``consume(i)`` for
     every i in ``range(length)``.
 
-    On one thread, exactly when :func:`_both` would run its two jobs of
-    ``size`` elements on one: ``job()``, every ``produce`` in order, then
-    every ``consume`` in order. Otherwise a worker calls ``produce(i)`` for
-    every i in order while the calling thread runs ``job()``. Each produced
-    index is then consumed once, by whichever thread takes it next, in
-    order: the calling thread waits while the next index is not produced
-    yet, and the worker takes indices once it has produced them all. A
-    failure on either thread stops the other before its next index. The
-    worker is joined before this returns or raises; the calling thread's
-    exception wins, else the worker's.
+    The two blocks of one :func:`_split` of two jobs of ``size`` elements:
+    block 0, on the calling thread, runs ``job()``, and block 1 calls
+    ``produce(i)`` for every i in order; one block does both, ``job()``
+    first. Each produced index is then consumed once, by whichever block
+    takes it next, in order: block 0 waits while the next index is not
+    produced yet, and block 1 takes indices once it has produced them all.
+    A failure in either block stops the other before its next index.
     """
-    if _n_blocks(2, size) == 1:
-        value = job()
-        for i in range(length):
-            produce(i)
-        for i in range(length):
-            consume(i)
-        return value
     ready = threading.Condition()
     produced = taken = 0
-    stopped = False  # set by a failure on either thread, and once the caller is done
-    failures = []
+    stopped = False  # set by a failure in either block
 
     def take():
         """The next index to consume, or None once every one is taken or
@@ -150,38 +134,29 @@ def _handoff(job, produce, consume, length: int, size: int):
             taken += 1
             return taken - 1
 
-    def work():
+    def block(start, stop):
         nonlocal produced, stopped
         try:
-            for i in range(length):
-                with ready:
-                    if stopped:
-                        return
-                produce(i)
-                with ready:
-                    produced += 1
-                    ready.notify()
+            value = job() if start == 0 else None
+            if stop == 2:
+                for i in range(length):
+                    with ready:
+                        if stopped:
+                            return None
+                    produce(i)
+                    with ready:
+                        produced += 1
+                        ready.notify()
             while (i := take()) is not None:
                 consume(i)
-        except BaseException as exc:  # any failure: raised on the calling thread after the join
-            failures.append(exc)
+            return value
+        except BaseException:
             with ready:
                 stopped = True
                 ready.notify()
+            raise
 
-    worker = threading.Thread(target=work, daemon=True)
-    worker.start()
-    try:
-        value = job()
-        while (i := take()) is not None:
-            consume(i)
-    finally:
-        with ready:
-            stopped = True
-        worker.join()
-    if failures:
-        raise failures[0]
-    return value
+    return _split(block, 2, size)[0]
 
 
 def _shared_table(rows: int, n: int) -> np.ndarray:

@@ -318,17 +318,11 @@ def _run_field(params: dict, seed: int):
         width=params["width"],
         cutoff=params["cutoff"] if params["cutoff"] != 0 else None,
     )
-    # every rule that needs only the config runs before the field is built,
-    # in the order the library applies them: the lattice and its spacing, the
-    # interval, the hierarchy fit, then the separation bins of every query
     dim, side, spacing = params["dim"], params["side"], params["spacing"]
-    randomfield._check_lattice(dim, side, spacing)
-    interval = randomfield._checked_interval(params["interval"])
-    randomfield._check_hierarchy(side, params["max_level"])
-    for r in params["two_point_r"]:
-        randomfield._pair_offsets(dim, side, spacing, float(r))
-    if dim > 1:  # a 1-d lattice has a single direction: nothing to compare
-        randomfield._direction_groups(dim, side, spacing, params["isotropy_r"])
+    # every rule that needs only the config, before the field is built
+    interval = randomfield.check_config(
+        dim, side, spacing, params["interval"], params["max_level"], params["two_point_r"], params["isotropy_r"]
+    )
     field = randomfield.generate(spec, dim, side, _role_seed(seed, 0), spacing=spacing)
     ind = randomfield.indicator(field, interval)
     report = randomfield.hierarchical_average(ind, params["max_level"])
@@ -428,16 +422,18 @@ def _run_measure(params: dict, seed: int):
     c = _coefficients_from_param(params["coefficients"])
     system = measurement.SystemState(coefficients=c)
     k = system.n_outcomes
-    # the ledger checks its microstate budget, so a bad one fails before the curve
+    # the ledger checks its microstate budget, so a bad one fails before the
+    # curve; the apparatus, the largest table, is drawn last, once every other
+    # key has passed its check
     ledger = measurement.entropy_ledger(system, params["ledger_n_micro"])
-    apparatus = measurement.build_apparatus(params["n_microstates"], k, _role_seed(seed, 0))
-    fractions = measurement.outcome_fractions(system, apparatus)
-    counts = measurement.sample_outcomes(system, apparatus, params["n_members"], _role_seed(seed, 1))
+    fractions = measurement.outcome_fractions(system)
+    counts = measurement.sample_outcomes(system, params["n_members"], _role_seed(seed, 1))
     curve = measurement.suppression_curve(
         [int(m) for m in params["suppression_m"]],
         params["suppression_seeds"],
         _role_seed(seed, 2),
     )
+    apparatus = measurement.build_apparatus(params["n_microstates"], k, _role_seed(seed, 0))
     rows = [(i, fractions.probs[i], int(counts[i])) for i in range(k)]
     outputs = {"outcomes.csv": encode_csv(["outcome", "born_fraction", "sampled_count"], rows)}
     summary = {

@@ -10,9 +10,11 @@ magnitude O(M^-1/2), leaving the diagonal weights |c_k|^2: outcome fractions
 follow the Born rule, and the coarse/residual entropy ledger balances
 against the unchanged total.
 
-The combined K*M-dimensional state is never materialized: the fractions
-have a closed form, and every resultant is read from the K x M phase table
-by the one private kernel ``_phasor_sum``.
+The combined K*M-dimensional state is never materialized: the fractions,
+and the outcomes sampled from them, have a closed form that reads no phase
+table, and every resultant is read from the K x M phase table by the one
+private kernel ``_phasor_sum``. So a run can check every other input before
+it draws the table, its largest.
 
 The suppression curve runs its seeds as one block of consecutive seeds per
 CPU (:func:`._blocks._fork_join`): block 0 in this process, each other block
@@ -146,14 +148,14 @@ def build_apparatus(
     return ApparatusEnsemble(micro_probs=micro_probs, phases=phases)
 
 
-def outcome_fractions(system: SystemState, apparatus: ApparatusEnsemble) -> DiscreteDistribution:
+def outcome_fractions(system: SystemState) -> DiscreteDistribution:
     """Fraction of ensemble members registering each outcome: exactly {|c_k|^2}.
 
     This is the trace of the ensemble-averaged density operator against the
     outcome projectors; the diagonal blocks carry resultant 1 regardless of
-    the phase table, so the closed form needs no Monte Carlo.
+    the phase table, so the closed form needs neither the table nor any
+    Monte Carlo.
     """
-    _check_outcomes(system, apparatus)
     return DiscreteDistribution.from_weights(np.abs(system.coefficients) ** 2)
 
 
@@ -166,7 +168,8 @@ def max_coherence(system: SystemState, apparatus: ApparatusEnsemble) -> float:
     Born weights). Returns the largest |rho[k, k']| over k != k', which
     shrinks as M^-1/2: one phasor sum per pair of outcomes.
     """
-    _check_outcomes(system, apparatus)
+    if system.n_outcomes != apparatus.n_outcomes:
+        raise ValidationError("system and apparatus disagree on the number of outcomes")
     c, theta, probs = system.coefficients, apparatus.phases, apparatus.micro_probs.probs
     delta, work = np.empty(theta.shape[1]), np.empty(theta.shape[1], dtype=complex)
     largest = 0.0
@@ -176,14 +179,7 @@ def max_coherence(system: SystemState, apparatus: ApparatusEnsemble) -> float:
     return float(largest)
 
 
-def _check_outcomes(system: SystemState, apparatus: ApparatusEnsemble) -> None:
-    if system.n_outcomes != apparatus.n_outcomes:
-        raise ValidationError("system and apparatus disagree on the number of outcomes")
-
-
-def sample_outcomes(
-    system: SystemState, apparatus: ApparatusEnsemble, n_members: int, seed: int
-) -> np.ndarray:
+def sample_outcomes(system: SystemState, n_members: int, seed: int) -> np.ndarray:
     """Outcome counts across n_members ensemble members.
 
     Each member registers one definite outcome with the Born weights
@@ -191,7 +187,7 @@ def sample_outcomes(
     """
     if n_members < 1:
         raise ValidationError("need at least one ensemble member")
-    fractions = outcome_fractions(system, apparatus)
+    fractions = outcome_fractions(system)
     rng = np.random.default_rng(seed)
     return rng.multinomial(int(n_members), fractions.probs)
 

@@ -326,7 +326,8 @@ def temperature_for_mean_energy(energies, target_mean: float) -> float:
         raise ValidationError(f"energies span {span!r}, too narrow to bracket a temperature")
 
     def mean_at(t: float) -> float:
-        x = -arr / t
+        with np.errstate(over="ignore"):  # a level past the float range weighs exp(-inf) = 0
+            x = -arr / t
         w = np.exp(x - x.max())
         return math.ldexp(float((w @ scaled) / w.sum()), shift)
 

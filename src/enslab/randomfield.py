@@ -37,13 +37,14 @@ rounding took 1.7 ms against 3.8 ms split at 81^3, 13.3 against 12.6 ms at
 162^3). In :func:`generate` a worker draws the noise into the table while
 the calling thread builds the amplitude table; the two threads then share
 the forward transforms of the drawn slabs, in order
-(:func:`._blocks._handoff`). Every block writes only its own slots, so no
-result depends on the CPU count. Blocks hold at least 2^16 elements, so
-small fields stay on one thread. Every table is allocated on the calling
-thread: memory a worker thread allocates and frees stays in that thread's
-C-allocator arena and would raise the process's peak RSS. The column step
-runs with numpy's ufunc buffer cut to one row of its block, so it copies
-no operand but the amplitudes' cast to complex.
+(:func:`._blocks._handoff`, two blocks of one ``_split``). Every block
+writes only its own slots, so no result depends on the CPU count. Blocks
+hold at least 2^16 elements, so small fields stay on one thread. Every
+table is allocated on the calling thread: memory a worker thread allocates
+and frees stays in that thread's C-allocator arena and would raise the
+process's peak RSS. The column step runs with numpy's ufunc buffer cut to
+one row of its block, so it copies no operand but the amplitudes' cast to
+complex.
 
 On top of the fields sit the fractional-volume estimators: indicator
 bitmasks for half-open value intervals [a, b), hierarchical 3^dim cell
@@ -64,15 +65,16 @@ raises NumericsError if any entry sits 0.25 or more from an integer. Each
 query then sums the integer counts of its offsets and divides once, so the
 estimate is the exact rational pairs / (offsets * N), correctly rounded. A
 bin's offsets, and their grouping by direction (array operations: gcd,
-sign, ``np.unique``), are read-only tables built once and cached, so the
-CLI's config check and the query after it share them.
+sign, ``np.unique``), are built where they are used: by the query, and by
+:func:`check_config`, which runs every rule a field's configuration must
+pass, in the order the library applies them, before the field is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -94,6 +96,7 @@ __all__ = [
     "pair_counts",
     "two_point_prob",
     "isotropy_report",
+    "check_config",
 ]
 
 SPECTRUM_KINDS = ("white", "power_law", "gaussian_bump")
@@ -597,23 +600,25 @@ def pair_counts(ind: IndicatorField) -> PairCounts:
 
 def _offsets_in_bin(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
     """Integer lattice offsets, one per row, whose length falls in
-    [r - s/2, r + s/2); rows in lexicographic order.
+    [r - s/2, r + s/2); rows in lexicographic order. The bin is decided in
+    units of the spacing s, an offset's norm against [r/s - 1/2, r/s + 1/2),
+    so no length is scaled past the float range.
 
     Squared norms of the cube of offsets within ``reach`` on every axis are
     one broadcast sum of an axis's squares; ``np.argwhere`` of the bin's
     mask lists the cube's indices in C order, which is lexicographic."""
     if r < 0.0 or not np.isfinite(r):
         raise ValidationError(f"separation must be finite and >= 0, got {r!r}")
-    lo, hi = r - 0.5 * spacing, r + 0.5 * spacing
-    if hi > 0.5 * side * spacing:
+    lo, hi = r / spacing - 0.5, r / spacing + 0.5
+    if hi > 0.5 * side:
         raise ValidationError(
-            f"separation bin reaches {hi!r}, beyond half the torus ({0.5 * side * spacing!r})"
+            f"separation bin reaches {r + 0.5 * spacing!r}, "
+            f"beyond half the torus ({0.5 * side * spacing!r})"
         )
-    reach = int(math.floor(hi / spacing)) + 1
+    reach = int(math.floor(hi)) + 1
     squares = np.square(np.arange(-reach, reach + 1), dtype=float)  # exact integers
     length = sum(np.ix_(*[squares] * dim))
     np.sqrt(length, out=length)
-    length *= spacing
     return np.argwhere((length >= lo) & (length < hi)) - reach
 
 
@@ -623,15 +628,12 @@ def _estimate(counts: PairCounts, offsets: np.ndarray) -> float:
     return pairs / (len(offsets) * counts.counts.size)
 
 
-# bounded: an LRU scan of more bins than it holds gets no hits; unbounded, it would keep them all
-@lru_cache(maxsize=32)
 def _pair_offsets(dim: int, side: int, spacing: float, r: float) -> np.ndarray:
-    """The offsets :func:`two_point_prob` averages over, read-only and
-    cached; raises when the r-bin holds none."""
+    """The offsets :func:`two_point_prob` averages over; raises when the
+    r-bin holds none."""
     offsets = _offsets_in_bin(dim, side, spacing, r)
     if not len(offsets):
         raise ValidationError(f"no lattice offset has length within half a spacing of r={r!r}")
-    offsets.flags.writeable = False
     return offsets
 
 
@@ -645,12 +647,11 @@ def two_point_prob(counts: PairCounts, r: float) -> float:
     return _estimate(counts, _pair_offsets(counts.dim, counts.side, counts.spacing, r))
 
 
-@lru_cache(maxsize=32)
 def _direction_groups(dim: int, side: int, spacing: float, r: float) -> tuple:
     """The r-bin's nonzero offsets, their distinct directions in lexicographic
-    order and each offset's index into those, as read-only arrays; raises
-    unless there are offsets in at least 2 directions. A direction is an
-    offset over the gcd of its components, its first nonzero one positive."""
+    order and each offset's index into those; raises unless there are
+    offsets in at least 2 directions. A direction is an offset over the gcd
+    of its components, its first nonzero one positive."""
     offsets = _offsets_in_bin(dim, side, spacing, r)
     offsets = offsets[offsets.any(axis=1)]
     if not len(offsets):
@@ -663,10 +664,7 @@ def _direction_groups(dim: int, side: int, spacing: float, r: float) -> tuple:
         raise ValidationError(
             f"only {len(directions)} distinct direction(s) at r={r!r}; need at least 2"
         )
-    tables = offsets, directions, inverse.ravel()  # NumPy 2.0.0 returned it 2-d
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return offsets, directions, inverse.ravel()  # NumPy 2.0.0 returned it 2-d
 
 
 def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
@@ -688,3 +686,22 @@ def isotropy_report(counts: PairCounts, r: float) -> IsotropyReport:
     )
     values = [e.estimate for e in entries]
     return IsotropyReport(estimates=entries, spread=float(max(values) - min(values)))
+
+
+def check_config(
+    dim: int, side: int, spacing: float, interval, max_level: int, two_point_r, isotropy_r: float
+) -> tuple:
+    """The interval's bounds (a, b), once every rule a field of this
+    configuration must pass has passed, before any of it is built. The rules
+    run in the order the library applies them: the lattice and its spacing,
+    the interval, the hierarchy fit, the separation bin of every two-point
+    query, then the isotropy report's directions, only when ``dim`` > 1 (a
+    1-d lattice has a single direction: nothing to compare)."""
+    _check_lattice(dim, side, spacing)
+    bounds = _checked_interval(interval)
+    _check_hierarchy(side, max_level)
+    for r in two_point_r:
+        _pair_offsets(dim, side, spacing, float(r))
+    if dim > 1:
+        _direction_groups(dim, side, spacing, isotropy_r)
+    return bounds

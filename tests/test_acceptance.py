@@ -229,15 +229,13 @@ def test_08_born_rule_fractions_and_sampling():
         z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         z /= np.linalg.norm(z)
         system = SystemState(z)
-        apparatus = build_apparatus(32, k, 1)
-        fractions = outcome_fractions(system, apparatus)
+        fractions = outcome_fractions(system)
         worst = max(worst, float(np.abs(fractions.probs - np.abs(z) ** 2).max()))
     system = SystemState([0.6, 0.8])
-    apparatus = build_apparatus(64, 2, 2)
     sigma = math.sqrt(10_000 * 0.36 * 0.64)
     passed = 0
     for seed in range(500):
-        counts = sample_outcomes(system, apparatus, 10_000, seed=seed)
+        counts = sample_outcomes(system, 10_000, seed=seed)
         if abs(counts[0] - 3600.0) <= 3.0 * sigma:
             passed += 1
     ok = worst <= 1e-12 and passed >= 495

@@ -561,6 +561,20 @@ class TestSchema:
             assert [float(row.split(",")[2]) for row in rows] == probs
             assert json.loads((out / "summary.json").read_text())["kkt_spread"] == 0.0
 
+    def test_solving_past_a_level_over_the_float_range_is_silent(self, tmp_path):
+        # while the temperature is solved for, -E/T of the level at 1.7e308
+        # overflows to -inf, whose weight exp(-inf) = 0 is exact
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"energies": [0.0, 1.7e308, 3.0], "target_mean_energy": 1e-308}))
+        out = tmp_path / "c"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", "canonical", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -603,7 +617,8 @@ class TestSchema:
         assert not out.exists()
 
     def test_bad_suppression_m_fails_before_any_curve_ensemble(self, tmp_path, monkeypatch, capsys):
-        # the run's own apparatus is built; not one of the curve's 200 at M = 100
+        # no apparatus is built: not one of the curve's 200 at M = 100, nor
+        # the run's own, which is drawn after the curve
         builds, build = [], measurement.build_apparatus
         monkeypatch.setattr(measurement, "build_apparatus", lambda *a: builds.append(a[0]) or build(*a))
         cfg = tmp_path / "m.json"
@@ -612,8 +627,32 @@ class TestSchema:
         assert capsys.readouterr().err == (
             "invalid configuration: suppression curve M=0: apparatus needs at least one microstate\n"
         )
-        assert builds == [10]
+        assert builds == []
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_members", 0, "need at least one ensemble member"),
+            ("suppression_seeds", 0, "need at least one seed per curve point"),
+            ("suppression_m", [0], "suppression curve M=0: apparatus needs at least one microstate"),
+        ],
+    )
+    def test_measure_keys_fail_before_the_apparatus_is_drawn(self, key, value, message, tmp_path):
+        # at 2^50 microstates the run's phase table cannot be allocated; a
+        # bad key exits 2 with its own message, not 3 with the table's
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"n_microstates": 2**50, key: value}))
+        out = tmp_path / "m"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", "measure", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**33, 2**33)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"invalid configuration: {message}\n"
+        assert not out.exists()
 
     def test_narrow_gaussian_bump_is_silent(self, tmp_path):
         # (k - center) / width squares past the float range off the bump's
@@ -629,6 +668,30 @@ class TestSchema:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "config, status",
+        [
+            pytest.param({"spacing": 1.7e308, "two_point_r": [1e308]}, 2, id="bin-edge"),
+            pytest.param({"spacing": 1e308, "isotropy_r": 1e308}, 0, id="isotropy_r"),
+            pytest.param({"spacing": 1.7e308}, 2, id="spacing"),
+        ],
+    )
+    def test_separation_bins_at_a_huge_spacing_are_silent(self, config, status, tmp_path):
+        # a bin's edge r + s/2 and its offsets' lengths |y| s overflowed the
+        # float range: an OverflowError out of main, or numpy's overflow
+        # warning. In units of the spacing both stay finite
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "f"
+        proc = subprocess.run(
+            [sys.executable, "-m", "enslab", "field", "--config", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == status
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert proc.stderr.startswith("invalid configuration: ") if status else proc.stderr == ""
 
     @pytest.mark.parametrize(
         "subcommand, config, message",
@@ -975,30 +1038,6 @@ class TestFieldOnEveryCpuCount:
         assert not (tmp_path / "f").exists()
 
 
-@pytest.mark.parametrize(
-    "params, n_bins",
-    [({}, 3), ({"dim": 3, "side": 27, "two_point_r": [1.5], "isotropy_r": 1.8}, 2)],
-    ids=["default", "3d-27"],
-)
-def test_field_run_enumerates_each_bin_once(params, n_bins, tmp_path, monkeypatch):
-    # the config check before the field is built and the queries after it
-    # read the same cached tables: one enumeration per bin and helper
-    randomfield._pair_offsets.cache_clear()
-    randomfield._direction_groups.cache_clear()
-    calls = []
-    offsets_in_bin = randomfield._offsets_in_bin
-    monkeypatch.setattr(randomfield, "_offsets_in_bin", lambda *args: calls.append(args) or offsets_in_bin(*args))
-    config = field_config(params, tmp_path / "f")
-    assert cli.run(config) == 0
-    assert len(calls) == n_bins
-    p = config.parameters
-    tables = randomfield._direction_groups(p["dim"], p["side"], p["spacing"], p["isotropy_r"])
-    assert len(calls) == n_bins  # the run's own table, not a new one
-    for table in tables:
-        with pytest.raises(ValueError):
-            table[0] = 0
-
-
 # every way the CLI could create, write or delete a file or a directory
 FILE_CHANGES = [
     (pathlib.Path, "write_bytes"),
@@ -1177,13 +1216,14 @@ class TestEveryKeyIsLive:
 
 # The contract fuzz's values. Each key draws from a small valid range, where
 # every run ends well under a second, or from the edge values below, written
-# as JSON literals. Sizes between about 10^6 and 2^62 are left out: in-process
-# they can allocate gigabytes, and test_unallocatable_size_exits_three covers
+# as JSON literals: the float maximum among them, and an edge inside a list.
+# Sizes between about 10^6 and 2^62 are left out: in-process they can
+# allocate gigabytes, and test_unallocatable_size_exits_three covers
 # allocation failure under RLIMIT_AS.
 EDGE_LITERALS = [
     "0", "-1", "5e-324", "1e308", "-1e308", "NaN", "Infinity", "-Infinity",
     str(2**62), str(2**63 - 513), str(2**63 - 1), str(2**63),
-    '"x"', "[1]", "null", "true",
+    '"x"', "[1]", "null", "true", "[1e308]", "1.7976931348623157e308",
 ]  # fmt: skip
 
 

@@ -87,13 +87,11 @@ class TestOffdiagSuppression:
 
 class TestOutcomeFractions:
     def test_three_four_five_pair(self):
-        app = build_apparatus(100, 2, 8)
-        fractions = outcome_fractions(SystemState([0.6, 0.8]), app)
+        fractions = outcome_fractions(SystemState([0.6, 0.8]))
         np.testing.assert_allclose(fractions.probs, [0.36, 0.64], atol=1e-12)
 
     def test_eigenstate(self):
-        app = build_apparatus(100, 2, 8)
-        fractions = outcome_fractions(SystemState([1.0, 0.0]), app)
+        fractions = outcome_fractions(SystemState([1.0, 0.0]))
         np.testing.assert_allclose(fractions.probs, [1.0, 0.0], atol=1e-15)
 
     def test_random_coefficients_match_born_rule(self):
@@ -102,8 +100,7 @@ class TestOutcomeFractions:
             k = int(rng.integers(2, 6))
             z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             z /= np.linalg.norm(z)
-            app = build_apparatus(30, k, 1)
-            fractions = outcome_fractions(SystemState(z), app)
+            fractions = outcome_fractions(SystemState(z))
             np.testing.assert_allclose(fractions.probs, np.abs(z) ** 2, atol=1e-12)
 
 
@@ -147,26 +144,23 @@ class TestMaxCoherence:
 
 class TestSampleOutcomes:
     def test_binomial_band(self):
-        app = build_apparatus(100, 2, 5)
-        counts = sample_outcomes(EQUAL_PAIR, app, 10_000, seed=123)
+        counts = sample_outcomes(EQUAL_PAIR, 10_000, seed=123)
         assert counts.sum() == 10_000
         assert abs(counts[0] - 5000) <= 150  # 3 sigma = 3 sqrt(n/4)
 
     def test_eigenstate_is_deterministic(self):
-        app = build_apparatus(100, 2, 5)
-        counts = sample_outcomes(SystemState([1.0, 0.0]), app, 777, seed=9)
+        counts = sample_outcomes(SystemState([1.0, 0.0]), 777, seed=9)
         np.testing.assert_array_equal(counts, [777, 0])
 
     def test_seeds_vary_counts_within_band(self):
-        app = build_apparatus(100, 2, 5)
-        c1 = sample_outcomes(EQUAL_PAIR, app, 10_000, seed=1)
-        c2 = sample_outcomes(EQUAL_PAIR, app, 10_000, seed=2)
+        c1 = sample_outcomes(EQUAL_PAIR, 10_000, seed=1)
+        c2 = sample_outcomes(EQUAL_PAIR, 10_000, seed=2)
         assert not np.array_equal(c1, c2)
         assert abs(c1[0] - 5000) <= 150 and abs(c2[0] - 5000) <= 150
 
     def test_zero_members_rejected(self):
         with pytest.raises(ValidationError):
-            sample_outcomes(EQUAL_PAIR, build_apparatus(10, 2, 0), 0, seed=0)
+            sample_outcomes(EQUAL_PAIR, 0, seed=0)
 
 
 class TestEntropyLedger:
